@@ -35,6 +35,7 @@ from .polytope import (
     face_lattice,
     lattice_points,
     np_index,
+    satisfies_inequalities,
     standard_simplex,
 )
 from .sheaf_complexes import TwistComplex, bundle_tensor, cone, line_bundle, twist, validate
@@ -79,10 +80,6 @@ class CechResult:
     transfer_paths: int
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 class CechContext:
     """Per-polytope caches: face lattice, incidence signs, Ehrhart data."""
 
@@ -101,12 +98,6 @@ class CechContext:
             for f in self.lattice.faces
         ]
 
-    def _face_active(self, face_idx: int, k: int, m: Sequence[int]) -> bool:
-        for normal, b in self._face_constraints[face_idx]:
-            if _dot(normal, m) < k * b:
-                return False
-        return True
-
     def column_complex(self, k: int, m: Sequence[int]) -> ColumnComplex:
         """Faces whose cone k*F + T_F contains m, with incidence differentials.
 
@@ -116,7 +107,8 @@ class CechContext:
         n = self.polytope.dim
         m = tuple(int(x) for x in m)
         faces = tuple(
-            tuple(f for f in self._faces_by_cech_degree[s] if self._face_active(f, k, m))
+            tuple(f for f in self._faces_by_cech_degree[s]
+                  if satisfies_inequalities(self._face_constraints[f], k, m))
             for s in range(n + 1)
         )
         ranks = {s: len(faces[s]) for s in range(n + 1)}

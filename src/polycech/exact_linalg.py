@@ -1,16 +1,26 @@
 """Exact linear algebra over Z, Q and prime fields.
 
-This module contains the arithmetic kernel used everywhere else:
+This module contains the arithmetic kernel used everywhere else. All
+elimination in the package goes through two routines:
 
-* ``smith_normal_form`` computes D = U*A*V over Z with unimodular U, V,
-  a divisibility chain on the diagonal, and a deterministic pivoting rule
-  (entry of minimal nonzero absolute value, ties broken by (row, col)).
+* ``row_echelon`` is Gauss-Jordan reduction over Q or F_p; ranks,
+  nullspaces, determinants, affine ranks and face coordinates are read
+  off its result.
+* ``_diagonalize`` brings a matrix to diagonal form D = U*A*V with the
+  inverse transforms tracked. Over Z this is the Smith form, with a
+  divisibility chain on the diagonal and a deterministic pivoting rule
+  (entry of minimal nonzero absolute value, ties broken by (row, col));
+  over a field the pivots are scaled to 1. ``smith_normal_form``,
+  ``invariant_factors`` and ``contraction`` are built on it.
+
+On top of these:
+
 * ``complex_homology`` evaluates the homology of a bounded free chain
   complex, reporting free ranks and invariant factors over Z and ranks
   over Q or F_p.
 * ``contraction`` produces explicit (include, project, homotopy) data
   retracting a complex onto its homology, by cancelling unit pivots after
-  a normal-form change of basis per differential.
+  a diagonalising change of basis per differential.
 * ``perturb_transfer`` corrects the differential on a direct sum of
   contracted blocks by the terminating series p*delta*(h*delta)^j*i.
 
@@ -230,78 +240,74 @@ class Matrix:
         """Exact determinant via rational elimination; int when integral."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [[Fraction(a) for a in row] for row in self.data]
-        sign = 1
-        for t in range(n):
-            piv = next((i for i in range(t, n) if m[i][t] != 0), None)
-            if piv is None:
-                return 0
-            if piv != t:
-                m[t], m[piv] = m[piv], m[t]
-                sign = -sign
-            for i in range(t + 1, n):
-                q = m[i][t] / m[t][t]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-        result = Fraction(sign)
-        for t in range(n):
-            result *= m[t][t]
-        return int(result) if result.denominator == 1 else result
+        _, pivots, scale = row_echelon(self.data)
+        if len(pivots) < self.rows:
+            return 0
+        return int(scale) if scale.denominator == 1 else scale
+
+
+def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
+    """Reduced row echelon form over Q or F_p by Gauss-Jordan elimination.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current rank. Returns (R, pivots, scale): R is the reduced matrix as a
+    list of rows, ``pivots`` the pivot column of each nonzero row of R, and
+    ``scale`` the product of the pivots met times the sign of the row
+    swaps, which is the determinant of a square matrix of full rank.
+    """
+    if not ring.is_field:
+        raise ValueError(f"row echelon form needs a field, not {ring.label}")
+    p = ring.p
+    if p is None:
+        m = [[Fraction(a) for a in row] for row in rows]
+    else:
+        m = [[int(a) % p for a in row] for row in rows]
+    nrows = len(m)
+    pivots: list[int] = []
+    scale = 1
+    for j in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][j]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            scale = -scale
+        x = m[r][j]
+        scale *= x
+        if p is None:
+            inv = 1 / x
+            top = m[r] = [inv * a for a in m[r]]
+        else:
+            inv = pow(x, -1, p)
+            top = m[r] = [inv * a % p for a in m[r]]
+        for i in range(nrows):
+            c = m[i][j]
+            if c and i != r:
+                row = [a - c * b for a, b in zip(m[i], top)]
+                m[i] = row if p is None else [a % p for a in row]
+        pivots.append(j)
+    return m, pivots, scale if p is None else scale % p
 
 
 def field_rank(A: Matrix, ring: CoefficientRing) -> int:
     """Rank of A over the given field (Q or F_p) by exact elimination."""
-    if not ring.is_field:
-        raise ValueError("field_rank needs a field")
-    m = [[ring.normalize(a) for a in row] for row in A.data]
-    rank = 0
-    rows, cols = A.rows, A.cols
-    for j in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][j] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = ring.inv(m[rank][j])
-        m[rank] = [ring.normalize(inv * a) for a in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][j] != 0:
-                c = m[i][j]
-                m[i] = [ring.normalize(a - c * b) for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(row_echelon(A.data, ring)[1])
 
 
 def rational_nullspace(A: Matrix) -> list[list[Fraction]]:
     """Basis of the right nullspace of A over Q."""
-    rows, cols = A.rows, A.cols
-    m = [[Fraction(a) for a in row] for row in A.data]
-    pivots: list[int] = []
-    r = 0
-    for j in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][j] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][j]
-        m[r] = [inv * a for a in m[r]]
-        for i in range(rows):
-            if i != r and m[i][j] != 0:
-                c = m[i][j]
-                m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-        pivots.append(j)
-        r += 1
-        if r == rows:
-            break
+    R, pivots, _ = row_echelon(A.data)
     basis = []
-    free = [j for j in range(cols) if j not in pivots]
-    for j in free:
-        v = [Fraction(0)] * cols
+    for j in range(A.cols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * A.cols
         v[j] = Fraction(1)
         for i, pj in enumerate(pivots):
-            v[pj] = -m[i][j]
+            v[pj] = -R[i][j]
         basis.append(v)
     return basis
 
@@ -315,94 +321,124 @@ def _nearest_quotient(a: int, b: int) -> int:
     return q
 
 
-def _smith_with_inverses(A: Matrix):
-    """Smith decomposition with tracked transforms and their inverses.
+def _diagonalize(A: Matrix, ring: CoefficientRing = ZZ, track: bool = True):
+    """Diagonal normal form D = U*A*V by row and column operations.
 
-    Returns (U, Uinv, D, V, Vinv) with D = U*A*V, U*Uinv = I, V*Vinv = I,
-    D diagonal with non-negative entries in a divisibility chain.
+    Over Z, D is the Smith form: the pivot is an entry of minimal nonzero
+    absolute value, ties broken by (row, col); rows and columns are reduced
+    by nearest quotients until the pivot divides the rest of its row and
+    column, a row sum repairs a pivot that fails to divide the remaining
+    block, and rows are negated at the end so the diagonal is non-negative.
+    Over a field the pivot is the first nonzero entry in row-major order,
+    scaled to 1.
+
+    Returns (U, Uinv, D, V, Vinv) with U*Uinv = I and V*Vinv = I; without
+    ``track`` the transforms are not kept and come back as None.
     """
     r, c = A.rows, A.cols
-    D = [list(row) for row in A.data]
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    Ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    Vi = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    p, field = ring.p, ring.is_field
+    one, zero = ring.normalize(1), ring.normalize(0)
+    D = [[ring.normalize(a) for a in row] for row in A.data]
 
-    def row_op(i, t, q):
-        # row_i -= q*row_t
-        D[i] = [a - q * b for a, b in zip(D[i], D[t])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[t])]
-        for k in range(r):
-            Ui[k][t] += q * Ui[k][i]
+    def eye(k):
+        return [[one if i == j else zero for j in range(k)] for i in range(k)]
 
-    def col_op(j, t, q):
-        # col_j -= q*col_t
-        for i in range(r):
-            D[i][j] -= q * D[i][t]
-        for i in range(c):
-            V[i][j] -= q * V[i][t]
-        Vi[t] = [a + q * b for a, b in zip(Vi[t], Vi[j])]
+    # U and Vinv change by row operations, Uinv and V by column operations;
+    # the latter two are kept transposed so that every update is a row update
+    if track:
+        U, UiT, VT, Vi = eye(r), eye(r), eye(c), eye(c)
+
+    def reduced(row):
+        return row if p is None else [x % p for x in row]
+
+    def combine(X, a, b, q):  # X[a] -= q*X[b]
+        X[a] = reduced([x - q * y for x, y in zip(X[a], X[b])])
+
+    def row_op(i, t, q):  # row_i -= q*row_t
+        combine(D, i, t, q)
+        if track:
+            combine(U, i, t, q)
+            combine(UiT, t, i, -q)
+
+    def col_op(j, t, q):  # col_j -= q*col_t
+        for row in D:
+            x = row[j] - q * row[t]
+            row[j] = x if p is None else x % p
+        if track:
+            combine(VT, j, t, q)
+            combine(Vi, t, j, -q)
 
     def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        for k in range(r):
-            Ui[k][i], Ui[k][j] = Ui[k][j], Ui[k][i]
+        for X in (D, U, UiT) if track else (D,):
+            X[i], X[j] = X[j], X[i]
 
     def col_swap(i, j):
-        for k in range(r):
-            D[k][i], D[k][j] = D[k][j], D[k][i]
-        for k in range(c):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
+        for row in D:
+            row[i], row[j] = row[j], row[i]
+        if track:
+            for X in (VT, Vi):
+                X[i], X[j] = X[j], X[i]
 
-    def row_negate(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-        for k in range(r):
-            Ui[k][i] = -Ui[k][i]
+    def row_scale(i, s, s_inv):
+        D[i] = reduced([s * x for x in D[i]])
+        if track:
+            U[i] = reduced([s * x for x in U[i]])
+            UiT[i] = reduced([s_inv * x for x in UiT[i]])
 
-    t = 0
-    n = min(r, c)
-    while t < n:
+    def pivot(t):
+        # the first unit wins outright: nothing is smaller over Z, and over
+        # a field every nonzero entry is a unit
         best = None
         for i in range(t, r):
             for j in range(t, c):
                 v = abs(D[i][j])
                 if v and (best is None or v < best[0]):
+                    if field or v == 1:
+                        return i, j
                     best = (v, i, j)
-        if best is None:
+        return None if best is None else best[1:]
+
+    t = 0
+    n = min(r, c)
+    while t < n:
+        found = pivot(t)
+        if found is None:
             break
-        _, pi, pj = best
+        pi, pj = found
         if pi != t:
             row_swap(pi, t)
         if pj != t:
             col_swap(pj, t)
+        if field:
+            row_scale(t, ring.inv(D[t][t]), D[t][t])
+        piv = D[t][t]
         dirty = False
         for i in range(t + 1, r):
             if D[i][t]:
-                row_op(i, t, _nearest_quotient(D[i][t], D[t][t]))
+                row_op(i, t, D[i][t] if field else _nearest_quotient(D[i][t], piv))
                 if D[i][t]:
                     dirty = True
         for j in range(t + 1, c):
             if D[t][j]:
-                col_op(j, t, _nearest_quotient(D[t][j], D[t][t]))
+                col_op(j, t, D[t][j] if field else _nearest_quotient(D[t][j], piv))
                 if D[t][j]:
                     dirty = True
         if dirty:
             continue
-        piv = D[t][t]
-        bad = next(((i, j) for i in range(t + 1, r) for j in range(t + 1, c)
-                    if D[i][j] % piv), None)
-        if bad is not None:
-            row_op(t, bad[0], -1)
-            continue
+        if not ring.is_unit(piv):
+            bad = next((i for i in range(t + 1, r) for j in range(t + 1, c)
+                        if D[i][j] % piv), None)
+            if bad is not None:
+                row_op(t, bad, -1)
+                continue
         t += 1
     for i in range(n):
         if D[i][i] < 0:
-            row_negate(i)
+            row_scale(i, -1, -1)
     wrap = Matrix.from_rows
-    return wrap(U), wrap(Ui), wrap(D), wrap(V), wrap(Vi)
+    if not track:
+        return None, None, wrap(D), None, None
+    return wrap(U), wrap(UiT).transpose(), wrap(D), wrap(VT).transpose(), wrap(Vi)
 
 
 def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -413,108 +449,14 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     minimal nonzero absolute value, ties broken in (row, col) order, so
     the transforms are reproducible across runs.
     """
-    U, _, D, V, _ = _smith_with_inverses(A)
+    U, _, D, V, _ = _diagonalize(A)
     return U, D, V
 
 
 def invariant_factors(A: Matrix) -> list[int]:
     """Nonzero diagonal of the Smith form (no transform bookkeeping)."""
-    r, c = A.rows, A.cols
-    D = [list(row) for row in A.data]
-    t = 0
-    n = min(r, c)
-    while t < n:
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                v = abs(D[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            D[pi], D[t] = D[t], D[pi]
-        if pj != t:
-            for row in D:
-                row[pj], row[t] = row[t], row[pj]
-        dirty = False
-        for i in range(t + 1, r):
-            if D[i][t]:
-                q = _nearest_quotient(D[i][t], D[t][t])
-                D[i] = [a - q * b for a, b in zip(D[i], D[t])]
-                if D[i][t]:
-                    dirty = True
-        for j in range(t + 1, c):
-            if D[t][j]:
-                q = _nearest_quotient(D[t][j], D[t][t])
-                for i in range(r):
-                    D[i][j] -= q * D[i][t]
-                if D[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        piv = D[t][t]
-        bad = next(((i, j) for i in range(t + 1, r) for j in range(t + 1, c)
-                    if D[i][j] % piv), None)
-        if bad is not None:
-            D[t] = [a + b for a, b in zip(D[t], D[bad[0]])]
-            continue
-        t += 1
-    return [abs(D[i][i]) for i in range(n) if D[i][i] != 0]
-
-
-def _field_diagonalize(A: Matrix, ring: CoefficientRing):
-    """Counterpart of the Smith decomposition over a field: D has unit pivots."""
-    r, c = A.rows, A.cols
-    nz = ring.normalize
-    D = [[nz(a) for a in row] for row in A.data]
-    U = [[nz(1 if i == j else 0) for j in range(r)] for i in range(r)]
-    Ui = [row[:] for row in U]
-    V = [[nz(1 if i == j else 0) for j in range(c)] for i in range(c)]
-    Vi = [row[:] for row in V]
-    t = 0
-    n = min(r, c)
-    while t < n:
-        piv = next(((i, j) for i in range(t, r) for j in range(t, c) if D[i][j] != 0), None)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            D[t], D[pi] = D[pi], D[t]
-            U[t], U[pi] = U[pi], U[t]
-            for k in range(r):
-                Ui[k][t], Ui[k][pi] = Ui[k][pi], Ui[k][t]
-        if pj != t:
-            for k in range(r):
-                D[k][t], D[k][pj] = D[k][pj], D[k][t]
-            for k in range(c):
-                V[k][t], V[k][pj] = V[k][pj], V[k][t]
-            Vi[t], Vi[pj] = Vi[pj], Vi[t]
-        piv_val = D[t][t]
-        inv = ring.inv(piv_val)
-        D[t] = [nz(inv * a) for a in D[t]]
-        U[t] = [nz(inv * a) for a in U[t]]
-        for k in range(r):
-            Ui[k][t] = nz(Ui[k][t] * piv_val)
-        for i in range(r):
-            if i != t and D[i][t] != 0:
-                q = D[i][t]
-                D[i] = [nz(a - q * b) for a, b in zip(D[i], D[t])]
-                U[i] = [nz(a - q * b) for a, b in zip(U[i], U[t])]
-                for k in range(r):
-                    Ui[k][t] = nz(Ui[k][t] + q * Ui[k][i])
-        for j in range(c):
-            if j != t and D[t][j] != 0:
-                q = D[t][j]
-                for i in range(r):
-                    D[i][j] = nz(D[i][j] - q * D[i][t])
-                for i in range(c):
-                    V[i][j] = nz(V[i][j] - q * V[i][t])
-                Vi[t] = [nz(a + q * b) for a, b in zip(Vi[t], Vi[j])]
-        t += 1
-    wrap = Matrix.from_rows
-    return wrap(U), wrap(Ui), wrap(D), wrap(V), wrap(Vi)
+    D = _diagonalize(A, track=False)[2]
+    return [D[i, i] for i in range(min(D.rows, D.cols)) if D[i, i]]
 
 
 @dataclass(frozen=True)
@@ -856,10 +798,7 @@ def contraction(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Contraction:
         if M.is_zero_mod(ring):
             set_diff(d, Matrix.zeros(M.rows, M.cols))
             continue
-        if ring.is_field:
-            U, Uinv, Dg, V, Vinv = _field_diagonalize(M, ring)
-        else:
-            U, Uinv, Dg, V, Vinv = _smith_with_inverses(M)
+        U, Uinv, Dg, V, Vinv = _diagonalize(M, ring)
         set_diff(d, Dg)
         apply_iso(d, V, Vinv, Uinv, U)
         for idx in reversed(range(min(Dg.rows, Dg.cols))):

@@ -9,11 +9,11 @@ All determinants are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_linalg import Matrix
+from .exact_linalg import Matrix, row_echelon
 from .polytope import Face, FaceLattice
 
 
@@ -26,16 +26,13 @@ class IncidenceSystem:
     """Signs keyed by (inner face index, outer face index); absent pairs are 0."""
 
     numbers: tuple[tuple[tuple[int, int], int], ...]
+    _signs: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_signs", dict(self.numbers))
 
     def sign(self, inner: int, outer: int) -> int:
-        return self._lookup().get((inner, outer), 0)
-
-    def _lookup(self) -> dict[tuple[int, int], int]:
-        cached = getattr(self, "_cache", None)
-        if cached is None:
-            cached = dict(self.numbers)
-            object.__setattr__(self, "_cache", cached)
-        return cached
+        return self._signs.get((inner, outer), 0)
 
 
 def _sorted_vertices(lattice: FaceLattice, face: Face, reverse: bool) -> list[tuple[int, ...]]:
@@ -50,7 +47,7 @@ def _oriented_basis(lattice: FaceLattice, face: Face, reverse: bool) -> list[tup
     basis: list[tuple[Fraction, ...]] = []
     for v in verts[1:]:
         cand = tuple(Fraction(a - b) for a, b in zip(v, base))
-        if _rank_of(basis + [cand]) > len(basis):
+        if len(row_echelon(basis + [cand])[1]) > len(basis):
             basis.append(cand)
         if len(basis) == face.dim:
             break
@@ -59,53 +56,17 @@ def _oriented_basis(lattice: FaceLattice, face: Face, reverse: bool) -> list[tup
     return basis
 
 
-def _rank_of(vectors: Sequence[Sequence[Fraction]]) -> int:
-    if not vectors:
-        return 0
-    m = [list(v) for v in vectors]
-    rank = 0
-    cols = len(m[0])
-    for j in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][j] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][j]
-        m[rank] = [inv * a for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][j] != 0:
-                c = m[i][j]
-                m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def _coords_in_basis(basis: Sequence[Sequence[Fraction]],
                      targets: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Solve basis-matrix * lambda = target for each target, exactly."""
-    n = len(basis[0])
     e = len(basis)
-    aug = [[Fraction(basis[j][i]) for j in range(e)]
-           + [Fraction(t[i]) for t in targets] for i in range(n)]
-    rank = 0
-    pivots = []
-    for j in range(e):
-        piv = next((i for i in range(rank, n) if aug[i][j] != 0), None)
-        if piv is None:
-            raise DegenerateBasis("face basis is rank deficient")
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = Fraction(1) / aug[rank][j]
-        aug[rank] = [inv * a for a in aug[rank]]
-        for i in range(n):
-            if i != rank and aug[i][j] != 0:
-                c = aug[i][j]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(j)
-        rank += 1
-    for i in range(rank, n):
-        if any(aug[i][e + k] != 0 for k in range(len(targets))):
-            raise DegenerateBasis("target vector leaves the span of the face")
-    return [[aug[r][e + k] for r in range(e)] for k in range(len(targets))]
+    aug = [list(col) + [t[i] for t in targets] for i, col in enumerate(zip(*basis))]
+    R, pivots, _ = row_echelon(aug)
+    if pivots[:e] != list(range(e)):
+        raise DegenerateBasis("face basis is rank deficient")
+    if len(pivots) > e:
+        raise DegenerateBasis("target vector leaves the span of the face")
+    return [[R[r][e + k] for r in range(e)] for k in range(len(targets))]
 
 
 def _centroid(lattice: FaceLattice, face: Face) -> tuple[Fraction, ...]:

@@ -13,7 +13,7 @@ from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .exact_linalg import Matrix, rational_nullspace
+from .exact_linalg import Matrix, rational_nullspace, row_echelon
 
 
 class NotFullDimensional(Exception):
@@ -53,9 +53,7 @@ def _affine_rank(points: Sequence[Sequence[int]]) -> int:
     if len(points) <= 1:
         return 0
     base = points[0]
-    rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    m = Matrix.from_rows(rows)
-    return m.cols - len(rational_nullspace(m))
+    return len(row_echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])[1])
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -209,13 +207,22 @@ def join(L: FaceLattice, f: Face, g: Face) -> Face:
     return L.join(f, g)
 
 
+def satisfies_inequalities(constraints: Iterable[tuple[Sequence[int], int]], k: int,
+                           m: Sequence[int]) -> bool:
+    """Whether <a, m> >= k*b for every pair (a, b) in ``constraints``."""
+    for normal, offset in constraints:
+        if _dot(normal, m) < k * offset:
+            return False
+    return True
+
+
 def cone_membership(P: LatticePolytope, F: Face, k: int, m: Sequence[int]) -> bool:
     """Whether m lies in the k-dilated tangent cone kF + T_F.
 
     Tested as <a_i, m> >= k*b_i over the facets tight at F; the top face
     has no tight facets, so its cone is all of R^n.
     """
-    return all(_dot(P.facets[i][0], m) >= k * P.facets[i][1] for i in F.tight_facets)
+    return satisfies_inequalities((P.facets[i] for i in F.tight_facets), k, m)
 
 
 def _bounding_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .exact_linalg import FreeChainComplex
-from .polytope import LatticePolytope
+from .polytope import LatticePolytope, satisfies_inequalities
 
 # a formal sum of monomials: ((coeff, exponent vector), ...)
 Terms = tuple[tuple[int, tuple[int, ...]], ...]
@@ -143,7 +143,7 @@ def line_bundle(k: int, level: int = 0) -> TwistComplex:
 def monomial_in_dilate(P: LatticePolytope, k: int, u: Sequence[int]) -> bool:
     """Whether u satisfies <a_i, u> >= k*b_i for every facet (u in the
     inequality form of the dilate kP; empty for k < 0)."""
-    return all(sum(a * x for a, x in zip(normal, u)) >= k * b for normal, b in P.facets)
+    return satisfies_inequalities(P.facets, k, u)
 
 
 def validate(Y: TwistComplex, P: LatticePolytope) -> None:

@@ -114,7 +114,7 @@ def test_verify_passes(docs, capsys):
     assert "simplex_cone_identity" not in names
 
 
-def test_input_errors_exit_2(docs, capsys):
+def test_input_errors_exit_2(docs, tmp_path, capsys):
     code, out = run(["ehrhart", docs["badpoly.json"]], capsys)
     assert code == 2
     err = json.loads(out)
@@ -126,6 +126,16 @@ def test_input_errors_exit_2(docs, capsys):
     assert code == 2 and json.loads(out)["code"] == "missing_file"
     code, out = run(["cohomology", docs["d2.json"], "--twist", "0", "--ring", "Fp:4"], capsys)
     assert code == 2 and json.loads(out)["code"] == "bad_ring"
+    # JSON booleans are not integers
+    for name, doc, expected in [
+        ("booldim.json", {"dim": True, "vertices": [[0], [1]]}, "bad_dim"),
+        ("boolvert.json", {"dim": 1, "vertices": [[0], [True]]}, "bad_vertices"),
+    ]:
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out = run(["np", str(path)], capsys)
+        assert code == 2 and json.loads(out)["code"] == expected
+        assert out.count("\n") == 1
 
 
 def test_invalid_complex_document_exit_2(docs, tmp_path, capsys):
@@ -139,6 +149,26 @@ def test_invalid_complex_document_exit_2(docs, tmp_path, capsys):
     }))
     code, out = run(["cech", docs["iv.json"], str(bad)], capsys)
     assert code == 2 and json.loads(out)["code"] == "bad_complex"
+    # a JSON boolean in any integer field is rejected, not read as 0 or 1
+    term = {"c": "1", "u": [0]}
+    entry = {"row": 0, "col": 0, "terms": [term]}
+    block = {"from": 1, "entries": [entry]}
+    base = {"min_level": 0, "levels": [[1], [0]], "differentials": [block]}
+    for doc, expected in [
+        ({**base, "min_level": False}, "bad_level"),
+        ({**base, "levels": [[1], [True]]}, "bad_levels"),
+        ({**base, "differentials": [{**block, "from": True}]}, "bad_level"),
+        ({**base, "differentials": [{**block, "entries": [{**entry, "row": False}]}]},
+         "bad_entry"),
+        ({**base, "differentials": [{**block, "entries": [
+            {**entry, "terms": [{**term, "u": [False]}]}]}]}, "bad_monomial"),
+        ({**base, "differentials": [{**block, "entries": [
+            {**entry, "terms": [{**term, "c": True}]}]}]}, "bad_coefficient"),
+    ]:
+        bad.write_text(json.dumps(doc))
+        code, out = run(["cech", docs["iv.json"], str(bad)], capsys)
+        assert code == 2 and json.loads(out)["code"] == expected
+        assert out.count("\n") == 1
 
 
 def test_byte_identical_reruns(docs, capsys):

@@ -15,8 +15,10 @@ from polycech.exact_linalg import (
     TorsionObstruction,
     complex_homology,
     contraction,
+    field_rank,
     invariant_factors,
     perturb_transfer,
+    rational_nullspace,
     smith_normal_form,
 )
 
@@ -243,3 +245,31 @@ def test_homology_result_shift_and_euler():
     h = HomologyResult.from_dict({0: (1, ()), 1: (2, ())})
     assert h.shifted(2).as_dict() == {2: (1, ()), 3: (2, ())}
     assert h.euler_characteristic() == -1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_against_sympy(seed):
+    # an oracle outside the package: tests/helpers.py builds on this kernel
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(1000 + seed)
+    for _ in range(25):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        spread = rng.choice([1, 3, 9])
+        rows = [[rng.randint(-spread, spread) for _ in range(c)] for _ in range(r)]
+        A, S = Matrix.from_rows(rows), sympy.Matrix(rows)
+        expected = [int(f) for f in sympy_factors(S, domain=sympy.ZZ) if f]
+        assert invariant_factors(A) == expected
+        assert field_rank(A, QQ) == S.rank()
+        for p in (2, 3, 5):
+            dm = DomainMatrix.from_Matrix(S).convert_to(sympy.GF(p))
+            assert field_rank(A, GF(p)) == dm.rank()
+        if r == c:
+            det = A.det()
+            assert type(det) is int and det == int(S.det())
+        null = rational_nullspace(A)
+        assert len(null) == len(S.nullspace())
+        for v in null:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
