@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from . import cech
@@ -199,10 +198,6 @@ def homology_json(h: HomologyResult) -> list[dict]:
     ]
 
 
-def fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def cmd_faces(P: LatticePolytope) -> dict:
     lattice = face_lattice(P)
     faces = [
@@ -221,7 +216,7 @@ def cmd_faces(P: LatticePolytope) -> dict:
 def cmd_ehrhart(P: LatticePolytope) -> dict:
     e = ehrhart_polynomial(P)
     return {
-        "coeffs": [fraction_str(c) for c in e.coefficients],
+        "coeffs": [str(c) for c in e.coefficients],
         "np": e.np,
         "integral_roots": list(e.integral_roots),
     }

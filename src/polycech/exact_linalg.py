@@ -19,8 +19,8 @@ On top of these:
   complex, reporting free ranks and invariant factors over Z and ranks
   over Q or F_p.
 * ``contraction`` produces explicit (include, project, homotopy) data
-  retracting a complex onto its homology, by cancelling unit pivots after
-  a diagonalising change of basis per differential.
+  retracting a complex onto its homology, read off one diagonalising
+  change of basis per differential.
 * ``perturb_transfer`` corrects the differential on a direct sum of
   contracted blocks by the terminating series p*delta*(h*delta)^j*i.
 
@@ -71,6 +71,9 @@ class CoefficientRing:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
+            # the primality test is trial division, so bound its work first
+            if self.p is not None and self.p > 2**31:
+                raise ValueError(f"modulus {self.p} exceeds 2**31")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"modulus {self.p!r} is not prime")
         elif self.p is not None:
@@ -525,12 +528,6 @@ class FreeChainComplex:
             return self
         return FreeChainComplex(self.lo + j, self.hi + j, self.ranks, self.diffs)
 
-    def dd_is_zero(self, ring: CoefficientRing = ZZ) -> bool:
-        for d in range(self.lo + 2, self.hi + 1):
-            if not (self.diff(d - 1) @ self.diff(d)).is_zero_mod(ring):
-                return False
-        return True
-
 
 def _factor(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
@@ -714,9 +711,13 @@ class Contraction:
 def contraction(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Contraction:
     """Contract C onto its homology.
 
-    Works degree by degree: bring the differential to normal form (Smith
-    over Z, unit-pivot diagonal over a field), then cancel every unit
-    pivot pair. Over Z a leftover invariant factor > 1 means integral
+    Works upwards through the degrees. The differential out of degree d,
+    restricted to what is left of degree d-1, is brought to normal form
+    D = U*M*V (Smith over Z, unit-pivot diagonal over a field), whose r
+    unit pivots come first and are exactly 1. The first r columns of V
+    and rows of U span the cancelled pairs: the homotopy maps them onto
+    each other, and the remaining columns and rows give the include and
+    project maps. Over Z a further nonzero invariant factor means integral
     homology torsion and raises TorsionObstruction instead of guessing a
     non-integral splitting.
     """
@@ -724,103 +725,41 @@ def contraction(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Contraction:
         e = FreeChainComplex.empty()
         return Contraction(e, e, (), (), ())
     lo, hi = C.lo, C.hi
-    ranks = {d: C.rank(d) for d in C.degrees()}
-    diffs = {d: C.diff(d) for d in range(lo + 1, hi + 1)}
-    inc = {d: Matrix.identity(ranks[d]) for d in C.degrees()}
-    proj = {d: Matrix.identity(ranks[d]) for d in C.degrees()}
+    inc = {d: Matrix.identity(C.rank(d)) for d in C.degrees()}
+    proj = {d: Matrix.identity(C.rank(d)) for d in C.degrees()}
     homot = {d: Matrix.zeros(C.rank(d + 1), C.rank(d)) for d in C.degrees()}
 
-    def cur_diff(d: int) -> Matrix:
-        if lo < d <= hi:
-            return diffs[d]
-        return Matrix.zeros(ranks.get(d - 1, 0), ranks.get(d, 0))
-
-    def set_diff(d: int, m: Matrix) -> None:
-        if lo < d <= hi:
-            diffs[d] = m
-
-    def apply_iso(d: int, V, Vinv, Uinv, U) -> None:
-        # change of basis: degree d by V, degree d-1 by U
-        inc[d] = inc[d] @ V
-        proj[d] = Vinv @ proj[d]
-        inc[d - 1] = inc[d - 1] @ Uinv
-        proj[d - 1] = U @ proj[d - 1]
-        set_diff(d + 1, Vinv @ cur_diff(d + 1))
-        set_diff(d - 1, cur_diff(d - 1) @ Uinv)
-
-    def cancel(d: int, b: int, y: int) -> None:
-        # cancel the unit pivot at (row y, col b) of the differential d -> d-1
-        M = cur_diff(d)
-        phi = M[y, b]
-        phi_inv = ring.inv(phi)
-        rows = [i for i in range(M.rows) if i != y]
-        cols = [j for j in range(M.cols) if j != b]
-        gamma = M.submatrix(rows, [b])
-        delta = M.submatrix([y], cols)
-        eps = M.submatrix(rows, cols)
-        set_diff(d, (eps - gamma.scale(phi_inv) @ delta).normalized(ring))
-        up = cur_diff(d + 1)
-        set_diff(d + 1, up.submatrix(cols, range(up.cols)))
-        down = cur_diff(d - 1)
-        set_diff(d - 1, down.submatrix(range(down.rows), rows))
-        # elementary contraction maps for the cancelled pair
-        i2_d = [[0] * (len(cols)) for _ in range(M.cols)]
-        for new_j, j in enumerate(cols):
-            i2_d[j][new_j] = 1
-        for new_j, j in enumerate(cols):
-            i2_d[b][new_j] = ring.normalize(-phi_inv * delta[0, new_j])
-        i2_d = Matrix.from_rows(i2_d) if M.cols else Matrix.zeros(0, 0)
-        p2_d = Matrix.from_rows([[1 if j == c else 0 for j in range(M.cols)] for c in cols]) \
-            if cols else Matrix.zeros(0, M.cols)
-        i2_dm1 = Matrix.from_rows([[1 if r == c else 0 for c in rows] for r in range(M.rows)]) \
-            if rows else Matrix.zeros(M.rows, 0)
-        p2_rows = []
-        for new_i, i in enumerate(rows):
-            row = [0] * M.rows
-            row[i] = 1
-            row[y] = ring.normalize(-phi_inv * gamma[new_i, 0])
-            p2_rows.append(row)
-        p2_dm1 = Matrix.from_rows(p2_rows) if rows else Matrix.zeros(0, M.rows)
-        h2 = [[0] * M.rows for _ in range(M.cols)]
-        h2[b][y] = phi_inv
-        h2 = Matrix.from_rows(h2) if M.cols and M.rows else Matrix.zeros(M.cols, M.rows)
-        # compose: h += i∘h2∘p at degree d-1, then update i and p
-        homot[d - 1] = (homot[d - 1] + inc[d] @ h2 @ proj[d - 1]).normalized(ring)
-        inc[d] = (inc[d] @ i2_d).normalized(ring)
-        proj[d] = (p2_d @ proj[d]).normalized(ring)
-        inc[d - 1] = (inc[d - 1] @ i2_dm1).normalized(ring)
-        proj[d - 1] = (p2_dm1 @ proj[d - 1]).normalized(ring)
-        ranks[d] -= 1
-        ranks[d - 1] -= 1
-
     for d in range(lo + 1, hi + 1):
-        M = cur_diff(d)
-        if M.is_zero_mod(ring):
-            set_diff(d, Matrix.zeros(M.rows, M.cols))
+        # inc[d] and proj[d] are still the identity here
+        M = (proj[d - 1] @ C.diff(d)).normalized(ring)
+        if M.is_zero():
             continue
         U, Uinv, Dg, V, Vinv = _diagonalize(M, ring)
-        set_diff(d, Dg)
-        apply_iso(d, V, Vinv, Uinv, U)
-        for idx in reversed(range(min(Dg.rows, Dg.cols))):
-            if ring.is_unit(cur_diff(d)[idx, idx]):
-                cancel(d, idx, idx)
-        leftover = cur_diff(d)
-        if not leftover.is_zero_mod(ring):
-            bad = [leftover[i, i] for i in range(min(leftover.rows, leftover.cols))
-                   if leftover[i, i] != 0]
+        diag = [Dg[i, i] for i in range(min(Dg.rows, Dg.cols))]
+        r = diag.count(1)
+        bad = [x for x in diag[r:] if x]
+        if bad:
             raise TorsionObstruction(
                 f"invariant factors {bad} at degree {d} obstruct an integral splitting")
+        rows, cols = range(M.rows), range(M.cols)
+        UP = (U @ proj[d - 1]).normalized(ring)
+        amb = range(UP.cols)
+        homot[d - 1] = (V.submatrix(cols, range(r)) @ UP.submatrix(range(r), amb)).normalized(ring)
+        inc[d] = V.submatrix(cols, cols[r:])
+        proj[d] = Vinv.submatrix(cols[r:], cols)
+        inc[d - 1] = (inc[d - 1] @ Uinv.submatrix(rows, rows[r:])).normalized(ring)
+        proj[d - 1] = UP.submatrix(rows[r:], amb)
 
     small = FreeChainComplex.from_dicts(
-        {d: ranks[d] for d in range(lo, hi + 1)},
-        {d: Matrix.zeros(ranks[d - 1], ranks[d]) for d in range(lo + 1, hi + 1)},
+        {d: inc[d].cols for d in C.degrees()},
+        {d: Matrix.zeros(inc[d - 1].cols, inc[d].cols) for d in range(lo + 1, hi + 1)},
     )
     return Contraction(
         ambient=C,
         small=small,
-        include=tuple(inc[d] for d in range(lo, hi + 1)),
-        project=tuple(proj[d] for d in range(lo, hi + 1)),
-        homotopy=tuple(homot[d] for d in range(lo, hi + 1)),
+        include=tuple(inc[d] for d in C.degrees()),
+        project=tuple(proj[d] for d in C.degrees()),
+        homotopy=tuple(homot[d] for d in C.degrees()),
     )
 
 

@@ -124,8 +124,10 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
     assert code == 2 and json.loads(out)["code"] == "bad_json"
     code, out = run(["ehrhart", str(docs["d2.json"]) + ".missing"], capsys)
     assert code == 2 and json.loads(out)["code"] == "missing_file"
-    code, out = run(["cohomology", docs["d2.json"], "--twist", "0", "--ring", "Fp:4"], capsys)
-    assert code == 2 and json.loads(out)["code"] == "bad_ring"
+    # a composite modulus, and a prime too large to test by trial division
+    for ring in ("Fp:4", "Fp:2305843009213693951"):
+        code, out = run(["cohomology", docs["d2.json"], "--twist", "1", "--ring", ring], capsys)
+        assert code == 2 and json.loads(out)["code"] == "bad_ring"
     # JSON booleans are not integers
     for name, doc, expected in [
         ("booldim.json", {"dim": True, "vertices": [[0], [1]]}, "bad_dim"),

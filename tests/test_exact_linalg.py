@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -21,8 +22,9 @@ from polycech.exact_linalg import (
     rational_nullspace,
     smith_normal_form,
 )
+from polycech.polytope import facets_from_vertices
 
-from helpers import random_free_complex
+from helpers import random_free_complex, sample_polytopes
 
 
 def diag_of(D):
@@ -82,6 +84,8 @@ def test_ring_parsing_and_units():
         CoefficientRing.parse("Fp:6")
     with pytest.raises(ValueError):
         CoefficientRing.parse("R")
+    with pytest.raises(ValueError):
+        GF(2**61 - 1)  # prime, but above the bound on trial division
     assert ZZ.is_unit(-1) and not ZZ.is_unit(2)
     assert GF(5).inv(2) == 3
     assert GF(3).normalize(-1) == 2
@@ -189,6 +193,33 @@ def test_contraction_random(ring):
         for d in C.degrees():
             assert ct.small.rank(d) == h.free_rank(d)
         assert all(m.is_zero() for m in ct.small.diffs)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.label)
+def test_contraction_of_polytope_columns(ring):
+    # three-degree columns: the restriction left by one degree's
+    # cancellations carries over into the next differential
+    from polycech.cech import CechContext
+
+    polytopes = {
+        "cube": sample_polytopes()["cube"],
+        "octahedron": facets_from_vertices(
+            3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]),
+    }
+    for name, P in polytopes.items():
+        ctx = CechContext(P)
+        patterns = {}
+        for k in range(-2, 2):
+            for m in product(*(range(a, b + 1) for a, b in ctx._scan_box(k))):
+                col = ctx.column_complex(k, m)
+                patterns.setdefault(col.faces, col.complex)
+        assert len(patterns) == {"cube": 46, "octahedron": 104}[name]
+        for C in patterns.values():
+            ct = contraction(C, ring)
+            ct.verify(ring)
+            h = complex_homology(C, ring)
+            for d in C.degrees():
+                assert ct.small.rank(d) == h.free_rank(d)
 
 
 def unit_block(degree):
