@@ -171,9 +171,10 @@ class CechContext:
 
         Steps: (1) supports of every summand; (2) close up the set of
         (level, summand, multidegree) columns lying on monomial paths
-        between supports; (3) contract every active column; (4) transfer
-        the relocated monomial differentials (with the (-1)^s column sign)
-        through the homotopies; (5) take homology of the small complex.
+        between supports; (3) contract each active column pattern once;
+        (4) transfer the relocated monomial differentials (with the (-1)^s
+        column sign) through the homotopies; (5) take homology of the small
+        complex.
         """
         validate(Y, self.polytope)
         if Y.hi < Y.lo or Y.is_empty():
@@ -235,13 +236,18 @@ class CechContext:
                 path_counts[tr] = cnt
         transfer_paths = sum(path_counts.get(tr, 0) for tr in support_triples)
 
+        # a column's complex depends only on its active faces, so columns
+        # with one face pattern share one contraction
         col_cache: dict[tuple, tuple[ColumnComplex, Contraction]] = {}
+        by_pattern: dict[tuple, Contraction] = {}
 
         def column_data(k: int, m: tuple) -> tuple[ColumnComplex, Contraction]:
             key = (k, m)
             if key not in col_cache:
                 col = self.column_complex(k, m)
-                col_cache[key] = (col, contraction(col.complex, ring))
+                if col.faces not in by_pattern:
+                    by_pattern[col.faces] = contraction(col.complex, ring)
+                col_cache[key] = (col, by_pattern[col.faces])
             return col_cache[key]
 
         blocks = []

@@ -387,6 +387,8 @@ def run(argv: Sequence[str]) -> tuple[Any, int]:
     if args.command == "splitting":
         return cmd_splitting(P), 0
     if args.command == "verify":
+        if args.kmax < 0:
+            raise InputError("bad_kmax", f"kmax {args.kmax} is negative", "--kmax")
         report = verify_suite(P, args.kmax)
         ok = all(item["pass"] for item in report)
         return {"ok": ok, "results": report}, 0 if ok else 1

@@ -22,7 +22,8 @@ On top of these:
   retracting a complex onto its homology, read off one diagonalising
   change of basis per differential.
 * ``perturb_transfer`` corrects the differential on a direct sum of
-  contracted blocks by the terminating series p*delta*(h*delta)^j*i.
+  contracted blocks by the terminating series p*delta*(-h*delta)^j*i,
+  followed block by block along the nonzero blocks of delta.
 
 All entries are Python ints or Fractions; there is no floating point.
 """
@@ -763,20 +764,6 @@ def contraction(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Contraction:
     )
 
 
-def _assemble_blocks(entries: Mapping[tuple[int, int], Matrix],
-                     row_offsets: Sequence[int], col_offsets: Sequence[int],
-                     rtot: int, ctot: int) -> Matrix:
-    grid = [[0] * ctot for _ in range(rtot)]
-    for (bi, bj), m in entries.items():
-        r0, c0 = row_offsets[bi], col_offsets[bj]
-        for i in range(m.rows):
-            row = m.data[i]
-            for j in range(m.cols):
-                if row[j]:
-                    grid[r0 + i][c0 + j] = row[j]
-    return Matrix.from_rows(grid) if rtot else Matrix.zeros(0, ctot)
-
-
 def perturb_transfer(
     blocks: Sequence[Contraction],
     delta: Mapping[tuple[int, int], Mapping[int, Matrix]],
@@ -787,67 +774,57 @@ def perturb_transfer(
 
     ``delta[(tgt, src)][d]`` maps the ambient of block ``src`` in degree d
     to the ambient of block ``tgt`` in degree d-1, and must strictly lower
-    a finite filtration so that the series p∘delta∘(h∘delta)^j∘i stops
+    a finite filtration so that the series p∘delta∘(-h∘delta)^j∘i stops
     after at most ``level_bound`` terms; otherwise NonNilpotent is raised.
+    The sign of h comes from the convention 1 - i∘p = d∘h + h∘d of
+    ``Contraction``. The series is followed block by block: each term maps
+    the small part of a source block into the ambients of the blocks that
+    delta reaches from where the previous term ended, and no other block
+    is visited.
     """
     if not blocks:
         return FreeChainComplex.empty()
     lo = min(b.ambient.lo for b in blocks)
     hi = max(b.ambient.hi for b in blocks)
+    small = {d: [b.small.rank(d) for b in blocks] for d in range(lo, hi + 1)}
 
-    def offsets(rank_fn):
-        offs: dict[int, list[int]] = {}
-        totals: dict[int, int] = {}
-        for d in range(lo, hi + 1):
-            acc = [0]
-            for b in blocks:
-                acc.append(acc[-1] + rank_fn(b, d))
-            offs[d] = acc[:-1]
-            totals[d] = acc[-1]
-        return offs, totals
-
-    amb_off, amb_tot = offsets(lambda b, d: b.ambient.rank(d))
-    sm_off, sm_tot = offsets(lambda b, d: b.small.rank(d))
-
-    def block_diag(mats: Sequence[Matrix], row_off, col_off, rtot, ctot) -> Matrix:
-        return _assemble_blocks({(k, k): m for k, m in enumerate(mats)},
-                                row_off, col_off, rtot, ctot)
-
-    inc_g = {d: block_diag([b.include_at(d) for b in blocks],
-                           amb_off[d], sm_off[d], amb_tot[d], sm_tot[d])
-             for d in range(lo, hi + 1)}
-    proj_g = {d: block_diag([b.project_at(d) for b in blocks],
-                            sm_off[d], amb_off[d], sm_tot[d], amb_tot[d])
-              for d in range(lo, hi + 1)}
-    hom_g = {d: block_diag([b.homotopy_at(d) for b in blocks],
-                           amb_off[d + 1], amb_off[d], amb_tot[d + 1], amb_tot[d])
-             for d in range(lo, hi)}
-    delta_g = {}
-    for d in range(lo + 1, hi + 1):
-        entries = {}
-        for (ti, si), per_degree in delta.items():
-            m = per_degree.get(d)
-            if m is not None and not m.is_zero():
-                entries[(ti, si)] = m
-        delta_g[d] = _assemble_blocks(entries, amb_off[d - 1], amb_off[d],
-                                      amb_tot[d - 1], amb_tot[d])
+    def add(into, key, m):
+        into[key] = into[key] + m if key in into else m
 
     diffs: dict[int, Matrix] = {}
     for d in range(lo + 1, hi + 1):
-        acc = Matrix.zeros(sm_tot[d - 1], sm_tot[d])
-        x = inc_g[d]
+        leaving: dict[int, list[tuple[int, Matrix]]] = {}
+        for (ti, si), per_degree in delta.items():
+            m = per_degree.get(d)
+            if m is not None and not m.is_zero():
+                leaving.setdefault(si, []).append((ti, m))
+        # x[(t, s)]: small part of block s in degree d -> ambient of block t
+        x = {(k, k): b.include_at(d) for k, b in enumerate(blocks)}
+        x = {ts: m for ts, m in x.items() if not m.is_zero_mod(ring)}
+        acc: dict[tuple[int, int], Matrix] = {}
         j = 0
-        while not x.is_zero_mod(ring):
+        while x:
             if j >= level_bound:
                 raise NonNilpotent(f"perturbation series still nonzero after {j} terms")
-            y = delta_g[d] @ x
-            acc = acc + proj_g[d - 1] @ y
-            x = (hom_g[d - 1] @ y) if d - 1 in hom_g else Matrix.zeros(amb_tot[d], sm_tot[d])
-            x = x.normalized(ring)
+            y: dict[tuple[int, int], Matrix] = {}
+            for (t, s), m in x.items():
+                for ti, dm in leaving.get(t, ()):
+                    add(y, (ti, s), dm @ m)
+            x = {}
+            for (t, s), m in y.items():
+                add(acc, (t, s), blocks[t].project_at(d - 1) @ m)
+                h = (-(blocks[t].homotopy_at(d - 1) @ m)).normalized(ring)
+                if not h.is_zero():
+                    x[(t, s)] = h
             j += 1
-        diffs[d] = acc.normalized(ring)
+        rows = []
+        for t, nrows in enumerate(small[d - 1]):
+            parts = [acc[(t, s)].data if (t, s) in acc else ((0,) * ncols,) * nrows
+                     for s, ncols in enumerate(small[d])]
+            rows.extend(tuple(a for part in row for a in part) for row in zip(*parts))
+        diffs[d] = Matrix(len(rows), sum(small[d]), tuple(rows)).normalized(ring)
 
-    out = FreeChainComplex.from_dicts({d: sm_tot[d] for d in range(lo, hi + 1)}, diffs)
+    out = FreeChainComplex.from_dicts({d: sum(r) for d, r in small.items()}, diffs)
     for d in range(lo + 2, hi + 1):
         if not (out.diff(d - 1) @ out.diff(d)).is_zero_mod(ring):
             raise ValueError("transferred differential does not square to zero; "

@@ -269,6 +269,29 @@ def test_basic_cone_homology_ranks(n, k, rank):
     assert cech_homology(P, Y, ZZ).homology == H({n: (rank, ())})
 
 
+@pytest.mark.parametrize("name", ["cube", "octahedron"])
+def test_cech_homology_contracts_each_column_pattern_once(name, monkeypatch):
+    # the columns of one twist share few face patterns, and equal column
+    # complexes must share one contraction
+    import polycech.cech as cech_module
+    from polycech.exact_linalg import contraction
+
+    P = {"cube": SAMPLES["cube"], "octahedron": facets_from_vertices(
+        3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])}[name]
+    contracted = []
+
+    def counting(C, ring):
+        contracted.append(C)
+        return contraction(C, ring)
+
+    monkeypatch.setattr(cech_module, "contraction", counting)
+    Y = cone({0: {(0, 0): [(1, (0, 0, 0))]}}, line_bundle(0), line_bundle(1))
+    res = cech_homology(P, Y, ZZ)
+    # cokernel of the one point of P mapped into the lattice points of P
+    assert res.homology == H({3: ({"cube": 8, "octahedron": 7}[name] - 1, ())})
+    assert len(contracted) == len(set(contracted)) < res.active_multidegrees
+
+
 def test_simplex_cone_check_rejects_bad_range():
     with pytest.raises(ValueError):
         simplex_cone_check(2, 2)

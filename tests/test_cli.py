@@ -128,6 +128,9 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
     for ring in ("Fp:4", "Fp:2305843009213693951"):
         code, out = run(["cohomology", docs["d2.json"], "--twist", "1", "--ring", ring], capsys)
         assert code == 2 and json.loads(out)["code"] == "bad_ring"
+    # a negative twist bound would leave the closed-form check with no twist
+    code, out = run(["verify", docs["d2.json"], "--kmax", "-3"], capsys)
+    assert code == 2 and json.loads(out)["code"] == "bad_kmax"
     # JSON booleans are not integers
     for name, doc, expected in [
         ("booldim.json", {"dim": True, "vertices": [[0], [1]]}, "bad_dim"),

@@ -262,6 +262,77 @@ def test_perturb_transfer_non_nilpotent():
         perturb_transfer([start, acyclic], delta, 4, ZZ)
 
 
+def _dense(blocks, row_ranks, col_ranks):
+    """Assemble a dict {(row block, col block): Matrix} into one matrix."""
+    rows = []
+    for t, nrows in enumerate(row_ranks):
+        parts = [blocks.get((t, s), Matrix.zeros(nrows, ncols))
+                 for s, ncols in enumerate(col_ranks)]
+        rows += [[a for m in parts for a in m.data[i]] for i in range(nrows)]
+    return Matrix(len(rows), sum(col_ranks), tuple(map(tuple, rows)))
+
+
+def _block_lower_perturbation(rng):
+    """Blocks C_k, a strictly block-lower delta and the dense total complex.
+
+    With d the block-diagonal differential and g a random integer change of
+    basis that is the identity on diagonal blocks and zero above them,
+    delta = g*d*g^-1 - d is strictly block-lower and (d + delta)^2 = 0.
+    """
+    parts = [random_free_complex(rng, max_blocks=2) for _ in range(rng.randint(3, 6))]
+    lo, hi = min(C.lo for C in parts), max(C.hi for C in parts)
+    ranks = {d: [C.rank(d) for C in parts] for d in range(lo, hi + 1)}
+    g, g_inv = {}, {}
+    for d in range(lo, hi + 1):
+        below = {(t, s): Matrix(ranks[d][t], ranks[d][s], tuple(
+                     tuple(rng.randint(-2, 2) for _ in range(ranks[d][s]))
+                     for _ in range(ranks[d][t])))
+                 for t in range(len(parts)) for s in range(t)}
+        nil = _dense(below, ranks[d], ranks[d])
+        one = Matrix.identity(nil.rows)
+        g[d] = one + nil
+        g_inv[d], term = one, one
+        for _ in parts:  # nil is nilpotent of order at most len(parts)
+            term = term @ -nil
+            g_inv[d] = g_inv[d] + term
+    delta, total = {}, {}
+    for d in range(lo + 1, hi + 1):
+        diag = _dense({(k, k): C.diff(d) for k, C in enumerate(parts)}, ranks[d - 1], ranks[d])
+        total[d] = g[d - 1] @ diag @ g_inv[d]
+        off = total[d] - diag
+        r0 = 0
+        for t, nrows in enumerate(ranks[d - 1]):
+            c0 = 0
+            for s, ncols in enumerate(ranks[d]):
+                m = off.submatrix(range(r0, r0 + nrows), range(c0, c0 + ncols))
+                if not m.is_zero():
+                    assert t > s
+                    delta.setdefault((t, s), {})[d] = m
+                c0 += ncols
+            r0 += nrows
+    dense = FreeChainComplex.from_dicts({d: sum(ranks[d]) for d in range(lo, hi + 1)}, total)
+    return parts, delta, dense
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(5), ZZ], ids=lambda r: r.label)
+def test_perturb_transfer_matches_perturbation_lemma(ring):
+    # the transferred complex is homotopy equivalent to the total complex
+    # d + delta, whose homology is computed here without any contraction
+    rng = random.Random(2010)
+    checked = 0
+    for _ in range(60):
+        parts, delta, dense = _block_lower_perturbation(rng)
+        try:
+            blocks = [contraction(C, ring) for C in parts]
+        except TorsionObstruction:
+            assert ring == ZZ
+            continue
+        out = perturb_transfer(blocks, delta, len(parts), ring)
+        assert complex_homology(out, ring) == complex_homology(dense, ring)
+        checked += 1
+    assert checked >= 10
+
+
 def test_homology_result_direct_sum_merges_torsion():
     a = HomologyResult.from_dict({0: (1, (2,))})
     b = HomologyResult.from_dict({0: (0, (3,)), 1: (2, ())})
