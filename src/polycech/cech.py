@@ -2,10 +2,13 @@
 
 The Čech complex of a diagram over the face lattice splits, one lattice
 multidegree at a time, into finite "column" complexes indexed by the
-faces whose shifted tangent cone contains the multidegree. Line-bundle
-homology is found by scanning a verified bounding box of columns; general
-twist complexes are handled by contracting every column onto its homology
-and transferring the monomial differentials through the homotopies.
+faces whose shifted tangent cone contains the multidegree. A column is
+determined by its facet mask, the set of facets whose inequality holds at
+the multidegree, and is built once per mask. Line-bundle homology is
+found by scanning a verified bounding box of columns, taking homology
+once per face pattern; general twist complexes are handled by
+contracting every column pattern onto its homology and transferring the
+monomial differentials through the homotopies.
 Euler characteristics, acyclicity windows and the unimodular splitting
 matrix are derived on top.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .exact_linalg import (
@@ -35,7 +39,6 @@ from .polytope import (
     face_lattice,
     lattice_points,
     np_index,
-    satisfies_inequalities,
     standard_simplex,
 )
 from .sheaf_complexes import TwistComplex, bundle_tensor, cone, line_bundle, twist, validate
@@ -81,7 +84,8 @@ class CechResult:
 
 
 class CechContext:
-    """Per-polytope caches: face lattice, incidence signs, Ehrhart data."""
+    """Per-polytope caches: face lattice, incidence signs, Ehrhart data and
+    the column complex of every facet mask reached so far."""
 
     def __init__(self, P: LatticePolytope, reverse_orientation: bool = False):
         self.polytope = P
@@ -93,34 +97,44 @@ class CechContext:
         self._faces_by_cech_degree = tuple(
             tuple(f.index for f in self.lattice.by_dim[n - s]) for s in range(n + 1)
         )
-        self._face_constraints = [
-            tuple((P.facets[i][0], P.facets[i][1]) for i in sorted(f.tight_facets))
-            for f in self.lattice.faces
-        ]
+        self._face_masks = tuple(
+            sum(1 << i for i in f.tight_facets) for f in self.lattice.faces)
+        # facet mask -> (active faces per Čech degree, column complex)
+        self._columns: dict[int, tuple[tuple[tuple[int, ...], ...], FreeChainComplex]] = {}
 
     def column_complex(self, k: int, m: Sequence[int]) -> ColumnComplex:
         """Faces whose cone k*F + T_F contains m, with incidence differentials.
 
+        A face is active iff every facet tight at it satisfies
+        <a_i, m> >= k*b_i, so the column depends only on the mask of facets
+        whose inequality holds at m. The faces and complex are built once
+        per mask and shared by every twist and multidegree that reaches it.
         Activity is upward closed, so the selected rows and columns form a
         genuine subcomplex of the full face boundary.
         """
-        n = self.polytope.dim
         m = tuple(int(x) for x in m)
-        faces = tuple(
-            tuple(f for f in self._faces_by_cech_degree[s]
-                  if satisfies_inequalities(self._face_constraints[f], k, m))
-            for s in range(n + 1)
-        )
-        ranks = {s: len(faces[s]) for s in range(n + 1)}
-        diffs = {}
-        for s in range(1, n + 1):
-            rows, cols = faces[s - 1], faces[s]
-            if rows:
-                diffs[s] = Matrix.from_rows(
-                    [[self.incidence.sign(cf, rf) for cf in cols] for rf in rows])
-            else:
-                diffs[s] = Matrix.zeros(0, len(cols))
-        return ColumnComplex(k, m, FreeChainComplex.from_dicts(ranks, diffs), faces)
+        mask = 0
+        for i, (normal, offset) in enumerate(self.polytope.facets):
+            if sum(map(mul, normal, m)) >= k * offset:
+                mask |= 1 << i
+        hit = self._columns.get(mask)
+        if hit is None:
+            faces = tuple(
+                tuple(f for f in by_s if not self._face_masks[f] & ~mask)
+                for by_s in self._faces_by_cech_degree
+            )
+            ranks = {s: len(fs) for s, fs in enumerate(faces)}
+            diffs = {}
+            for s in range(1, len(faces)):
+                rows, cols = faces[s - 1], faces[s]
+                if rows:
+                    diffs[s] = Matrix.from_rows(
+                        [[self.incidence.sign(cf, rf) for cf in cols] for rf in rows])
+                else:
+                    diffs[s] = Matrix.zeros(0, len(cols))
+            hit = self._columns[mask] = (faces, FreeChainComplex.from_dicts(ranks, diffs))
+        faces, complex_ = hit
+        return ColumnComplex(k, m, complex_, faces)
 
     def support_table(self, k: int) -> SupportTable:
         """Multidegrees carrying homology: kP for k >= 0, interior of kP else."""
@@ -140,17 +154,22 @@ class CechContext:
     def line_bundle_cohomology(self, k: int, ring: CoefficientRing = ZZ) -> CechResult:
         """Homology of the Čech complex of O(k) by exhaustive column scan.
 
-        Every multidegree in the widened bounding box of kP is checked;
-        columns on the box boundary must be acyclic or SupportEscapesBox
-        is raised. The scan must reproduce the closed form (rank = point
-        count of kP, in degree n for k >= 0, degree 0 for k < 0).
+        Every multidegree in the widened bounding box of kP is checked.
+        Columns sharing a face pattern share one homology computation per
+        call; every multidegree whose pattern carries homology is still
+        tested against the box boundary, and raises SupportEscapesBox
+        there. The scan must reproduce the closed form (rank = point count
+        of kP, in degree n for k >= 0, degree 0 for k < 0).
         """
         box = self._scan_box(k)
         total = HomologyResult.zero()
         active = 0
+        by_pattern: dict[tuple, HomologyResult] = {}
         for m in product(*(range(lo, hi + 1) for lo, hi in box)):
             col = self.column_complex(k, m)
-            h = complex_homology(col.complex, ring)
+            h = by_pattern.get(col.faces)
+            if h is None:
+                h = by_pattern[col.faces] = complex_homology(col.complex, ring)
             if h.is_zero():
                 continue
             if any(x == lo or x == hi for x, (lo, hi) in zip(m, box)):
@@ -321,6 +340,8 @@ class CechContext:
 
     def hk_acyclic(self, Y: TwistComplex, kmax: int) -> bool:
         """Whether the Čech complex of Y(j) is acyclic for all 0 <= j <= kmax."""
+        if kmax < 0:
+            raise ValueError(f"kmax {kmax} is negative")
         return all(
             self.cech_homology(twist(Y, j), ZZ).homology.is_zero()
             for j in range(kmax + 1)

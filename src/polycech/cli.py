@@ -242,6 +242,8 @@ def cmd_splitting(P: LatticePolytope) -> dict:
 
 def verify_suite(P: LatticePolytope, kmax: int) -> list[dict]:
     """Run the verification battery; one pass/fail record per item."""
+    if kmax < 0:
+        raise ValueError(f"kmax {kmax} is negative")
     ctx = cech.context(P)
     n = P.dim
     items: list[dict] = []

@@ -1,8 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from polycech.cech import (
+    CechContext,
+    SupportEscapesBox,
     cech_homology,
     column_complex,
     con_vs_bundle_check,
@@ -24,7 +27,12 @@ from polycech.exact_linalg import (
     Matrix,
     complex_homology,
 )
-from polycech.polytope import ehrhart_polynomial, facets_from_vertices, standard_simplex
+from polycech.polytope import (
+    cone_membership,
+    ehrhart_polynomial,
+    facets_from_vertices,
+    standard_simplex,
+)
 from polycech.sheaf_complexes import (
     cone,
     direct_sum,
@@ -46,6 +54,9 @@ from helpers import (
 SAMPLES = sample_polytopes()
 D1 = SAMPLES["interval"]
 D2 = SAMPLES["simplex2"]
+OCTAHEDRON = facets_from_vertices(
+    3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+PYRAMID = facets_from_vertices(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
 
 
 def H(data):
@@ -211,6 +222,8 @@ def test_hk_acyclic():
     Y = direct_sum(line_bundle(-1), line_bundle(-2))
     assert hk_acyclic(D2, Y, 0)
     assert not hk_acyclic(D2, Y, 2)
+    with pytest.raises(ValueError):  # no twist to check
+        hk_acyclic(D2, line_bundle(0), -1)
 
 
 def test_splitting_matrices():
@@ -276,8 +289,7 @@ def test_cech_homology_contracts_each_column_pattern_once(name, monkeypatch):
     import polycech.cech as cech_module
     from polycech.exact_linalg import contraction
 
-    P = {"cube": SAMPLES["cube"], "octahedron": facets_from_vertices(
-        3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])}[name]
+    P = {"cube": SAMPLES["cube"], "octahedron": OCTAHEDRON}[name]
     contracted = []
 
     def counting(C, ring):
@@ -290,6 +302,54 @@ def test_cech_homology_contracts_each_column_pattern_once(name, monkeypatch):
     # cokernel of the one point of P mapped into the lattice points of P
     assert res.homology == H({3: ({"cube": 8, "octahedron": 7}[name] - 1, ())})
     assert len(contracted) == len(set(contracted)) < res.active_multidegrees
+
+
+@pytest.mark.parametrize("name,k,patterns", [("square", 8, 9), ("cube", 4, 27)])
+def test_line_bundle_scan_takes_homology_once_per_pattern(name, k, patterns, monkeypatch):
+    # the box holds (k+3)^n columns but only 3^n face patterns
+    import polycech.cech as cech_module
+
+    P = SAMPLES[name]
+    calls = []
+
+    def counting(C, ring):
+        calls.append(C)
+        return complex_homology(C, ring)
+
+    monkeypatch.setattr(cech_module, "complex_homology", counting)
+    res = CechContext(P).line_bundle_cohomology(k, ZZ)
+    assert res.homology == H({P.dim: ((k + 1) ** P.dim, ())})
+    assert len(calls) == len(set(calls)) <= patterns
+
+
+@pytest.mark.parametrize("name", ["simplex2", "square"])
+def test_support_escapes_box_fires_on_a_narrow_box(name):
+    # kP's own bounding box puts columns carrying homology on the boundary.
+    # Widened on the low side only, the first column with a given pattern is
+    # inside the box and a later one with the same pattern is on its edge.
+    P = SAMPLES[name]
+    k = 2
+    tight = [(k * min(v[c] for v in P.vertices), k * max(v[c] for v in P.vertices))
+             for c in range(P.dim)]
+    for box in (tight, [(lo - 1, hi) for lo, hi in tight]):
+        ctx = CechContext(P)
+        ctx._scan_box = lambda twist, box=box: box
+        with pytest.raises(SupportEscapesBox):
+            ctx.line_bundle_cohomology(k, ZZ)
+
+
+def test_column_faces_match_cone_membership():
+    # the facet-mask path against the per-face tangent-cone test
+    for P in (SAMPLES["cube"], OCTAHEDRON, PYRAMID):
+        ctx = CechContext(P)
+        by_dim = ctx.lattice.by_dim
+        n = P.dim
+        for k in range(-3, 3):
+            for m in product(*(range(a, b + 1) for a, b in ctx._scan_box(k))):
+                expected = tuple(
+                    tuple(F.index for F in by_dim[n - s] if cone_membership(P, F, k, m))
+                    for s in range(n + 1))
+                assert ctx.column_complex(k, m).faces == expected, (P, k, m)
 
 
 def test_simplex_cone_check_rejects_bad_range():

@@ -211,6 +211,8 @@ def test_document_round_trip():
 def test_verify_suite_simplex3():
     report = verify_suite(standard_simplex(3), kmax=2)
     assert all(item["pass"] for item in report)
+    with pytest.raises(ValueError):  # no twist to check
+        verify_suite(standard_simplex(3), kmax=-3)
 
 
 def test_module_entry_point(docs):
