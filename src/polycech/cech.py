@@ -92,7 +92,7 @@ class CechContext:
         self.lattice = face_lattice(P)
         self.incidence = incidence_numbers(self.lattice, reverse=reverse_orientation)
         self.ehrhart = ehrhart_polynomial(P)
-        self.np = np_index(P)
+        self.np = np_index(P, self.ehrhart)
         n = P.dim
         self._faces_by_cech_degree = tuple(
             tuple(f.index for f in self.lattice.by_dim[n - s]) for s in range(n + 1)

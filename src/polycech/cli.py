@@ -35,6 +35,10 @@ from .sheaf_complexes import (
 )
 
 
+# most lattice points the `points` command will enumerate and print
+POINTS_BUDGET = 1_000_000
+
+
 class InputError(Exception):
     def __init__(self, code: str, message: str, location: str):
         self.code = code
@@ -223,6 +227,15 @@ def cmd_ehrhart(P: LatticePolytope) -> dict:
 
 
 def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
+    if interior or k >= 0:
+        # count before enumerating: kP holds E(k) points and, by reciprocity,
+        # (-1)^n E(-|k|) interior ones for k != 0; E(0) = 1 bounds the interior of 0P
+        e = ehrhart_polynomial(P)
+        count = (-1) ** P.dim * e(-abs(k)) if interior and k else e(k)
+        if count > POINTS_BUDGET:
+            raise InputError(
+                "too_large", f"the dilate holds {count} lattice points, more than the "
+                f"budget of {POINTS_BUDGET}", "--dilate")
     try:
         pts = lattice_points(P, k, interior)
     except ValueError as exc:

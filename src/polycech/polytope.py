@@ -1,19 +1,21 @@
 """Lattice polytopes with exact arithmetic.
 
-Facet enumeration from integral vertices, the face lattice with joins,
-tangent-cone membership tests, lattice point enumeration in dilates, the
-Ehrhart polynomial, and the count of its integral roots.
+Facet enumeration from integral vertices by double description, the face
+lattice as the intersection closure of the facets' vertex sets, with
+joins, tangent-cone membership tests, lattice point enumeration in
+dilates one last-coordinate interval at a time, the Ehrhart polynomial,
+and the count of its integral roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .exact_linalg import Matrix, rational_nullspace, row_echelon
+from .exact_linalg import row_echelon
 
 
 class NotFullDimensional(Exception):
@@ -49,14 +51,18 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _affine_rank(points: Sequence[Sequence[int]]) -> int:
-    if len(points) <= 1:
-        return 0
+def _affine_basis(points: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of a maximal affinely independent subset, taken greedily from the front."""
     base = points[0]
-    return len(row_echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])[1])
+    cols = [[p[c] - base[c] for p in points[1:]] for c in range(len(base))]
+    return [0] + [j + 1 for j in row_echelon(cols)[1]]
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
+def _affine_rank(points: Sequence[Sequence[int]]) -> int:
+    return len(_affine_basis(points)) - 1
+
+
+def _primitive(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     denom = 1
     for x in vec:
         denom = denom * x.denominator // gcd(denom, x.denominator)
@@ -69,12 +75,53 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def _hull_rays(lifted: Sequence[tuple[int, ...]], basis: Sequence[int]) -> list[tuple[int, ...]]:
+    """Extreme rays of the cone {h : <h, w> >= 0 for every w in ``lifted``}.
+
+    Double description (Fukuda and Prodon, 1996): start from the
+    simplicial cone of the linearly independent points ``basis``, whose
+    rays are the columns of the inverse matrix, and insert the other
+    points one at a time. Each ray carries the mask of inserted points it
+    is tight on. On insertion, rays on the nonnegative side stay, and a
+    ray p on the positive side and n on the negative side give the new
+    ray <p, w>*n - <n, w>*p exactly when they are adjacent: no third ray
+    is tight on every point both are tight on.
+    """
+    d = len(lifted[0])
+    rows = [list(lifted[i]) + [int(r == c) for c in range(d)] for r, i in enumerate(basis)]
+    inverse = row_echelon(rows)[0]
+    rays = [(_primitive([inverse[r][d + j] for r in range(d)]),
+             sum(1 << b for b in basis if b != i)) for j, i in enumerate(basis)]
+    rest = sorted(set(range(len(lifted))) - set(basis))
+    for t in rest:
+        w, bit = lifted[t], 1 << t
+        vals = [_dot(ray, w) for ray, _ in rays]
+        pos = [(ray, z, s) for (ray, z), s in zip(rays, vals) if s > 0]
+        neg = [(ray, z, s) for (ray, z), s in zip(rays, vals) if s < 0]
+        nxt = [(ray, z) for ray, z, _ in pos]
+        nxt += [(ray, z | bit) for (ray, z), s in zip(rays, vals) if s == 0]
+        masks = [z for _, z in rays]
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                # two rays spanning a 2-face are both tight on at least d-2 points
+                if bin(common).count("1") < d - 2:
+                    continue
+                if sum(1 for z in masks if z & common == common) != 2:
+                    continue
+                nxt.append((_primitive([sp * b - sn * a for a, b in zip(rp, rn)]), common | bit))
+        rays = nxt
+    return [ray for ray, _ in rays]
+
+
 def facets_from_vertices(dim: int, vertices: Sequence[Sequence[int]]) -> LatticePolytope:
     """Build a LatticePolytope from its vertex list.
 
-    Brute force: every dim-subset of the points that spans a hyperplane is
-    tested for one-sidedness; surviving hyperplanes are the facets. Fine
-    for desk scale (dim <= 4, a couple dozen vertices).
+    A facet <a, x> >= b is an extreme ray (a, -b) of the cone of
+    functionals nonnegative on every lifted point (v, 1), found by
+    double description in exact integers. Rays stay primitive, and so do
+    the normals, because <a, v> = b at an integral vertex makes gcd(a)
+    divide b.
 
     Raises DuplicateVertex or NotFullDimensional on bad input, and
     ValueError when some input point is not a vertex of the hull.
@@ -86,26 +133,14 @@ def facets_from_vertices(dim: int, vertices: Sequence[Sequence[int]]) -> Lattice
         raise DuplicateVertex("vertex list contains repeats")
     if len(verts) < dim + 1:
         raise NotFullDimensional(f"{len(verts)} vertices cannot span R^{dim}")
-    if _affine_rank(verts) != dim:
+    basis = _affine_basis(verts)
+    if len(basis) != dim + 1:
         raise NotFullDimensional("affine hull is a proper subspace")
 
-    facets: set[tuple[tuple[int, ...], int]] = set()
-    for subset in combinations(range(len(verts)), dim):
-        pts = [verts[i] for i in subset]
-        base = pts[0]
-        rows = [[p[i] - base[i] for i in range(dim)] for p in pts[1:]]
-        null = rational_nullspace(Matrix.from_rows(rows) if rows else Matrix.zeros(0, dim))
-        if len(null) != 1:
-            continue  # subset does not span a hyperplane
-        normal = _primitive(null[0])
-        offset = _dot(normal, base)
-        values = [_dot(normal, v) - offset for v in verts]
-        if all(val >= 0 for val in values):
-            facets.add((normal, offset))
-        elif all(val <= 0 for val in values):
-            facets.add((tuple(-x for x in normal), -offset))
-
-    facet_list = tuple(sorted(facets))
+    facet_list: tuple[tuple[tuple[int, ...], int], ...] = ()
+    if dim:
+        rays = _hull_rays([v + (1,) for v in verts], basis)
+        facet_list = tuple(sorted((ray[:dim], -ray[dim]) for ray in rays))
     poly = LatticePolytope(dim, tuple(verts), facet_list)
     for v in verts:
         tight = [a for a, b in facet_list if _dot(a, v) == b]
@@ -135,11 +170,16 @@ class Face:
 
 
 class FaceLattice:
-    """All nonempty faces of a polytope, ordered by inclusion of vertex sets."""
+    """All nonempty faces of a polytope, ordered by inclusion of vertex sets.
 
-    def __init__(self, polytope: LatticePolytope, faces: Sequence[Face]):
+    ``facet_vertices[i]`` is the vertex set of facet i.
+    """
+
+    def __init__(self, polytope: LatticePolytope, faces: Sequence[Face],
+                 facet_vertices: Sequence[frozenset[int]]):
         self.polytope = polytope
         self.faces = tuple(faces)
+        self.facet_vertices = tuple(facet_vertices)
         self.by_dim: dict[int, tuple[Face, ...]] = {}
         for d in range(polytope.dim + 1):
             self.by_dim[d] = tuple(f for f in self.faces if f.dim == d)
@@ -156,48 +196,45 @@ class FaceLattice:
         return inner.vertex_set <= outer.vertex_set
 
     def join(self, f: Face, g: Face) -> Face:
-        """Smallest face containing both: tight on tight(f) & tight(g)."""
-        shared = f.tight_facets & g.tight_facets
-        verts = _vertices_tight_on(self.polytope, shared)
+        """Smallest face containing both: the vertices of every facet tight at both."""
+        verts = self.top().vertex_set
+        for i in f.tight_facets & g.tight_facets:
+            verts &= self.facet_vertices[i]
         return self.face_with_vertices(verts)
-
-
-def _vertices_tight_on(P: LatticePolytope, facet_idx: Iterable[int]) -> frozenset[int]:
-    idx = list(facet_idx)
-    out = []
-    for vi, v in enumerate(P.vertices):
-        if all(_dot(P.facets[i][0], v) == P.facets[i][1] for i in idx):
-            out.append(vi)
-    return frozenset(out)
 
 
 def face_lattice(P: LatticePolytope) -> FaceLattice:
     """Enumerate the nonempty faces of P.
 
-    Faces arise as vertex sets tight on a subset of facets, deduplicated;
-    dimension is the affine rank of the vertex set. The polytope itself is
-    the unique top face (empty tight set).
+    Every face is the intersection of the vertex sets of the facets
+    containing it, so the faces are the closure of the facets' vertex
+    sets under intersection, starting from the full vertex set (Kaibel and
+    Pfetsch, 2002). A face is tight on the facets whose vertex set
+    contains its own; its dimension is the affine rank of its vertices.
     """
-    seen: dict[frozenset[int], None] = {}
-    nf = len(P.facets)
-    for r in range(nf + 1):
-        for subset in combinations(range(nf), r):
-            vs = _vertices_tight_on(P, subset)
-            if vs and vs not in seen:
-                seen[vs] = None
+    facet_vertices = [
+        frozenset(vi for vi, v in enumerate(P.vertices) if _dot(a, v) == b)
+        for a, b in P.facets
+    ]
+    top = frozenset(range(len(P.vertices)))
+    seen = {top}
+    todo = [top]
+    while todo:
+        face = todo.pop()
+        for vs in facet_vertices:
+            sub = face & vs
+            if sub and sub not in seen:
+                seen.add(sub)
+                todo.append(sub)
     records = []
     for vs in seen:
-        pts = [P.vertices[i] for i in sorted(vs)]
-        fdim = _affine_rank(pts)
-        tight = frozenset(
-            i for i in range(nf)
-            if all(_dot(P.facets[i][0], p) == P.facets[i][1] for p in pts)
-        )
+        fdim = _affine_rank([P.vertices[i] for i in sorted(vs)])
+        tight = frozenset(i for i, fv in enumerate(facet_vertices) if vs <= fv)
         records.append((fdim, tuple(sorted(vs)), tight))
     records.sort(key=lambda rec: (rec[0], rec[1]))
     faces = [Face(index=i, dim=fdim, vertex_set=frozenset(vs), tight_facets=tight)
              for i, (fdim, vs, tight) in enumerate(records)]
-    lattice = FaceLattice(P, faces)
+    lattice = FaceLattice(P, faces, facet_vertices)
     if len(lattice.by_dim[P.dim]) != 1:
         raise AssertionError("face lattice must contain exactly one top face")
     return lattice
@@ -234,29 +271,37 @@ def _bounding_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
 
 
 def lattice_points(P: LatticePolytope, k: int, interior: bool = False) -> tuple[tuple[int, ...], ...]:
-    """Integral points of the dilate kP, or of its interior.
+    """Integral points of the dilate kP, or of its interior, in lexicographic order.
 
     Boundary-inclusive counting needs k >= 0; interior counting accepts
-    any k, with the inequalities reversed for negative dilations.
+    any k, with the inequalities reversed for negative dilations. Every
+    prefix of the first dim-1 coordinates in the bounding box gets the
+    interval of its last coordinate from the facet inequalities, by exact
+    floor and ceiling division.
     """
     if not interior and k < 0:
         raise ValueError("boundary-inclusive counting needs k >= 0")
-    box = _bounding_box(P, k)
+    if P.dim == 0:
+        return ((),)
+    # every facet as <a, m> >= c: negated for k < 0, strict ones raised by one
+    sign = 1 if k >= 0 else -1
+    rows = [(tuple(sign * x for x in a), sign * k * b + (1 if interior else 0))
+            for a, b in P.facets]
+    *head, (lo_box, hi_box) = _bounding_box(P, k)
     points = []
-    for m in product(*(range(lo, hi + 1) for lo, hi in box)):
-        ok = True
-        for a, b in P.facets:
-            val = _dot(a, m)
-            bound = k * b
-            if k >= 0:
-                ok = val > bound if interior else val >= bound
-            else:
-                ok = val < bound if interior else val <= bound
-            if not ok:
+    for prefix in product(*(range(lo, hi + 1) for lo, hi in head)):
+        lo, hi = lo_box, hi_box
+        for a, c in rows:
+            rest, last = c - _dot(a, prefix), a[-1]
+            if last > 0:
+                lo = max(lo, -(-rest // last))
+            elif last < 0:
+                hi = min(hi, rest // last)
+            elif rest > 0:
                 break
-        if ok:
-            points.append(m)
-    return tuple(sorted(points))
+        else:
+            points.extend(prefix + (x,) for x in range(lo, hi + 1))
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -323,13 +368,16 @@ def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     return EhrhartPolynomial(coeffs, len(roots), tuple(roots))
 
 
-def np_index(P: LatticePolytope) -> int:
+def np_index(P: LatticePolytope, ehrhart: EhrhartPolynomial | None = None) -> int:
     """Count of integral roots of the point-counting polynomial.
 
+    ``ehrhart`` is P's polynomial when the caller already has it.
     Cross-checked against the minimal k >= 0 for which (k+1)P has an
     interior lattice point; disagreement raises CharacterizationMismatch.
     """
-    via_roots = ehrhart_polynomial(P).np
+    if ehrhart is None:
+        ehrhart = ehrhart_polynomial(P)
+    via_roots = ehrhart.np
     via_interior = None
     for k in range(P.dim + 1):
         if lattice_points(P, k + 1, interior=True):

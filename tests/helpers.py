@@ -4,12 +4,16 @@ The oracles here deliberately re-derive facts along different routes than
 the library: cones from generator hulls instead of tight facets, homology
 of two-level complexes from the connecting map instead of the transfer
 pipeline, hulls by point classification instead of hyperplane search.
+The polytope oracles are the exhaustive enumerations the library no
+longer uses: facets from every dim-subset of the vertices, faces from
+every subset of the facets, lattice points from the whole bounding box.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from polycech.exact_linalg import (
+    QQ,
     Matrix,
     FreeChainComplex,
     HomologyResult,
@@ -48,6 +52,84 @@ def _primitive(vec):
     for x in ints:
         g = gcd(g, abs(x))
     return tuple(x // g for x in ints)
+
+
+def _affine_rank(points):
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    return field_rank(Matrix.from_rows(rows), QQ) if rows[0] else 0
+
+
+def facets_by_subsets(dim, vertices):
+    """Sorted facets (normal, offset) of conv(vertices), <normal, x> >= offset.
+
+    Every dim-subset of the points that spans a hyperplane is tested for
+    one-sidedness. Raises ValueError, like the library, when some point is
+    not a vertex of the hull: its tight normals do not span R^dim.
+    """
+    verts = [tuple(v) for v in vertices]
+    facets = set()
+    for subset in combinations(range(len(verts)), dim):
+        pts = [verts[i] for i in subset]
+        base = pts[0]
+        rows = [[p[i] - base[i] for i in range(dim)] for p in pts[1:]]
+        null = rational_nullspace(Matrix.from_rows(rows) if rows else Matrix.zeros(0, dim))
+        if len(null) != 1:
+            continue  # subset does not span a hyperplane
+        normal = _primitive(null[0])
+        offset = _dot(normal, base)
+        values = [_dot(normal, v) - offset for v in verts]
+        if all(val >= 0 for val in values):
+            facets.add((normal, offset))
+        elif all(val <= 0 for val in values):
+            facets.add((tuple(-x for x in normal), -offset))
+    facets = tuple(sorted(facets))
+    for v in verts:
+        tight = [a for a, b in facets if _dot(a, v) == b]
+        if _affine_rank([(0,) * dim] + tight) < dim:
+            raise ValueError(f"input point {v} is not a vertex of the hull")
+    return facets
+
+
+def faces_by_subsets(P):
+    """(dim, sorted vertex indices, tight facet indices) of every nonempty
+    face of P, in face-index order, from all 2^facets subsets of facets."""
+    def tight_vertices(idx):
+        return frozenset(vi for vi, v in enumerate(P.vertices)
+                         if all(_dot(P.facets[i][0], v) == P.facets[i][1] for i in idx))
+
+    seen = set()
+    nf = len(P.facets)
+    for r in range(nf + 1):
+        for subset in combinations(range(nf), r):
+            vs = tight_vertices(subset)
+            if vs:
+                seen.add(vs)
+    records = []
+    for vs in seen:
+        pts = [P.vertices[i] for i in sorted(vs)]
+        tight = frozenset(i for i in range(nf) if vs <= tight_vertices([i]))
+        records.append((_affine_rank(pts), tuple(sorted(vs)), tight))
+    return sorted(records, key=lambda rec: rec[:2])
+
+
+def lattice_points_by_box(P, k, interior=False):
+    """Sorted integral points of kP (or its interior, with the inequalities
+    reversed for k < 0) found by testing every point of the bounding box."""
+    box = [(min(k * v[c] for v in P.vertices), max(k * v[c] for v in P.vertices))
+           for c in range(P.dim)]
+    points = []
+    for m in product(*(range(lo, hi + 1) for lo, hi in box)):
+        vals = [(_dot(a, m), k * b) for a, b in P.facets]
+        if k >= 0:
+            ok = all(v > b if interior else v >= b for v, b in vals)
+        else:
+            ok = all(v < b if interior else v <= b for v, b in vals)
+        if ok:
+            points.append(m)
+    return tuple(sorted(points))
 
 
 def cone_contains(generators, x):

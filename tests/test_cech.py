@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from itertools import product
 
 import pytest
 
+from polycech import cech as cech_mod
+from polycech import polytope as polytope_mod
 from polycech.cech import (
     CechContext,
     SupportEscapesBox,
@@ -28,6 +31,7 @@ from polycech.exact_linalg import (
     complex_homology,
 )
 from polycech.polytope import (
+    CharacterizationMismatch,
     cone_membership,
     ehrhart_polynomial,
     facets_from_vertices,
@@ -438,3 +442,17 @@ def test_zero_dimensional_polytope_line_bundles():
     for k in (-2, 0, 3):
         assert line_bundle_cohomology(pt, k).homology == H({0: (1, ())})
         assert cech_homology(pt, line_bundle(k)).homology == H({0: (1, ())})
+
+
+def test_context_interpolates_once_and_keeps_the_np_cross_check(monkeypatch):
+    calls = []
+    real = polytope_mod._interpolate
+    monkeypatch.setattr(polytope_mod, "_interpolate",
+                        lambda nodes: calls.append(nodes) or real(nodes))
+    ctx = CechContext(PYRAMID)
+    assert len(calls) == 1 and ctx.np == ctx.ehrhart.np
+    # a root count that the interior dilates contradict still raises
+    wrong = dataclasses.replace(ctx.ehrhart, np=ctx.np + 1)
+    monkeypatch.setattr(cech_mod, "ehrhart_polynomial", lambda P: wrong)
+    with pytest.raises(CharacterizationMismatch):
+        CechContext(PYRAMID)

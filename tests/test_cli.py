@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from polycech import cli as cli_mod
 from polycech.cli import (
     canonical_dumps,
     complex_document,
@@ -80,6 +81,28 @@ def test_np_and_points(docs, capsys):
     assert json.loads(out) == {"count": 1, "points": [[1, 1]]}
     code, out = run(["points", docs["sq.json"], "--dilate", "-1"], capsys)
     assert code == 2
+
+
+def test_points_over_budget_exit_2(docs, capsys, monkeypatch):
+    # 4 504 501 points in the triangle's 3000-fold dilate: refused from the count
+    code, out = run(["points", docs["d2.json"], "--dilate", "3000"], capsys)
+    assert code == 2 and json.loads(out)["code"] == "too_large"
+    assert out.count("\n") == 1
+    monkeypatch.setattr(cli_mod, "POINTS_BUDGET", 9)
+    # k*square holds (k+1)^2 points and (k-1)^2 interior ones, for k and -k
+    for args, expected in [(["--dilate", "2"], 9), (["--dilate", "3"], None),
+                           (["--dilate", "4", "--interior"], 9),
+                           (["--dilate", "-4", "--interior"], 9),
+                           (["--dilate", "5", "--interior"], None),
+                           (["--dilate", "-5", "--interior"], None)]:
+        code, out = run(["points", docs["sq.json"]] + args, capsys)
+        if expected is None:
+            assert code == 2 and json.loads(out)["code"] == "too_large", args
+        else:
+            assert code == 0 and json.loads(out)["count"] == expected, args
+    monkeypatch.setattr(cli_mod, "POINTS_BUDGET", 0)
+    code, out = run(["points", docs["sq.json"], "--dilate", "-1"], capsys)
+    assert code == 2 and json.loads(out)["code"] == "bad_dilate"
 
 
 def test_faces_output(docs, capsys):

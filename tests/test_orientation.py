@@ -2,7 +2,11 @@ import pytest
 
 from polycech.cech import CechContext, constant_diagram_cech
 from polycech.exact_linalg import ZZ, FreeChainComplex, GF, Matrix
-from polycech.orientation import incidence_numbers
+from polycech.orientation import (
+    IncidenceSystem,
+    _check_boundary_squares_to_zero,
+    incidence_numbers,
+)
 from polycech.polytope import face_lattice
 
 from helpers import sample_polytopes
@@ -34,6 +38,14 @@ def test_boundary_squares_to_zero(name):
             total = sum(inc.sign(bottom.index, f.index) * inc.sign(f.index, top.index)
                         for f in middles)
             assert total == 0
+
+
+def test_boundary_check_fires_on_a_flipped_sign():
+    L = face_lattice(SAMPLES["square"])
+    (pair, sign), *rest = incidence_numbers(L).numbers
+    flipped = IncidenceSystem(((pair, -sign), *rest))
+    with pytest.raises(AssertionError, match="square to zero"):
+        _check_boundary_squares_to_zero(L, flipped)
 
 
 def test_codim_one_pairs_all_signed():

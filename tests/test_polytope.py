@@ -1,12 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from polycech import polytope as polytope_mod
 from polycech.polytope import (
     CharacterizationMismatch,
     DuplicateVertex,
+    InterpolationInconsistent,
+    LatticePolytope,
     NotFullDimensional,
     cone_membership,
     ehrhart_polynomial,
@@ -17,7 +21,14 @@ from polycech.polytope import (
     standard_simplex,
 )
 
-from helpers import cone_contains, hull_facets_by_point_test, sample_polytopes
+from helpers import (
+    cone_contains,
+    faces_by_subsets,
+    facets_by_subsets,
+    hull_facets_by_point_test,
+    lattice_points_by_box,
+    sample_polytopes,
+)
 
 SAMPLES = sample_polytopes()
 
@@ -209,3 +220,123 @@ def test_zero_dimensional_point():
     assert lattice_points(pt, 5) == ((),)
     assert lattice_points(pt, -2, interior=True) == ((),)
     assert np_index(pt) == 0
+
+
+def _lattice_image(rng, verts):
+    """Image under a random signed coordinate permutation and translation,
+    vertices shuffled."""
+    n = len(verts[0])
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    shift = [rng.randint(-2, 2) for _ in range(n)]
+    out = [tuple(signs[c] * v[perm[c]] + shift[c] for c in range(n)) for v in verts]
+    rng.shuffle(out)
+    return out
+
+
+def _differential_cases():
+    """(name, dim, vertices): cyclic polytopes on the moment curve, (i, i^2)
+    polygons, prisms, and the sample polytopes, each under a lattice symmetry."""
+    rng = random.Random(20100730)
+    cases = [(name, P.dim, list(P.vertices)) for name, P in sorted(SAMPLES.items())]
+    for dim, sizes in ((3, (5, 6, 7)), (4, (6, 7)), (5, (7,))):
+        for n in sizes:
+            ts = sorted(rng.sample(range(-3, 4), n))
+            cases.append((f"cyclic{dim}-{n}", dim, [tuple(t ** e for e in range(1, dim + 1))
+                                                    for t in ts]))
+    for n in range(3, 10):
+        start = rng.randint(-3, 1)
+        cases.append((f"parabola{n}", 2, [(i, i * i) for i in range(start, start + n)]))
+    bases = [[(0, 0), (1, 0), (0, 1)], [(i, i * i) for i in range(-2, 3)],
+             list(SAMPLES["simplex3"].vertices)]
+    for base in bases:
+        cases.append((f"prism{len(base)}", len(base[0]) + 1,
+                      [v + (z,) for v in base for z in (0, 1)]))
+    return [(name, dim, _lattice_image(rng, verts)) for name, dim, verts in cases]
+
+
+DIFFERENTIAL_CASES = _differential_cases()
+
+
+@pytest.mark.parametrize("name,dim,verts", DIFFERENTIAL_CASES,
+                         ids=[c[0] for c in DIFFERENTIAL_CASES])
+def test_combinatorics_against_exhaustive_oracles(name, dim, verts):
+    P = facets_from_vertices(dim, verts)
+    assert P.facets == facets_by_subsets(dim, verts)
+    L = face_lattice(P)
+    assert [(f.dim, tuple(sorted(f.vertex_set)), f.tight_facets) for f in L.faces] == (
+        faces_by_subsets(P))
+    assert [f.index for f in L.faces] == list(range(len(L.faces)))
+    rng = random.Random(name)
+    for _ in range(40):
+        f, g = rng.choice(L.faces), rng.choice(L.faces)
+        smallest = min((h for h in L.faces if f.vertex_set | g.vertex_set <= h.vertex_set),
+                       key=lambda h: len(h.vertex_set))
+        assert L.join(f, g) == smallest
+    # the box oracle visits every point of the box; keep it to small boxes
+    spans = [max(v[c] for v in verts) - min(v[c] for v in verts) for c in range(dim)]
+    for k in (-2, -1, 0, 1, 2):
+        box = 1
+        for span in spans:
+            box *= abs(k) * span + 1
+        if box > 20000:
+            continue
+        assert lattice_points(P, k, interior=True) == lattice_points_by_box(P, k, True), k
+        if k >= 0:
+            assert lattice_points(P, k) == lattice_points_by_box(P, k), k
+
+
+@pytest.mark.parametrize("name,dim,verts", DIFFERENTIAL_CASES,
+                         ids=[c[0] for c in DIFFERENTIAL_CASES])
+def test_non_vertex_point_rejected_like_oracle(name, dim, verts):
+    # doubling every vertex makes the midpoint of two of them integral
+    rng = random.Random(name)
+    doubled = [tuple(2 * x for x in v) for v in verts]
+    i, j = rng.sample(range(len(verts)), 2)
+    bad = doubled + [tuple(a + b for a, b in zip(verts[i], verts[j]))]
+    rng.shuffle(bad)
+    with pytest.raises(ValueError, match="not a vertex of the hull"):
+        facets_by_subsets(dim, bad)
+    with pytest.raises(ValueError, match="not a vertex of the hull"):
+        facets_from_vertices(dim, bad)
+
+
+def test_f_vectors_of_large_cases():
+    # exhaustive facets take about a minute on the 5-cube, and 2^30 facet
+    # subsets on the 30-gon
+    cube5 = facets_from_vertices(5, list(product((0, 1), repeat=5)))
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    assert cube5.facets == tuple(sorted(
+        [(e, 0) for e in units] + [(tuple(-x for x in e), -1) for e in units]))
+    L = face_lattice(cube5)
+    assert [len(L.by_dim[d]) for d in range(6)] == [32, 80, 80, 40, 10, 1]
+    gon = facets_from_vertices(2, [(i, i * i) for i in range(30)])
+    L = face_lattice(gon)
+    assert [len(L.by_dim[d]) for d in range(3)] == [30, 30, 1]
+
+
+def test_top_face_assertion_fires_on_a_flat_polytope():
+    flat = LatticePolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)), ())
+    with pytest.raises(AssertionError, match="exactly one top face"):
+        face_lattice(flat)
+
+
+def test_interpolation_guard_fires(monkeypatch):
+    P = SAMPLES["square"]
+    real = polytope_mod.lattice_points
+
+    def one_extra_at_the_guard_node(Q, k, interior=False):
+        pts = real(Q, k, interior)
+        return pts + ((99, 99),) if k == Q.dim + 1 else pts
+
+    monkeypatch.setattr(polytope_mod, "lattice_points", one_extra_at_the_guard_node)
+    with pytest.raises(InterpolationInconsistent):
+        ehrhart_polynomial(P)
+
+
+def test_np_index_cross_check_fires_on_a_wrong_root_count():
+    P = SAMPLES["simplex2"]
+    e = ehrhart_polynomial(P)
+    assert np_index(P, e) == np_index(P) == 2
+    with pytest.raises(CharacterizationMismatch):
+        np_index(P, dataclasses.replace(e, np=1))
