@@ -9,6 +9,9 @@ found by scanning a verified bounding box of columns, taking homology
 once per face pattern; general twist complexes are handled by
 contracting every column pattern onto its homology and transferring the
 monomial differentials through the homotopies.
+Columns, contractions and the transfer are integral: the paper builds
+its complexes over Z and a coefficient ring R enters by base change, so
+R is applied only in the homology of the small transferred complex.
 Euler characteristics, acyclicity windows and the unimodular splitting
 matrix are derived on top.
 """
@@ -155,11 +158,13 @@ class CechContext:
         """Homology of the Čech complex of O(k) by exhaustive column scan.
 
         Every multidegree in the widened bounding box of kP is checked.
-        Columns sharing a face pattern share one homology computation per
-        call; every multidegree whose pattern carries homology is still
-        tested against the box boundary, and raises SupportEscapesBox
+        Columns sharing a face pattern share one homology computation over
+        Z per call; every multidegree whose pattern carries homology is
+        still tested against the box boundary, and raises SupportEscapesBox
         there. The scan must reproduce the closed form (rank = point count
-        of kP, in degree n for k >= 0, degree 0 for k < 0).
+        of kP, in degree n for k >= 0, degree 0 for k < 0). That form has
+        no torsion, so by universal coefficients the result is the same
+        for every ``ring``, and the Z result is returned for all of them.
         """
         box = self._scan_box(k)
         total = HomologyResult.zero()
@@ -169,7 +174,7 @@ class CechContext:
             col = self.column_complex(k, m)
             h = by_pattern.get(col.faces)
             if h is None:
-                h = by_pattern[col.faces] = complex_homology(col.complex, ring)
+                h = by_pattern[col.faces] = complex_homology(col.complex)
             if h.is_zero():
                 continue
             if any(x == lo or x == hi for x, (lo, hi) in zip(m, box)):
@@ -193,7 +198,10 @@ class CechContext:
         between supports; (3) contract each active column pattern once;
         (4) transfer the relocated monomial differentials (with the (-1)^s
         column sign) through the homotopies; (5) take homology of the small
-        complex.
+        complex. Steps (3) and (4) are over Z; ``ring`` enters only in (5),
+        which is exact because tensoring preserves the homotopy equivalence
+        of free Z-complexes. Integral torsion in a column raises
+        TorsionObstruction for every ring.
         """
         validate(Y, self.polytope)
         if Y.hi < Y.lo or Y.is_empty():
@@ -265,7 +273,7 @@ class CechContext:
             if key not in col_cache:
                 col = self.column_complex(k, m)
                 if col.faces not in by_pattern:
-                    by_pattern[col.faces] = contraction(col.complex, ring)
+                    by_pattern[col.faces] = contraction(col.complex)
                 col_cache[key] = (col, by_pattern[col.faces])
             return col_cache[key]
 
@@ -301,7 +309,7 @@ class CechContext:
                     prev = per_degree.get(t + s)
                     per_degree[t + s] = block if prev is None else prev + block
 
-        transferred = perturb_transfer(blocks, delta, Y.hi - Y.lo + 1, ring)
+        transferred = perturb_transfer(blocks, delta, Y.hi - Y.lo + 1)
         hom = complex_homology(transferred, ring)
         return CechResult(hom, len(active), transfer_paths)
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 from typing import Any, Mapping, Sequence
 
 from . import cech
 from .exact_linalg import CoefficientRing, FreeChainComplex, HomologyResult, Matrix, ZZ
+from .orientation import incidence_numbers
 from .polytope import (
     DuplicateVertex,
     LatticePolytope,
@@ -35,7 +37,8 @@ from .sheaf_complexes import (
 )
 
 
-# most lattice points the `points` command will enumerate and print
+# most lattice points the `points` command will enumerate and print, and
+# most multidegrees a line-bundle scan will visit
 POINTS_BUDGET = 1_000_000
 
 
@@ -243,6 +246,14 @@ def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
     return {"count": len(pts), "points": [list(p) for p in pts]}
 
 
+def _check_scan_box(P: LatticePolytope, k: int, location: str) -> None:
+    size = prod(hi - lo + 1 for lo, hi in cech.context(P)._scan_box(k))
+    if size > POINTS_BUDGET:
+        raise InputError(
+            "too_large", f"the scan box of twist {k} holds {size} multidegrees, more than "
+            f"the budget of {POINTS_BUDGET}", location)
+
+
 def cmd_splitting(P: LatticePolytope) -> dict:
     M = cech.splitting_matrix(P)
     det = M.det()
@@ -281,9 +292,8 @@ def verify_suite(P: LatticePolytope, kmax: int) -> list[dict]:
         return True, ""
 
     def boundary_squares():
-        # incidence construction re-checks all codimension-2 flags
-        from .orientation import incidence_numbers
-        incidence_numbers(ctx.lattice)
+        # building incidence signs checks all codimension-2 flags; the
+        # context did so for ctx.incidence, so only the reversal is left
         incidence_numbers(ctx.lattice, reverse=True)
         return True, ""
 
@@ -385,6 +395,7 @@ def run(argv: Sequence[str]) -> tuple[Any, int]:
         return cmd_points(P, args.dilate, args.interior), 0
     if args.command == "cohomology":
         ring = _parse_ring(args.ring)
+        _check_scan_box(P, args.twist, "--twist")
         res = cech.line_bundle_cohomology(P, args.twist, ring)
         return homology_json(res.homology), 0
     if args.command == "cech":
@@ -404,6 +415,8 @@ def run(argv: Sequence[str]) -> tuple[Any, int]:
     if args.command == "verify":
         if args.kmax < 0:
             raise InputError("bad_kmax", f"kmax {args.kmax} is negative", "--kmax")
+        # the scans of twists -kmax..kmax are no larger than that of kmax
+        _check_scan_box(P, args.kmax, "--kmax")
         report = verify_suite(P, args.kmax)
         ok = all(item["pass"] for item in report)
         return {"ok": ok, "results": report}, 0 if ok else 1

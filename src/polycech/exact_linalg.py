@@ -6,24 +6,28 @@ elimination in the package goes through two routines:
 * ``row_echelon`` is Gauss-Jordan reduction over Q or F_p; ranks,
   nullspaces, determinants, affine ranks and face coordinates are read
   off its result.
-* ``_diagonalize`` brings a matrix to diagonal form D = U*A*V with the
-  inverse transforms tracked. Over Z this is the Smith form, with a
-  divisibility chain on the diagonal and a deterministic pivoting rule
-  (entry of minimal nonzero absolute value, ties broken by (row, col));
-  over a field the pivots are scaled to 1. ``smith_normal_form``,
-  ``invariant_factors`` and ``contraction`` are built on it.
+* ``_diagonalize`` brings an integer matrix to its Smith form
+  D = U*A*V with the inverse transforms tracked, a divisibility chain on
+  the diagonal and a deterministic pivoting rule (entry of minimal
+  nonzero absolute value, ties broken by (row, col)).
+  ``smith_normal_form``, ``invariant_factors`` and ``contraction`` are
+  built on it.
 
 On top of these:
 
 * ``complex_homology`` evaluates the homology of a bounded free chain
   complex, reporting free ranks and invariant factors over Z and ranks
-  over Q or F_p.
+  over Q or F_p. The Čech pipeline applies its coefficient ring here
+  and nowhere else.
 * ``contraction`` produces explicit (include, project, homotopy) data
-  retracting a complex onto its homology, read off one diagonalising
-  change of basis per differential.
+  over Z retracting a complex onto its homology, read off one
+  diagonalising change of basis per differential.
 * ``perturb_transfer`` corrects the differential on a direct sum of
   contracted blocks by the terminating series p*delta*(-h*delta)^j*i,
-  followed block by block along the nonzero blocks of delta.
+  followed block by block along the nonzero blocks of delta, over Z.
+  Tensoring preserves a homotopy equivalence of free Z-complexes, so
+  the homology of the transferred complex over any ring is that of the
+  perturbed complex.
 
 All entries are Python ints or Fractions; there is no floating point.
 """
@@ -122,25 +126,6 @@ class CoefficientRing:
             return Fraction(x)
         return int(x) % self.p
 
-    def is_zero(self, x) -> bool:
-        return self.normalize(x) == 0
-
-    def is_unit(self, x) -> bool:
-        x = self.normalize(x)
-        if self.kind == "Z":
-            return x in (1, -1)
-        return x != 0
-
-    def inv(self, x):
-        x = self.normalize(x)
-        if self.kind == "Z":
-            if x not in (1, -1):
-                raise ValueError(f"{x} is not a unit in Z")
-            return x
-        if self.kind == "Q":
-            return Fraction(1) / x
-        return pow(x, self.p - 2, self.p)
-
 
 ZZ = CoefficientRing.integers()
 QQ = CoefficientRing.rationals()
@@ -227,14 +212,8 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.data for a in row)
 
-    def map(self, f) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(tuple(f(a) for a in row) for row in self.data))
-
-    def normalized(self, ring: CoefficientRing) -> "Matrix":
-        return self.map(ring.normalize)
-
     def is_zero_mod(self, ring: CoefficientRing) -> bool:
-        return self.normalized(ring).is_zero()
+        return all(ring.normalize(a) == 0 for row in self.data for a in row)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix(len(row_idx), len(col_idx),
@@ -325,38 +304,32 @@ def _nearest_quotient(a: int, b: int) -> int:
     return q
 
 
-def _diagonalize(A: Matrix, ring: CoefficientRing = ZZ, track: bool = True):
-    """Diagonal normal form D = U*A*V by row and column operations.
+def _diagonalize(A: Matrix, track: bool = True):
+    """Smith normal form D = U*A*V of an integer matrix.
 
-    Over Z, D is the Smith form: the pivot is an entry of minimal nonzero
-    absolute value, ties broken by (row, col); rows and columns are reduced
-    by nearest quotients until the pivot divides the rest of its row and
-    column, a row sum repairs a pivot that fails to divide the remaining
-    block, and rows are negated at the end so the diagonal is non-negative.
-    Over a field the pivot is the first nonzero entry in row-major order,
-    scaled to 1.
+    The pivot is an entry of minimal nonzero absolute value, ties broken
+    by (row, col); rows and columns are reduced by nearest quotients until
+    the pivot divides the rest of its row and column, a row sum repairs a
+    pivot that fails to divide the remaining block, and rows are negated
+    at the end so the diagonal is non-negative. Everything is over Z:
+    other rings enter only through ``complex_homology``.
 
     Returns (U, Uinv, D, V, Vinv) with U*Uinv = I and V*Vinv = I; without
     ``track`` the transforms are not kept and come back as None.
     """
     r, c = A.rows, A.cols
-    p, field = ring.p, ring.is_field
-    one, zero = ring.normalize(1), ring.normalize(0)
-    D = [[ring.normalize(a) for a in row] for row in A.data]
+    D = [[ZZ.normalize(a) for a in row] for row in A.data]
 
     def eye(k):
-        return [[one if i == j else zero for j in range(k)] for i in range(k)]
+        return [[int(i == j) for j in range(k)] for i in range(k)]
 
     # U and Vinv change by row operations, Uinv and V by column operations;
     # the latter two are kept transposed so that every update is a row update
     if track:
         U, UiT, VT, Vi = eye(r), eye(r), eye(c), eye(c)
 
-    def reduced(row):
-        return row if p is None else [x % p for x in row]
-
     def combine(X, a, b, q):  # X[a] -= q*X[b]
-        X[a] = reduced([x - q * y for x, y in zip(X[a], X[b])])
+        X[a] = [x - q * y for x, y in zip(X[a], X[b])]
 
     def row_op(i, t, q):  # row_i -= q*row_t
         combine(D, i, t, q)
@@ -366,8 +339,7 @@ def _diagonalize(A: Matrix, ring: CoefficientRing = ZZ, track: bool = True):
 
     def col_op(j, t, q):  # col_j -= q*col_t
         for row in D:
-            x = row[j] - q * row[t]
-            row[j] = x if p is None else x % p
+            row[j] -= q * row[t]
         if track:
             combine(VT, j, t, q)
             combine(Vi, t, j, -q)
@@ -383,21 +355,14 @@ def _diagonalize(A: Matrix, ring: CoefficientRing = ZZ, track: bool = True):
             for X in (VT, Vi):
                 X[i], X[j] = X[j], X[i]
 
-    def row_scale(i, s, s_inv):
-        D[i] = reduced([s * x for x in D[i]])
-        if track:
-            U[i] = reduced([s * x for x in U[i]])
-            UiT[i] = reduced([s_inv * x for x in UiT[i]])
-
     def pivot(t):
-        # the first unit wins outright: nothing is smaller over Z, and over
-        # a field every nonzero entry is a unit
+        # the first unit wins outright: nothing is smaller
         best = None
         for i in range(t, r):
             for j in range(t, c):
                 v = abs(D[i][j])
                 if v and (best is None or v < best[0]):
-                    if field or v == 1:
+                    if v == 1:
                         return i, j
                     best = (v, i, j)
         return None if best is None else best[1:]
@@ -413,23 +378,21 @@ def _diagonalize(A: Matrix, ring: CoefficientRing = ZZ, track: bool = True):
             row_swap(pi, t)
         if pj != t:
             col_swap(pj, t)
-        if field:
-            row_scale(t, ring.inv(D[t][t]), D[t][t])
         piv = D[t][t]
         dirty = False
         for i in range(t + 1, r):
             if D[i][t]:
-                row_op(i, t, D[i][t] if field else _nearest_quotient(D[i][t], piv))
+                row_op(i, t, _nearest_quotient(D[i][t], piv))
                 if D[i][t]:
                     dirty = True
         for j in range(t + 1, c):
             if D[t][j]:
-                col_op(j, t, D[t][j] if field else _nearest_quotient(D[t][j], piv))
+                col_op(j, t, _nearest_quotient(D[t][j], piv))
                 if D[t][j]:
                     dirty = True
         if dirty:
             continue
-        if not ring.is_unit(piv):
+        if abs(piv) != 1:
             bad = next((i for i in range(t + 1, r) for j in range(t + 1, c)
                         if D[i][j] % piv), None)
             if bad is not None:
@@ -438,7 +401,8 @@ def _diagonalize(A: Matrix, ring: CoefficientRing = ZZ, track: bool = True):
         t += 1
     for i in range(n):
         if D[i][i] < 0:
-            row_scale(i, -1, -1)
+            for X in (D, U, UiT) if track else (D,):
+                X[i] = [-x for x in X[i]]
     wrap = Matrix.from_rows
     if not track:
         return None, None, wrap(D), None, None
@@ -690,37 +654,37 @@ class Contraction:
         return Contraction(self.ambient.shifted(j), self.small.shifted(j),
                            self.include, self.project, self.homotopy)
 
-    def verify(self, ring: CoefficientRing = ZZ) -> None:
-        """Check all five contraction identities as literal matrix equations."""
+    def verify(self) -> None:
+        """Check all five contraction identities as literal matrix equations over Z."""
         amb, sm = self.ambient, self.small
         for d in amb.degrees():
             i, p, h = self.include_at(d), self.project_at(d), self.homotopy_at(d)
-            if not (p @ i - Matrix.identity(sm.rank(d))).is_zero_mod(ring):
+            if p @ i != Matrix.identity(sm.rank(d)):
                 raise AssertionError(f"p∘i != 1 at degree {d}")
             lhs = Matrix.identity(amb.rank(d)) - i @ p
             rhs = amb.diff(d + 1) @ h + self.homotopy_at(d - 1) @ amb.diff(d)
-            if not (lhs - rhs).is_zero_mod(ring):
+            if lhs != rhs:
                 raise AssertionError(f"1 - i∘p != dh + hd at degree {d}")
-            if not (h @ i).is_zero_mod(ring):
+            if not (h @ i).is_zero():
                 raise AssertionError(f"h∘i != 0 at degree {d}")
-            if not (self.project_at(d + 1) @ h).is_zero_mod(ring):
+            if not (self.project_at(d + 1) @ h).is_zero():
                 raise AssertionError(f"p∘h != 0 at degree {d}")
-            if not (self.homotopy_at(d + 1) @ h).is_zero_mod(ring):
+            if not (self.homotopy_at(d + 1) @ h).is_zero():
                 raise AssertionError(f"h∘h != 0 at degree {d}")
 
 
-def contraction(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Contraction:
-    """Contract C onto its homology.
+def contraction(C: FreeChainComplex) -> Contraction:
+    """Contract the integer complex C onto its homology, over Z.
 
     Works upwards through the degrees. The differential out of degree d,
-    restricted to what is left of degree d-1, is brought to normal form
-    D = U*M*V (Smith over Z, unit-pivot diagonal over a field), whose r
-    unit pivots come first and are exactly 1. The first r columns of V
-    and rows of U span the cancelled pairs: the homotopy maps them onto
-    each other, and the remaining columns and rows give the include and
-    project maps. Over Z a further nonzero invariant factor means integral
-    homology torsion and raises TorsionObstruction instead of guessing a
-    non-integral splitting.
+    restricted to what is left of degree d-1, is brought to Smith form
+    D = U*M*V, whose r unit pivots come first and are exactly 1. The
+    first r columns of V and rows of U span the cancelled pairs: the
+    homotopy maps them onto each other, and the remaining columns and rows
+    give the include and project maps. A further nonzero invariant factor
+    means integral homology torsion and raises TorsionObstruction instead
+    of guessing a non-integral splitting. Without torsion the contraction
+    stays one after any base change, so it serves every coefficient ring.
     """
     if C.hi < C.lo:
         e = FreeChainComplex.empty()
@@ -732,10 +696,10 @@ def contraction(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Contraction:
 
     for d in range(lo + 1, hi + 1):
         # inc[d] and proj[d] are still the identity here
-        M = (proj[d - 1] @ C.diff(d)).normalized(ring)
+        M = proj[d - 1] @ C.diff(d)
         if M.is_zero():
             continue
-        U, Uinv, Dg, V, Vinv = _diagonalize(M, ring)
+        U, Uinv, Dg, V, Vinv = _diagonalize(M)
         diag = [Dg[i, i] for i in range(min(Dg.rows, Dg.cols))]
         r = diag.count(1)
         bad = [x for x in diag[r:] if x]
@@ -743,12 +707,12 @@ def contraction(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Contraction:
             raise TorsionObstruction(
                 f"invariant factors {bad} at degree {d} obstruct an integral splitting")
         rows, cols = range(M.rows), range(M.cols)
-        UP = (U @ proj[d - 1]).normalized(ring)
+        UP = U @ proj[d - 1]
         amb = range(UP.cols)
-        homot[d - 1] = (V.submatrix(cols, range(r)) @ UP.submatrix(range(r), amb)).normalized(ring)
+        homot[d - 1] = V.submatrix(cols, range(r)) @ UP.submatrix(range(r), amb)
         inc[d] = V.submatrix(cols, cols[r:])
         proj[d] = Vinv.submatrix(cols[r:], cols)
-        inc[d - 1] = (inc[d - 1] @ Uinv.submatrix(rows, rows[r:])).normalized(ring)
+        inc[d - 1] = inc[d - 1] @ Uinv.submatrix(rows, rows[r:])
         proj[d - 1] = UP.submatrix(rows[r:], amb)
 
     small = FreeChainComplex.from_dicts(
@@ -768,9 +732,8 @@ def perturb_transfer(
     blocks: Sequence[Contraction],
     delta: Mapping[tuple[int, int], Mapping[int, Matrix]],
     level_bound: int,
-    ring: CoefficientRing = ZZ,
 ) -> FreeChainComplex:
-    """Transfer a perturbed differential onto the direct sum of small parts.
+    """Transfer a perturbed differential onto the direct sum of small parts, over Z.
 
     ``delta[(tgt, src)][d]`` maps the ambient of block ``src`` in degree d
     to the ambient of block ``tgt`` in degree d-1, and must strictly lower
@@ -780,7 +743,9 @@ def perturb_transfer(
     ``Contraction``. The series is followed block by block: each term maps
     the small part of a source block into the ambients of the blocks that
     delta reaches from where the previous term ended, and no other block
-    is visited.
+    is visited. Blocks and delta are integral, and so is the result; it
+    is homotopy equivalent to the perturbed complex over Z and hence after
+    tensoring with any ring.
     """
     if not blocks:
         return FreeChainComplex.empty()
@@ -800,7 +765,7 @@ def perturb_transfer(
                 leaving.setdefault(si, []).append((ti, m))
         # x[(t, s)]: small part of block s in degree d -> ambient of block t
         x = {(k, k): b.include_at(d) for k, b in enumerate(blocks)}
-        x = {ts: m for ts, m in x.items() if not m.is_zero_mod(ring)}
+        x = {ts: m for ts, m in x.items() if not m.is_zero()}
         acc: dict[tuple[int, int], Matrix] = {}
         j = 0
         while x:
@@ -813,7 +778,7 @@ def perturb_transfer(
             x = {}
             for (t, s), m in y.items():
                 add(acc, (t, s), blocks[t].project_at(d - 1) @ m)
-                h = (-(blocks[t].homotopy_at(d - 1) @ m)).normalized(ring)
+                h = -(blocks[t].homotopy_at(d - 1) @ m)
                 if not h.is_zero():
                     x[(t, s)] = h
             j += 1
@@ -822,11 +787,11 @@ def perturb_transfer(
             parts = [acc[(t, s)].data if (t, s) in acc else ((0,) * ncols,) * nrows
                      for s, ncols in enumerate(small[d])]
             rows.extend(tuple(a for part in row for a in part) for row in zip(*parts))
-        diffs[d] = Matrix(len(rows), sum(small[d]), tuple(rows)).normalized(ring)
+        diffs[d] = Matrix(len(rows), sum(small[d]), tuple(rows))
 
     out = FreeChainComplex.from_dicts({d: sum(r) for d, r in small.items()}, diffs)
     for d in range(lo + 2, hi + 1):
-        if not (out.diff(d - 1) @ out.diff(d)).is_zero_mod(ring):
+        if not (out.diff(d - 1) @ out.diff(d)).is_zero():
             raise ValueError("transferred differential does not square to zero; "
                              "delta violates the perturbation preconditions")
     return out

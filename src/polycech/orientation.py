@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact_linalg import Matrix, row_echelon
-from .polytope import Face, FaceLattice
+from .polytope import Face, FaceLattice, _affine_basis
 
 
 class DegenerateBasis(Exception):
@@ -40,24 +40,18 @@ def _sorted_vertices(lattice: FaceLattice, face: Face, reverse: bool) -> list[tu
     return sorted(coords, reverse=reverse)
 
 
-def _oriented_basis(lattice: FaceLattice, face: Face, reverse: bool) -> list[tuple[Fraction, ...]]:
+def _oriented_basis(lattice: FaceLattice, face: Face, reverse: bool) -> list[tuple[int, ...]]:
     """Greedy rank-increasing difference vectors from the sorted vertex list."""
     verts = _sorted_vertices(lattice, face, reverse)
     base = verts[0]
-    basis: list[tuple[Fraction, ...]] = []
-    for v in verts[1:]:
-        cand = tuple(Fraction(a - b) for a, b in zip(v, base))
-        if len(row_echelon(basis + [cand])[1]) > len(basis):
-            basis.append(cand)
-        if len(basis) == face.dim:
-            break
+    basis = [tuple(a - b for a, b in zip(verts[j], base)) for j in _affine_basis(verts)[1:]]
     if len(basis) != face.dim:
         raise DegenerateBasis(f"face {face.index} has no affine basis of size {face.dim}")
     return basis
 
 
-def _coords_in_basis(basis: Sequence[Sequence[Fraction]],
-                     targets: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+def _coords_in_basis(basis: Sequence[Sequence[int]],
+                     targets: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     """Solve basis-matrix * lambda = target for each target, exactly."""
     e = len(basis)
     aug = [list(col) + [t[i] for t in targets] for i, col in enumerate(zip(*basis))]
@@ -82,18 +76,16 @@ def incidence_numbers(lattice: FaceLattice, reverse: bool = False) -> IncidenceS
     reference orientations; homology downstream must not depend on it.
     """
     numbers: dict[tuple[int, int], int] = {}
+    basis = [_oriented_basis(lattice, f, reverse) for f in lattice.faces]
+    centroid = [_centroid(lattice, f) for f in lattice.faces]
     for outer in lattice.faces:
         if outer.dim == 0:
             continue
-        basis_g = _oriented_basis(lattice, outer, reverse)
-        centroid_g = _centroid(lattice, outer)
         for inner in lattice.by_dim[outer.dim - 1]:
             if not lattice.contains(inner, outer):
                 continue
-            basis_f = _oriented_basis(lattice, inner, reverse) if inner.dim else []
-            centroid_f = _centroid(lattice, inner)
-            outward = tuple(a - b for a, b in zip(centroid_f, centroid_g))
-            coords = _coords_in_basis(basis_g, [outward] + basis_f)
+            outward = tuple(a - b for a, b in zip(centroid[inner.index], centroid[outer.index]))
+            coords = _coords_in_basis(basis[outer.index], [outward] + basis[inner.index])
             lam = Matrix.from_rows(list(zip(*coords)))  # columns = coordinates
             d = lam.det()
             if d == 0:

@@ -75,7 +75,8 @@ def _primitive(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _hull_rays(lifted: Sequence[tuple[int, ...]], basis: Sequence[int]) -> list[tuple[int, ...]]:
+def _hull_rays(lifted: Sequence[tuple[int, ...]],
+               basis: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the cone {h : <h, w> >= 0 for every w in ``lifted``}.
 
     Double description (Fukuda and Prodon, 1996): start from the
@@ -85,7 +86,8 @@ def _hull_rays(lifted: Sequence[tuple[int, ...]], basis: Sequence[int]) -> list[
     is tight on. On insertion, rays on the nonnegative side stay, and a
     ray p on the positive side and n on the negative side give the new
     ray <p, w>*n - <n, w>*p exactly when they are adjacent: no third ray
-    is tight on every point both are tight on.
+    is tight on every point both are tight on. Each ray is returned with
+    its mask, which at the end covers every point it is tight on.
     """
     d = len(lifted[0])
     rows = [list(lifted[i]) + [int(r == c) for c in range(d)] for r, i in enumerate(basis)]
@@ -111,7 +113,7 @@ def _hull_rays(lifted: Sequence[tuple[int, ...]], basis: Sequence[int]) -> list[
                     continue
                 nxt.append((_primitive([sp * b - sn * a for a, b in zip(rp, rn)]), common | bit))
         rays = nxt
-    return [ray for ray, _ in rays]
+    return rays
 
 
 def facets_from_vertices(dim: int, vertices: Sequence[Sequence[int]]) -> LatticePolytope:
@@ -140,13 +142,16 @@ def facets_from_vertices(dim: int, vertices: Sequence[Sequence[int]]) -> Lattice
     facet_list: tuple[tuple[tuple[int, ...], int], ...] = ()
     if dim:
         rays = _hull_rays([v + (1,) for v in verts], basis)
-        facet_list = tuple(sorted((ray[:dim], -ray[dim]) for ray in rays))
-    poly = LatticePolytope(dim, tuple(verts), facet_list)
-    for v in verts:
-        tight = [a for a, b in facet_list if _dot(a, v) == b]
-        if dim and _affine_rank([(0,) * dim] + tight) < dim:
-            raise ValueError(f"input point {v} is not a vertex of the hull")
-    return poly
+        facet_list = tuple(sorted((ray[:dim], -ray[dim]) for ray, _ in rays))
+        # a point is a vertex iff it is the only point on every facet through it
+        for t, v in enumerate(verts):
+            common = (1 << len(verts)) - 1
+            for _, z in rays:
+                if z >> t & 1:
+                    common &= z
+            if common != 1 << t:
+                raise ValueError(f"input point {v} is not a vertex of the hull")
+    return LatticePolytope(dim, tuple(verts), facet_list)
 
 
 def standard_simplex(n: int) -> LatticePolytope:

@@ -312,7 +312,7 @@ def les_two_level_homology(P, Y, ring):
         key = (k, m)
         if key not in cols:
             cc = ctx.column_complex(k, m)
-            cols[key] = (cc, contraction(cc.complex, ring))
+            cols[key] = (cc, contraction(cc.complex))
         return cols[key]
 
     mats = {}
@@ -349,7 +349,7 @@ def les_two_level_homology(P, Y, ring):
         if grid is None:
             return nrows, ncols, 0, ()
         if ring.is_field:
-            return nrows, ncols, field_rank(grid.normalized(ring), ring), ()
+            return nrows, ncols, field_rank(grid, ring), ()
         facs = invariant_factors(grid)
         return nrows, ncols, len(facs), tuple(f for f in facs if f > 1)
 

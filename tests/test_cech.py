@@ -296,9 +296,9 @@ def test_cech_homology_contracts_each_column_pattern_once(name, monkeypatch):
     P = {"cube": SAMPLES["cube"], "octahedron": OCTAHEDRON}[name]
     contracted = []
 
-    def counting(C, ring):
+    def counting(C):
         contracted.append(C)
-        return contraction(C, ring)
+        return contraction(C)
 
     monkeypatch.setattr(cech_module, "contraction", counting)
     Y = cone({0: {(0, 0): [(1, (0, 0, 0))]}}, line_bundle(0), line_bundle(1))
@@ -310,20 +310,24 @@ def test_cech_homology_contracts_each_column_pattern_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name,k,patterns", [("square", 8, 9), ("cube", 4, 27)])
 def test_line_bundle_scan_takes_homology_once_per_pattern(name, k, patterns, monkeypatch):
-    # the box holds (k+3)^n columns but only 3^n face patterns
+    # the box holds (k+3)^n columns but only 3^n face patterns; each
+    # pattern's homology is taken over Z, whatever the ring asked for
     import polycech.cech as cech_module
 
     P = SAMPLES[name]
-    calls = []
+    expected = H({P.dim: ((k + 1) ** P.dim, ())})
+    for ring in (ZZ, QQ, GF(3)):
+        calls = []
 
-    def counting(C, ring):
-        calls.append(C)
-        return complex_homology(C, ring)
+        def counting(C, ring=ZZ):
+            calls.append((C, ring))
+            return complex_homology(C, ring)
 
-    monkeypatch.setattr(cech_module, "complex_homology", counting)
-    res = CechContext(P).line_bundle_cohomology(k, ZZ)
-    assert res.homology == H({P.dim: ((k + 1) ** P.dim, ())})
-    assert len(calls) == len(set(calls)) <= patterns
+        monkeypatch.setattr(cech_module, "complex_homology", counting)
+        res = CechContext(P).line_bundle_cohomology(k, ring)
+        assert res.homology == expected, ring.label
+        assert all(r == ZZ for _, r in calls), ring.label
+        assert len(calls) == len(set(calls)) <= patterns
 
 
 @pytest.mark.parametrize("name", ["simplex2", "square"])

@@ -105,6 +105,30 @@ def test_points_over_budget_exit_2(docs, capsys, monkeypatch):
     assert code == 2 and json.loads(out)["code"] == "bad_dilate"
 
 
+def test_scan_box_over_budget_exit_2(docs, capsys, monkeypatch):
+    default = cli_mod.POINTS_BUDGET
+    monkeypatch.setattr(cli_mod, "POINTS_BUDGET", 16)
+    # the square's scan box at twist k holds (|k| + 3)^2 multidegrees
+    for args, ok in [(["cohomology", "--twist", "1"], True),
+                     (["cohomology", "--twist", "-1", "--ring", "Q"], True),
+                     (["cohomology", "--twist", "2"], False),
+                     (["cohomology", "--twist", "-2", "--ring", "Fp:3"], False),
+                     (["verify", "--kmax", "1"], True),
+                     (["verify", "--kmax", "2"], False)]:
+        code, out = run([args[0], docs["sq.json"]] + args[1:], capsys)
+        if ok:
+            assert code == 0, args
+        else:
+            assert code == 2 and json.loads(out)["code"] == "too_large", args
+            assert out.count("\n") == 1
+    # refused before any scan: about 10^10 multidegrees at the default budget
+    monkeypatch.setattr(cli_mod, "POINTS_BUDGET", default)
+    for args in (["cohomology", docs["d2.json"], "--twist", "100000"],
+                 ["verify", docs["d2.json"], "--kmax", "3000"]):
+        code, out = run(args, capsys)
+        assert code == 2 and json.loads(out)["code"] == "too_large", args
+
+
 def test_faces_output(docs, capsys):
     code, out = run(["faces", docs["d2.json"]], capsys)
     assert code == 0

@@ -86,8 +86,6 @@ def test_ring_parsing_and_units():
         CoefficientRing.parse("R")
     with pytest.raises(ValueError):
         GF(2**61 - 1)  # prime, but above the bound on trial division
-    assert ZZ.is_unit(-1) and not ZZ.is_unit(2)
-    assert GF(5).inv(2) == 3
     assert GF(3).normalize(-1) == 2
 
 
@@ -139,8 +137,8 @@ def test_universal_coefficients(p):
 
 def test_contraction_elementary_acyclic():
     C = FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[1]])})
-    ct = contraction(C, ZZ)
-    ct.verify(ZZ)
+    ct = contraction(C)
+    ct.verify()
     assert ct.small.total_rank() == 0
     assert ct.homotopy_at(0) == Matrix.identity(1)
     assert ct.include_at(0).cols == 0 and ct.project_at(0).rows == 0
@@ -148,8 +146,8 @@ def test_contraction_elementary_acyclic():
 
 def test_contraction_zero_differentials():
     C = FreeChainComplex.from_dicts({0: 2, 1: 3}, {1: Matrix.zeros(2, 3)})
-    ct = contraction(C, ZZ)
-    ct.verify(ZZ)
+    ct = contraction(C)
+    ct.verify()
     assert ct.small.ranks == (2, 3)
     assert ct.include_at(0) == Matrix.identity(2)
     assert ct.project_at(1) == Matrix.identity(3)
@@ -162,8 +160,8 @@ def test_contraction_of_interval_column_is_integral():
     from polycech.cech import column_complex
     from polycech.polytope import standard_simplex
     col = column_complex(standard_simplex(1), 0, (1,))
-    ct = contraction(col.complex, ZZ)
-    ct.verify(ZZ)
+    ct = contraction(col.complex)
+    ct.verify()
     assert ct.small.total_rank() == 0
     assert all(isinstance(x, int) for m in ct.homotopy for row in m.data for x in row)
 
@@ -171,24 +169,22 @@ def test_contraction_of_interval_column_is_integral():
 def test_contraction_torsion_obstruction():
     C = FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[2]])})
     with pytest.raises(TorsionObstruction):
-        contraction(C, ZZ)
-    # fields always split
-    contraction(C, QQ).verify(QQ)
-    contraction(C, GF(3)).verify(GF(3))
+        contraction(C)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=lambda r: r.label)
 def test_contraction_random(ring):
+    # the contraction is over Z; without Z torsion its small ranks are the
+    # homology ranks over every ring
     rng = random.Random(7)
     for _ in range(40):
         C = random_free_complex(rng)
         try:
-            ct = contraction(C, ring)
+            ct = contraction(C)
         except TorsionObstruction:
-            assert ring == ZZ
             assert any(t for _, _, t in complex_homology(C, ZZ).groups)
             continue
-        ct.verify(ring)
+        ct.verify()
         h = complex_homology(C, ring)
         for d in C.degrees():
             assert ct.small.rank(d) == h.free_rank(d)
@@ -215,26 +211,26 @@ def test_contraction_of_polytope_columns(ring):
                 patterns.setdefault(col.faces, col.complex)
         assert len(patterns) == {"cube": 46, "octahedron": 104}[name]
         for C in patterns.values():
-            ct = contraction(C, ring)
-            ct.verify(ring)
+            ct = contraction(C)
+            ct.verify()
             h = complex_homology(C, ring)
             for d in C.degrees():
                 assert ct.small.rank(d) == h.free_rank(d)
 
 
 def unit_block(degree):
-    return contraction(FreeChainComplex.from_dicts({degree: 1}, {}), ZZ)
+    return contraction(FreeChainComplex.from_dicts({degree: 1}, {}))
 
 
 def test_perturb_transfer_zero_delta():
-    out = perturb_transfer([unit_block(1), unit_block(0)], {}, 2, ZZ)
+    out = perturb_transfer([unit_block(1), unit_block(0)], {}, 2)
     assert complex_homology(out, ZZ).as_dict() == {0: (1, ()), 1: (1, ())}
     assert all(m.is_zero() for m in out.diffs)
 
 
 def test_perturb_transfer_unit_cancellation():
     delta = {(1, 0): {1: Matrix.from_rows([[1]])}}
-    out = perturb_transfer([unit_block(1), unit_block(0)], delta, 2, ZZ)
+    out = perturb_transfer([unit_block(1), unit_block(0)], delta, 2)
     assert out.diff(1) == Matrix.from_rows([[1]])
     assert complex_homology(out, ZZ).is_zero()
 
@@ -245,13 +241,13 @@ def test_perturb_transfer_square_zero():
         (1, 0): {2: Matrix.from_rows([[2]])},
         (2, 1): {1: Matrix.from_rows([[0]])},
     }
-    out = perturb_transfer(blocks, delta, 3, ZZ)
+    out = perturb_transfer(blocks, delta, 3)
     assert (out.diff(1) @ out.diff(2)).is_zero()
 
 
 def test_perturb_transfer_non_nilpotent():
     acyclic = contraction(
-        FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[1]])}), ZZ)
+        FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[1]])}))
     start = unit_block(1)
     # feeding the homotopy output back into delta never terminates
     delta = {
@@ -259,7 +255,7 @@ def test_perturb_transfer_non_nilpotent():
         (1, 1): {1: Matrix.from_rows([[1]])},
     }
     with pytest.raises(NonNilpotent):
-        perturb_transfer([start, acyclic], delta, 4, ZZ)
+        perturb_transfer([start, acyclic], delta, 4)
 
 
 def _dense(blocks, row_ranks, col_ranks):
@@ -316,18 +312,18 @@ def _block_lower_perturbation(rng):
 
 @pytest.mark.parametrize("ring", [QQ, GF(2), GF(5), ZZ], ids=lambda r: r.label)
 def test_perturb_transfer_matches_perturbation_lemma(ring):
-    # the transferred complex is homotopy equivalent to the total complex
-    # d + delta, whose homology is computed here without any contraction
+    # the transferred complex is homotopy equivalent over Z to the total
+    # complex d + delta, whose homology is computed here without any
+    # contraction; the ring enters only in the two homologies compared
     rng = random.Random(2010)
     checked = 0
     for _ in range(60):
         parts, delta, dense = _block_lower_perturbation(rng)
         try:
-            blocks = [contraction(C, ring) for C in parts]
+            blocks = [contraction(C) for C in parts]
         except TorsionObstruction:
-            assert ring == ZZ
             continue
-        out = perturb_transfer(blocks, delta, len(parts), ring)
+        out = perturb_transfer(blocks, delta, len(parts))
         assert complex_homology(out, ring) == complex_homology(dense, ring)
         checked += 1
     assert checked >= 10
