@@ -4,10 +4,12 @@ The Čech complex of a diagram over the face lattice splits, one lattice
 multidegree at a time, into finite "column" complexes indexed by the
 faces whose shifted tangent cone contains the multidegree. A column is
 determined by its facet mask, the set of facets whose inequality holds at
-the multidegree, and is built once per mask. Line-bundle homology is
+the multidegree. Each context builds the column of a mask once, and
+computes its contraction once, on first use; every twist, multidegree
+and call that reaches the mask shares them. Line-bundle homology is
 found by scanning a verified bounding box of columns, taking homology
-once per face pattern; general twist complexes are handled by
-contracting every column pattern onto its homology and transferring the
+once per face pattern per call; general twist complexes are handled by
+contracting the columns onto their homology and transferring the
 monomial differentials through the homotopies.
 Columns, contractions and the transfer are integral: the paper builds
 its complexes over Z and a coefficient ring R enters by base change, so
@@ -19,6 +21,7 @@ matrix are derived on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import mul
 from typing import Sequence
@@ -61,13 +64,19 @@ class NotUnimodular(Exception):
 
 @dataclass(frozen=True)
 class ColumnComplex:
-    """One multidegree slice of the Čech complex of O(k): a complex of
-    rank-0/1 face contributions in Čech degrees 0..n."""
+    """The multidegree slices of the Čech complex of O(k) with one facet
+    mask: a complex of rank-0/1 face contributions in Čech degrees 0..n.
 
-    twist: int
-    multidegree: tuple[int, ...]
+    A context holds one per mask reached. Its contraction is computed over
+    Z the first time it is read and kept with it.
+    """
+
     complex: FreeChainComplex
     faces: tuple[tuple[int, ...], ...]  # active face indices per Čech degree
+
+    @cached_property
+    def contraction(self) -> Contraction:
+        return contraction(self.complex)
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,8 @@ class CechResult:
 
 class CechContext:
     """Per-polytope caches: face lattice, incidence signs, Ehrhart data and
-    the column complex of every facet mask reached so far."""
+    the column of every facet mask reached so far, with the column's
+    contraction once it has been used."""
 
     def __init__(self, P: LatticePolytope, reverse_orientation: bool = False):
         self.polytope = P
@@ -102,26 +112,24 @@ class CechContext:
         )
         self._face_masks = tuple(
             sum(1 << i for i in f.tight_facets) for f in self.lattice.faces)
-        # facet mask -> (active faces per Čech degree, column complex)
-        self._columns: dict[int, tuple[tuple[tuple[int, ...], ...], FreeChainComplex]] = {}
+        self._columns: dict[int, ColumnComplex] = {}  # by facet mask
 
     def column_complex(self, k: int, m: Sequence[int]) -> ColumnComplex:
         """Faces whose cone k*F + T_F contains m, with incidence differentials.
 
         A face is active iff every facet tight at it satisfies
         <a_i, m> >= k*b_i, so the column depends only on the mask of facets
-        whose inequality holds at m. The faces and complex are built once
-        per mask and shared by every twist and multidegree that reaches it.
-        Activity is upward closed, so the selected rows and columns form a
-        genuine subcomplex of the full face boundary.
+        whose inequality holds at m. The column is built once per mask and
+        returned to every twist and multidegree that reaches it. Activity is
+        upward closed, so the selected rows and columns form a genuine
+        subcomplex of the full face boundary.
         """
-        m = tuple(int(x) for x in m)
         mask = 0
         for i, (normal, offset) in enumerate(self.polytope.facets):
             if sum(map(mul, normal, m)) >= k * offset:
                 mask |= 1 << i
-        hit = self._columns.get(mask)
-        if hit is None:
+        col = self._columns.get(mask)
+        if col is None:
             faces = tuple(
                 tuple(f for f in by_s if not self._face_masks[f] & ~mask)
                 for by_s in self._faces_by_cech_degree
@@ -135,9 +143,9 @@ class CechContext:
                         [[self.incidence.sign(cf, rf) for cf in cols] for rf in rows])
                 else:
                     diffs[s] = Matrix.zeros(0, len(cols))
-            hit = self._columns[mask] = (faces, FreeChainComplex.from_dicts(ranks, diffs))
-        faces, complex_ = hit
-        return ColumnComplex(k, m, complex_, faces)
+            col = self._columns[mask] = ColumnComplex(
+                FreeChainComplex.from_dicts(ranks, diffs), faces)
+        return col
 
     def support_table(self, k: int) -> SupportTable:
         """Multidegrees carrying homology: kP for k >= 0, interior of kP else."""
@@ -195,18 +203,17 @@ class CechContext:
 
         Steps: (1) supports of every summand; (2) close up the set of
         (level, summand, multidegree) columns lying on monomial paths
-        between supports; (3) contract each active column pattern once;
-        (4) transfer the relocated monomial differentials (with the (-1)^s
-        column sign) through the homotopies; (5) take homology of the small
-        complex. Steps (3) and (4) are over Z; ``ring`` enters only in (5),
-        which is exact because tensoring preserves the homotopy equivalence
-        of free Z-complexes. Integral torsion in a column raises
-        TorsionObstruction for every ring.
+        between supports; (3) contract their columns, each mask once per
+        context; (4) transfer the relocated monomial differentials (with
+        the (-1)^s column sign) through the homotopies; (5) take homology
+        of the small complex. Steps (3) and (4) are over Z; ``ring`` enters
+        only in (5), which is exact because tensoring preserves the
+        homotopy equivalence of free Z-complexes. Integral torsion in a
+        column raises TorsionObstruction for every ring.
         """
         validate(Y, self.polytope)
         if Y.hi < Y.lo or Y.is_empty():
             return CechResult(HomologyResult.zero(), 0, 0)
-        n = self.polytope.dim
 
         supports: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         for t, j, k in Y.summands():
@@ -239,64 +246,28 @@ class CechContext:
                         nxt.append(tgt)
             frontier = nxt
 
-        by_level: dict[int, list] = {}
-        for tr in reachable:
-            by_level.setdefault(tr[0], []).append(tr)
-        useful: set = set()
-        for t in sorted(by_level):  # edges go down one level, so ascend
-            for tr in by_level[t]:
-                if tr in support_triples or any(
-                        tgt in useful for tgt in edges_from(*tr)):
-                    useful.add(tr)
-        active = sorted(reachable & useful)
-        active_set = set(active)
+        # paths from each triple down to a support; edges go down one level,
+        # so ascending order visits every target first
+        order = sorted(reachable)
+        paths: dict[tuple, int] = {}
+        for tr in order:
+            paths[tr] = sum(paths[tgt] + (tgt in support_triples) for tgt in edges_from(*tr))
+        active = [tr for tr in order if tr in support_triples or paths[tr]]
+        transfer_paths = sum(paths[tr] for tr in support_triples)
 
-        path_counts: dict[tuple, int] = {}
-        for t in sorted(by_level):
-            for tr in by_level[t]:
-                if tr not in active_set:
-                    continue
-                cnt = 0
-                for tgt in edges_from(*tr):
-                    if tgt in active_set:
-                        cnt += path_counts.get(tgt, 0) + (1 if tgt in support_triples else 0)
-                path_counts[tr] = cnt
-        transfer_paths = sum(path_counts.get(tr, 0) for tr in support_triples)
-
-        # a column's complex depends only on its active faces, so columns
-        # with one face pattern share one contraction
-        col_cache: dict[tuple, tuple[ColumnComplex, Contraction]] = {}
-        by_pattern: dict[tuple, Contraction] = {}
-
-        def column_data(k: int, m: tuple) -> tuple[ColumnComplex, Contraction]:
-            key = (k, m)
-            if key not in col_cache:
-                col = self.column_complex(k, m)
-                if col.faces not in by_pattern:
-                    by_pattern[col.faces] = contraction(col.complex)
-                col_cache[key] = (col, by_pattern[col.faces])
-            return col_cache[key]
-
-        blocks = []
-        block_index: dict[tuple, int] = {}
-        for (t, j, m) in active:
-            _, ct = column_data(Y.level(t)[j], m)
-            block_index[(t, j, m)] = len(blocks)
-            blocks.append(ct.shifted(t))
+        cols = [self.column_complex(Y.level(t)[j], m) for t, j, m in active]
+        blocks = [col.contraction.shifted(t) for col, (t, _, _) in zip(cols, active)]
+        block_index = {tr: b for b, tr in enumerate(active)}
 
         delta: dict[tuple[int, int], dict[int, Matrix]] = {}
-        for (t, j, m) in active:
-            src_col, _ = column_data(Y.level(t)[j], m)
-            src_idx = block_index[(t, j, m)]
+        for src_idx, (t, j, m) in enumerate(active):
             for i, (c, u) in diff_entries.get(t, {}).get(j, ()):
-                tgt_triple = (t - 1, i, tuple(a + b for a, b in zip(m, u)))
-                if tgt_triple not in block_index:
+                tgt_idx = block_index.get((t - 1, i, tuple(a + b for a, b in zip(m, u))))
+                if tgt_idx is None:
                     continue
-                tgt_col, _ = column_data(Y.level(t - 1)[i], tgt_triple[2])
-                per_degree = delta.setdefault((block_index[tgt_triple], src_idx), {})
-                for s in range(n + 1):
-                    src_faces = src_col.faces[s]
-                    tgt_faces = tgt_col.faces[s]
+                per_degree = delta.setdefault((tgt_idx, src_idx), {})
+                for s, (src_faces, tgt_faces) in enumerate(
+                        zip(cols[src_idx].faces, cols[tgt_idx].faces)):
                     if not src_faces or not tgt_faces:
                         continue
                     sign = -1 if s % 2 else 1

@@ -19,6 +19,7 @@ from .exact_linalg import CoefficientRing, FreeChainComplex, HomologyResult, Mat
 from .orientation import incidence_numbers
 from .polytope import (
     DuplicateVertex,
+    EhrhartPolynomial,
     LatticePolytope,
     NotFullDimensional,
     ehrhart_polynomial,
@@ -37,8 +38,9 @@ from .sheaf_complexes import (
 )
 
 
-# most lattice points the `points` command will enumerate and print, and
-# most multidegrees a line-bundle scan will visit
+# most lattice points the `points` command will enumerate and print, most
+# multidegrees a line-bundle scan will visit, and most support multidegrees
+# of a complex's summands the `cech` command will transfer
 POINTS_BUDGET = 1_000_000
 
 
@@ -229,12 +231,15 @@ def cmd_ehrhart(P: LatticePolytope) -> dict:
     }
 
 
+def _point_count(P: LatticePolytope, e: EhrhartPolynomial, k: int, interior: bool) -> int:
+    # counted, not enumerated: kP holds E(k) points and, by reciprocity,
+    # (-1)^n E(-|k|) interior ones for k != 0; E(0) = 1 bounds the interior of 0P
+    return int((-1) ** P.dim * e(-abs(k)) if interior and k else e(k))
+
+
 def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
     if interior or k >= 0:
-        # count before enumerating: kP holds E(k) points and, by reciprocity,
-        # (-1)^n E(-|k|) interior ones for k != 0; E(0) = 1 bounds the interior of 0P
-        e = ehrhart_polynomial(P)
-        count = (-1) ** P.dim * e(-abs(k)) if interior and k else e(k)
+        count = _point_count(P, ehrhart_polynomial(P), k, interior)
         if count > POINTS_BUDGET:
             raise InputError(
                 "too_large", f"the dilate holds {count} lattice points, more than the "
@@ -244,6 +249,16 @@ def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
     except ValueError as exc:
         raise InputError("bad_dilate", str(exc), "--dilate")
     return {"count": len(pts), "points": [list(p) for p in pts]}
+
+
+def _check_supports(P: LatticePolytope, Y: TwistComplex, location: str) -> None:
+    # a summand O(k) is supported on kP, or on the interior of kP for k < 0
+    e = cech.context(P).ehrhart
+    size = sum(_point_count(P, e, k, interior=k < 0) for _, _, k in Y.summands())
+    if size > POINTS_BUDGET:
+        raise InputError(
+            "too_large", f"the supports of the complex hold {size} multidegrees, more than "
+            f"the budget of {POINTS_BUDGET}", location)
 
 
 def _check_scan_box(P: LatticePolytope, k: int, location: str) -> None:
@@ -401,6 +416,7 @@ def run(argv: Sequence[str]) -> tuple[Any, int]:
     if args.command == "cech":
         ring = _parse_ring(args.ring)
         Y = _load_complex(args.complex, P)
+        _check_supports(P, Y, args.complex)
         res = cech.cech_homology(P, Y, ring)
         return {
             "homology": homology_json(res.homology),

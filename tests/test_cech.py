@@ -288,8 +288,8 @@ def test_basic_cone_homology_ranks(n, k, rank):
 
 @pytest.mark.parametrize("name", ["cube", "octahedron"])
 def test_cech_homology_contracts_each_column_pattern_once(name, monkeypatch):
-    # the columns of one twist share few face patterns, and equal column
-    # complexes must share one contraction
+    # a context contracts the column of each facet mask once, whatever the
+    # twist, multidegree or call that reaches it
     import polycech.cech as cech_module
     from polycech.exact_linalg import contraction
 
@@ -300,12 +300,28 @@ def test_cech_homology_contracts_each_column_pattern_once(name, monkeypatch):
         contracted.append(C)
         return contraction(C)
 
+    def masks(k, points):
+        return {frozenset(i for i, (a, b) in enumerate(P.facets)
+                          if sum(x * y for x, y in zip(a, m)) >= k * b) for m in points}
+
     monkeypatch.setattr(cech_module, "contraction", counting)
+    ctx = CechContext(P)
     Y = cone({0: {(0, 0): [(1, (0, 0, 0))]}}, line_bundle(0), line_bundle(1))
-    res = cech_homology(P, Y, ZZ)
+    res = ctx.cech_homology(Y, ZZ)
     # cokernel of the one point of P mapped into the lattice points of P
     assert res.homology == H({3: ({"cube": 8, "octahedron": 7}[name] - 1, ())})
-    assert len(contracted) == len(set(contracted)) < res.active_multidegrees
+    # with u = 0 the active columns are the supports: 0 at twist 0, P at twist 1
+    seen = masks(0, [(0, 0, 0)]) | masks(1, ctx.support_table(1).multidegrees)
+    assert len(contracted) == len(set(contracted)) == len(seen) < res.active_multidegrees
+
+    contracted.clear()
+    assert ctx.cech_homology(Y, ZZ) == res
+    assert contracted == []
+
+    # a sum O(1) + O(-3) contracts only the masks the cone did not reach
+    ctx.cech_homology(make_twist_complex(0, [[1, -3]], {}), ZZ)
+    new = masks(-3, ctx.support_table(-3).multidegrees) - seen
+    assert new and len(contracted) == len(new)
 
 
 @pytest.mark.parametrize("name,k,patterns", [("square", 8, 9), ("cube", 4, 27)])
@@ -316,18 +332,20 @@ def test_line_bundle_scan_takes_homology_once_per_pattern(name, k, patterns, mon
 
     P = SAMPLES[name]
     expected = H({P.dim: ((k + 1) ** P.dim, ())})
+    calls = []
+
+    def counting(C, ring=ZZ):
+        calls.append((C, ring))
+        return complex_homology(C, ring)
+
+    monkeypatch.setattr(cech_module, "complex_homology", counting)
+    ctx = CechContext(P)
     for ring in (ZZ, QQ, GF(3)):
-        calls = []
-
-        def counting(C, ring=ZZ):
-            calls.append((C, ring))
-            return complex_homology(C, ring)
-
-        monkeypatch.setattr(cech_module, "complex_homology", counting)
-        res = CechContext(P).line_bundle_cohomology(k, ring)
+        calls.clear()
+        res = ctx.line_bundle_cohomology(k, ring)
         assert res.homology == expected, ring.label
         assert all(r == ZZ for _, r in calls), ring.label
-        assert len(calls) == len(set(calls)) <= patterns
+        assert 0 < len(calls) == len(set(calls)) <= patterns
 
 
 @pytest.mark.parametrize("name", ["simplex2", "square"])

@@ -105,6 +105,32 @@ def test_points_over_budget_exit_2(docs, capsys, monkeypatch):
     assert code == 2 and json.loads(out)["code"] == "bad_dilate"
 
 
+def test_cech_supports_over_budget_exit_2(docs, capsys, monkeypatch, tmp_path):
+    def complex_path(name, levels):
+        path = tmp_path / name
+        path.write_text(json.dumps({"min_level": 0, "levels": levels, "differentials": []}))
+        return str(path)
+
+    default = cli_mod.POINTS_BUDGET
+    monkeypatch.setattr(cli_mod, "POINTS_BUDGET", 9)
+    # O(k) on the square is supported on (k+1)^2 points, O(-k) on (k-1)^2
+    for levels, ok in [([[2]], True), ([[3]], False), ([[-4]], True), ([[-5]], False),
+                       ([[1, -3]], True), ([[1], [2]], False)]:
+        cx = complex_path("cx.json", levels)
+        code, out = run(["cech", docs["sq.json"], cx], capsys)
+        if ok:
+            assert code == 0, levels
+        else:
+            doc = json.loads(out)
+            assert code == 2 and (doc["code"], doc["location"]) == ("too_large", cx), levels
+            assert out.count("\n") == 1
+    # about 5*10^9 support points at the default budget, refused from the count
+    monkeypatch.setattr(cli_mod, "POINTS_BUDGET", default)
+    for k in (100000, -100000):
+        code, out = run(["cech", docs["d2.json"], complex_path("big.json", [[k]])], capsys)
+        assert code == 2 and json.loads(out)["code"] == "too_large", k
+
+
 def test_scan_box_over_budget_exit_2(docs, capsys, monkeypatch):
     default = cli_mod.POINTS_BUDGET
     monkeypatch.setattr(cli_mod, "POINTS_BUDGET", 16)
