@@ -10,7 +10,9 @@ and call that reaches the mask shares them. Line-bundle homology is
 found by scanning a verified bounding box of columns, taking homology
 once per face pattern per call; general twist complexes are handled by
 contracting the columns onto their homology and transferring the
-monomial differentials through the homotopies.
+monomial differentials through the homotopies; the transferred complex
+is taken apart into the components its nonzero entries link, and only
+those are eliminated.
 Columns, contractions and the transfer are integral: the paper builds
 its complexes over Z and a coefficient ring R enters by base change, so
 R is applied only in the homology of the small transferred complex.
@@ -206,10 +208,12 @@ class CechContext:
         between supports; (3) contract their columns, each mask once per
         context; (4) transfer the relocated monomial differentials (with
         the (-1)^s column sign) through the homotopies; (5) take homology
-        of the small complex. Steps (3) and (4) are over Z; ``ring`` enters
-        only in (5), which is exact because tensoring preserves the
-        homotopy equivalence of free Z-complexes. Integral torsion in a
-        column raises TorsionObstruction for every ring.
+        of the small complex one linked component at a time, count the
+        columns no transferred entry links by their ranks, and add it all
+        up with the torsion merged once. Steps (3) and (4) are over Z;
+        ``ring`` enters only in (5), which is exact because tensoring
+        preserves the homotopy equivalence of free Z-complexes. Integral
+        torsion in a column raises TorsionObstruction for every ring.
         """
         validate(Y, self.polytope)
         if Y.hi < Y.lo or Y.is_empty():
@@ -281,7 +285,8 @@ class CechContext:
                     per_degree[t + s] = block if prev is None else prev + block
 
         transferred = perturb_transfer(blocks, delta, Y.hi - Y.lo + 1)
-        hom = complex_homology(transferred, ring)
+        hom = HomologyResult.direct_sum_of(
+            (complex_homology(c, ring) for c in transferred.components), transferred.unlinked)
         return CechResult(hom, len(active), transfer_paths)
 
     def euler_characteristic(self, Y: TwistComplex, cross_check: bool = False) -> int:

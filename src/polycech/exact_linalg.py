@@ -25,9 +25,12 @@ On top of these:
 * ``perturb_transfer`` corrects the differential on a direct sum of
   contracted blocks by the terminating series p*delta*(-h*delta)^j*i,
   followed block by block along the nonzero blocks of delta, over Z.
-  Tensoring preserves a homotopy equivalence of free Z-complexes, so
-  the homology of the transferred complex over any ring is that of the
-  perturbed complex.
+  The result is never assembled globally: it comes back split into the
+  connected components of the blocks its nonzero entries join, each a
+  complex over its own blocks, plus the ranks of the blocks no entry
+  touches, whose homology needs no elimination. Tensoring preserves a
+  homotopy equivalence of free Z-complexes, so the homology of the
+  transferred complex over any ring is that of the perturbed complex.
 
 All entries are Python ints or Fractions; there is no floating point.
 """
@@ -117,6 +120,8 @@ class CoefficientRing:
 
     def normalize(self, x):
         if self.kind == "Z":
+            if type(x) is int:  # the common case skips the ABC instance check
+                return x
             if isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")
@@ -575,13 +580,22 @@ class HomologyResult:
     def shifted(self, j: int) -> "HomologyResult":
         return HomologyResult(tuple((d + j, free, torsion) for d, free, torsion in self.groups))
 
+    @classmethod
+    def direct_sum_of(cls, parts: Iterable["HomologyResult"],
+                      free: Mapping[int, int] | None = None) -> "HomologyResult":
+        """Direct sum of ``parts`` and of free groups of the ranks ``free[d]``;
+        the torsion of each degree is merged once, over all parts."""
+        ranks = dict(free or {})
+        torsion: dict[int, list[tuple[int, ...]]] = {}
+        for h in parts:
+            for d, f, t in h.groups:
+                ranks[d] = ranks.get(d, 0) + f
+                torsion.setdefault(d, []).append(t)
+        return cls.from_dict(
+            {d: (r, _merge_invariant_factors(torsion.get(d, ()))) for d, r in ranks.items()})
+
     def direct_sum(self, other: "HomologyResult") -> "HomologyResult":
-        data: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for d in sorted(set(self.degrees()) | set(other.degrees())):
-            free = self.free_rank(d) + other.free_rank(d)
-            torsion = _merge_invariant_factors([self.torsion(d), other.torsion(d)])
-            data[d] = (free, torsion)
-        return HomologyResult.from_dict(data)
+        return HomologyResult.direct_sum_of((self, other))
 
     def euler_characteristic(self) -> int:
         # parity, not exponentiation: degrees may be negative
@@ -728,70 +742,122 @@ def contraction(C: FreeChainComplex) -> Contraction:
     )
 
 
+@dataclass(frozen=True)
+class Transferred:
+    """The transferred complex, split into connected components.
+
+    Blocks joined by a nonzero transferred entry form one component;
+    ``components[c]`` is assembled over the blocks ``linked[c]`` only, in
+    block order. A block that no nonzero entry touches keeps a zero
+    differential, so its homology over every ring is free of its small
+    ranks; ``unlinked[d]`` sums those ranks in degree d.
+    """
+
+    unlinked: Mapping[int, int]
+    components: tuple[FreeChainComplex, ...]
+    linked: tuple[tuple[int, ...], ...]
+
+
 def perturb_transfer(
     blocks: Sequence[Contraction],
     delta: Mapping[tuple[int, int], Mapping[int, Matrix]],
     level_bound: int,
-) -> FreeChainComplex:
-    """Transfer a perturbed differential onto the direct sum of small parts, over Z.
+) -> Transferred:
+    """Transfer a perturbed differential onto the small parts of the blocks, over Z.
 
     ``delta[(tgt, src)][d]`` maps the ambient of block ``src`` in degree d
     to the ambient of block ``tgt`` in degree d-1, and must strictly lower
     a finite filtration so that the series p∘delta∘(-h∘delta)^j∘i stops
     after at most ``level_bound`` terms; otherwise NonNilpotent is raised.
     The sign of h comes from the convention 1 - i∘p = d∘h + h∘d of
-    ``Contraction``. The series is followed block by block: each term maps
-    the small part of a source block into the ambients of the blocks that
-    delta reaches from where the previous term ended, and no other block
-    is visited. Blocks and delta are integral, and so is the result; it
-    is homotopy equivalent to the perturbed complex over Z and hence after
+    ``Contraction``. The series is followed block by block, starting only
+    at the blocks that delta leaves in degree d: each term maps the small
+    part of a source block into the ambients of the blocks that delta
+    reaches from where the previous term ended, and no other block is
+    visited. The result stays block-sparse: a union-find over the nonzero
+    entries splits it into components, and each component is assembled
+    over its own blocks and checked to square to zero. Blocks and delta
+    are integral, and so is the result; the direct sum of its parts is
+    homotopy equivalent to the perturbed complex over Z and hence after
     tensoring with any ring.
     """
-    if not blocks:
-        return FreeChainComplex.empty()
-    lo = min(b.ambient.lo for b in blocks)
-    hi = max(b.ambient.hi for b in blocks)
-    small = {d: [b.small.rank(d) for b in blocks] for d in range(lo, hi + 1)}
+    # leaving[d][s]: the nonzero delta blocks (tgt, matrix) out of block s in degree d
+    leaving: dict[int, dict[int, list[tuple[int, Matrix]]]] = {}
+    for (ti, si), per_degree in delta.items():
+        for d, m in per_degree.items():
+            if not m.is_zero():
+                leaving.setdefault(d, {}).setdefault(si, []).append((ti, m))
 
     def add(into, key, m):
         into[key] = into[key] + m if key in into else m
 
-    diffs: dict[int, Matrix] = {}
-    for d in range(lo + 1, hi + 1):
-        leaving: dict[int, list[tuple[int, Matrix]]] = {}
-        for (ti, si), per_degree in delta.items():
-            m = per_degree.get(d)
-            if m is not None and not m.is_zero():
-                leaving.setdefault(si, []).append((ti, m))
+    # acc[(d, t, s)]: small part of block s in degree d -> small part of block t
+    acc: dict[tuple[int, int, int], Matrix] = {}
+    for d, out_of in leaving.items():
         # x[(t, s)]: small part of block s in degree d -> ambient of block t
-        x = {(k, k): b.include_at(d) for k, b in enumerate(blocks)}
-        x = {ts: m for ts, m in x.items() if not m.is_zero()}
-        acc: dict[tuple[int, int], Matrix] = {}
+        x = {(k, k): blocks[k].include_at(d) for k in out_of if blocks[k].small.rank(d)}
         j = 0
         while x:
             if j >= level_bound:
                 raise NonNilpotent(f"perturbation series still nonzero after {j} terms")
             y: dict[tuple[int, int], Matrix] = {}
             for (t, s), m in x.items():
-                for ti, dm in leaving.get(t, ()):
+                for ti, dm in out_of.get(t, ()):
                     add(y, (ti, s), dm @ m)
             x = {}
             for (t, s), m in y.items():
-                add(acc, (t, s), blocks[t].project_at(d - 1) @ m)
+                if blocks[t].small.rank(d - 1):
+                    add(acc, (d, t, s), blocks[t].project_at(d - 1) @ m)
                 h = -(blocks[t].homotopy_at(d - 1) @ m)
                 if not h.is_zero():
                     x[(t, s)] = h
             j += 1
-        rows = []
-        for t, nrows in enumerate(small[d - 1]):
-            parts = [acc[(t, s)].data if (t, s) in acc else ((0,) * ncols,) * nrows
-                     for s, ncols in enumerate(small[d])]
-            rows.extend(tuple(a for part in row for a in part) for row in zip(*parts))
-        diffs[d] = Matrix(len(rows), sum(small[d]), tuple(rows))
+    links = {key: m for key, m in acc.items() if not m.is_zero()}
 
-    out = FreeChainComplex.from_dicts({d: sum(r) for d, r in small.items()}, diffs)
-    for d in range(lo + 2, hi + 1):
-        if not (out.diff(d - 1) @ out.diff(d)).is_zero():
-            raise ValueError("transferred differential does not square to zero; "
-                             "delta violates the perturbation preconditions")
-    return out
+    parent: dict[int, int] = {}  # union-find over the linked blocks only
+
+    def root(b: int) -> int:
+        parent.setdefault(b, b)
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        return b
+
+    for _, t, s in links:
+        parent[root(t)] = root(s)
+    members: dict[int, list[int]] = {}
+    unlinked: dict[int, int] = {}
+    for b, block in enumerate(blocks):
+        if b in parent:
+            members.setdefault(root(b), []).append(b)
+            continue
+        for d, r in zip(block.small.degrees(), block.small.ranks):
+            if r:
+                unlinked[d] = unlinked.get(d, 0) + r
+    by_component: dict[int, list] = {c: [] for c in members}
+    for key, m in links.items():
+        by_component[root(key[1])].append((key, m))
+
+    components = []
+    for c, bs in members.items():
+        offset: dict[tuple[int, int], int] = {}  # (degree, block) -> first row
+        ranks: dict[int, int] = {}
+        for b in bs:
+            for d, r in zip(blocks[b].small.degrees(), blocks[b].small.ranks):
+                if r:
+                    offset[(d, b)] = ranks.get(d, 0)
+                    ranks[d] = ranks.get(d, 0) + r
+        grids: dict[int, list[list]] = {}
+        for (d, t, s), m in by_component[c]:
+            grid = grids.get(d)
+            if grid is None:
+                grid = grids[d] = [[0] * ranks[d] for _ in range(ranks[d - 1])]
+            r0, c0 = offset[(d - 1, t)], offset[(d, s)]
+            for i, row in enumerate(m.data, r0):
+                grid[i][c0:c0 + m.cols] = row
+        diffs = {d: Matrix.from_rows(grid) for d, grid in grids.items()}
+        for d in diffs:
+            if d - 1 in diffs and not (diffs[d - 1] @ diffs[d]).is_zero():
+                raise ValueError("transferred differential does not square to zero; "
+                                 "delta violates the perturbation preconditions")
+        components.append(FreeChainComplex.from_dicts(ranks, diffs))
+    return Transferred(unlinked, tuple(components), tuple(map(tuple, members.values())))

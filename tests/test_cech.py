@@ -348,6 +348,49 @@ def test_line_bundle_scan_takes_homology_once_per_pattern(name, k, patterns, mon
         assert 0 < len(calls) == len(set(calls)) <= patterns
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=lambda r: r.label)
+def test_line_bundle_transfer_takes_no_homology(ring, monkeypatch):
+    # delta is empty, so no block is linked: the homology is the small
+    # ranks, and no complex is handed to complex_homology at all
+    calls = []
+
+    def counting(C, ring=ZZ):
+        calls.append(C)
+        return complex_homology(C, ring)
+
+    monkeypatch.setattr(cech_mod, "complex_homology", counting)
+    res = CechContext(SAMPLES["cube"]).cech_homology(line_bundle(2), ring)
+    assert res.homology == H({3: (27, ())})
+    assert calls == []
+
+
+def test_zero_monomial_cone_splits_by_multidegree(monkeypatch):
+    # O(1) -> O(2) by u = 0 on the cube links the column of each point of P
+    # to the column at the same multidegree, and nothing else
+    P = SAMPLES["cube"]
+    transfers = []
+    transfer = cech_mod.perturb_transfer
+
+    def keeping(*args):
+        transfers.append(transfer(*args))
+        return transfers[-1]
+
+    monkeypatch.setattr(cech_mod, "perturb_transfer", keeping)
+    ctx = CechContext(P)
+    Y = cone({0: {(0, 0): [(1, (0, 0, 0))]}}, line_bundle(1), line_bundle(2))
+    res = ctx.cech_homology(Y, ZZ)
+    ones, twos = ctx.support_table(1).multidegrees, ctx.support_table(2).multidegrees
+    assert res.homology == H({3: (len(twos) - len(ones), ())})
+    # blocks come in sorted (level, summand, multidegree) order
+    active = sorted([(1, 0, m) for m in ones] + [(0, 0, m) for m in twos])
+    assert res.active_multidegrees == len(active)
+    (out,) = transfers
+    assert len(out.components) == len(ones)
+    for bs in out.linked:
+        assert len(bs) == 2 and len({active[b][2] for b in bs}) == 1
+    assert out.unlinked == {3: len(twos) - len(ones)}
+
+
 @pytest.mark.parametrize("name", ["simplex2", "square"])
 def test_support_escapes_box_fires_on_a_narrow_box(name):
     # kP's own bounding box puts columns carrying homology on the boundary.

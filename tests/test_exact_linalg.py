@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -87,6 +88,14 @@ def test_ring_parsing_and_units():
     with pytest.raises(ValueError):
         GF(2**61 - 1)  # prime, but above the bound on trial division
     assert GF(3).normalize(-1) == 2
+
+
+def test_integer_normalize_keeps_its_type_rules():
+    for x, want in ((5, 5), (True, 1), (Fraction(6, 3), 2)):
+        got = ZZ.normalize(x)
+        assert got == want and type(got) is int
+    with pytest.raises(ValueError, match="not an integer"):
+        ZZ.normalize(Fraction(1, 2))
 
 
 def test_homology_zero_differentials():
@@ -222,17 +231,26 @@ def unit_block(degree):
     return contraction(FreeChainComplex.from_dicts({degree: 1}, {}))
 
 
+def transferred_homology(out, ring=ZZ):
+    return HomologyResult.direct_sum_of(
+        (complex_homology(C, ring) for C in out.components), out.unlinked)
+
+
 def test_perturb_transfer_zero_delta():
     out = perturb_transfer([unit_block(1), unit_block(0)], {}, 2)
-    assert complex_homology(out, ZZ).as_dict() == {0: (1, ()), 1: (1, ())}
-    assert all(m.is_zero() for m in out.diffs)
+    # nothing links the blocks: no matrix, no component
+    assert out.components == () and out.linked == ()
+    assert out.unlinked == {0: 1, 1: 1}
+    assert transferred_homology(out).as_dict() == {0: (1, ()), 1: (1, ())}
 
 
 def test_perturb_transfer_unit_cancellation():
     delta = {(1, 0): {1: Matrix.from_rows([[1]])}}
     out = perturb_transfer([unit_block(1), unit_block(0)], delta, 2)
-    assert out.diff(1) == Matrix.from_rows([[1]])
-    assert complex_homology(out, ZZ).is_zero()
+    assert out.linked == ((0, 1),) and out.unlinked == {}
+    (C,) = out.components
+    assert C.diff(1) == Matrix.from_rows([[1]])
+    assert transferred_homology(out).is_zero()
 
 
 def test_perturb_transfer_square_zero():
@@ -242,7 +260,25 @@ def test_perturb_transfer_square_zero():
         (2, 1): {1: Matrix.from_rows([[0]])},
     }
     out = perturb_transfer(blocks, delta, 3)
-    assert (out.diff(1) @ out.diff(2)).is_zero()
+    # the zero delta block links nothing, so block 2 stays apart
+    assert out.linked == ((0, 1),) and out.unlinked == {0: 1}
+    (C,) = out.components
+    assert (C.lo, C.hi) == (1, 2) and C.diff(2) == Matrix.from_rows([[2]])
+    assert transferred_homology(out).as_dict() == {0: (1, ()), 1: (0, (2,))}
+
+
+def test_perturb_transfer_square_zero_guard_fires_per_component():
+    # blocks 0 -> 1 -> 2 are one component whose transferred d∘d is 1;
+    # blocks 3 -> 4 form a second, valid component and block 5 is unlinked
+    blocks = [unit_block(2), unit_block(1), unit_block(0),
+              unit_block(1), unit_block(0), unit_block(1)]
+    one = Matrix.from_rows([[1]])
+    good = {(4, 3): {1: one}}
+    out = perturb_transfer(blocks, good, 3)
+    assert out.linked == ((3, 4),) and out.unlinked == {0: 1, 1: 2, 2: 1}
+    bad = {(1, 0): {2: one}, (2, 1): {1: one}, **good}
+    with pytest.raises(ValueError, match="does not square to zero"):
+        perturb_transfer(blocks, bad, 3)
 
 
 def test_perturb_transfer_non_nilpotent():
@@ -324,7 +360,14 @@ def test_perturb_transfer_matches_perturbation_lemma(ring):
         except TorsionObstruction:
             continue
         out = perturb_transfer(blocks, delta, len(parts))
-        assert complex_homology(out, ring) == complex_homology(dense, ring)
+        assert transferred_homology(out, ring) == complex_homology(dense, ring)
+        # each block lies in at most one component, which spans its blocks only
+        linked = [b for bs in out.linked for b in bs]
+        assert len(linked) == len(set(linked))
+        for bs, C in zip(out.linked, out.components):
+            assert C.total_rank() == sum(blocks[b].small.total_rank() for b in bs)
+        rest = [B for b, B in enumerate(blocks) if b not in linked]
+        assert sum(out.unlinked.values()) == sum(B.small.total_rank() for B in rest)
         checked += 1
     assert checked >= 10
 
