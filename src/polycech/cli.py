@@ -124,6 +124,9 @@ def parse_complex_document(obj: Any, location: str) -> TwistComplex:
         t = block["from"]
         if not _is_int(t) or not (min_level < t <= hi):
             raise InputError("bad_level", f"differential level {t!r} out of range", location)
+        if not isinstance(block["entries"], list):
+            raise InputError("bad_differentials", f"entries at level {t} must be a list",
+                             location)
         entries: dict[tuple[int, int], list] = {}
         for e in block["entries"]:
             _require_keys(e, {"row", "col", "terms"}, location)
@@ -133,6 +136,9 @@ def parse_complex_document(obj: Any, location: str) -> TwistComplex:
             if not (0 <= row < len(levels[t - 1 - min_level])
                     and 0 <= col < len(levels[t - min_level])):
                 raise InputError("bad_entry", f"entry ({row}, {col}) out of range at level {t}",
+                                 location)
+            if not isinstance(e["terms"], list):
+                raise InputError("bad_entry", f"terms of entry ({row}, {col}) must be a list",
                                  location)
             terms = []
             for term in e["terms"]:

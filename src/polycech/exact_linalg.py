@@ -4,8 +4,10 @@ This module contains the arithmetic kernel used everywhere else. All
 elimination in the package goes through two routines:
 
 * ``row_echelon`` is Gauss-Jordan reduction over Q or F_p; ranks,
-  nullspaces, determinants, affine ranks and face coordinates are read
-  off its result.
+  nullspaces, determinants, affine ranks and face bases are read off its
+  result. Over Q it is fraction-free (Bareiss): rows are cleared of
+  denominators, the elimination runs in integers with exact division by
+  the previous pivot, and Fractions are built once, for the result.
 * ``_diagonalize`` brings an integer matrix to its Smith form
   D = U*A*V with the inverse transforms tracked, a divisibility chain on
   the diagonal and a deterministic pivoting rule (entry of minimal
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 
@@ -225,7 +228,7 @@ class Matrix:
                       tuple(tuple(self.data[i][j] for j in col_idx) for i in row_idx))
 
     def det(self):
-        """Exact determinant via rational elimination; int when integral."""
+        """Exact determinant by fraction-free elimination; an int when the entries are."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         _, pivots, scale = row_echelon(self.data)
@@ -239,20 +242,39 @@ def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
 
     The pivot of each column is its first nonzero entry at or below the
     current rank. Returns (R, pivots, scale): R is the reduced matrix as a
-    list of rows, ``pivots`` the pivot column of each nonzero row of R, and
-    ``scale`` the product of the pivots met times the sign of the row
-    swaps, which is the determinant of a square matrix of full rank.
+    list of rows of Fractions (of ints mod p over F_p), ``pivots`` the
+    pivot column of each nonzero row of R, and ``scale`` the product of
+    the pivots met times the sign of the row swaps, which is the
+    determinant of a square matrix of full rank.
+
+    Over Q the elimination is fraction-free (Bareiss, 1968). Each row is
+    multiplied by the common denominator of its entries, and each step
+    replaces every other row a by (x*a - c*b) / d, where b is the pivot
+    row, x its pivot, c the row's entry in the pivot column and d the
+    previous pivot. The division is exact: every entry stays an integer
+    minor of the cleared matrix, and after the last step the pivot rows
+    are d times the rows of R. So Fractions are built once, for R, and
+    ``scale`` is the sign of the swaps times d over the denominators of
+    the rows that ended up as pivot rows.
     """
     if not ring.is_field:
         raise ValueError(f"row echelon form needs a field, not {ring.label}")
     p = ring.p
     if p is None:
-        m = [[Fraction(a) for a in row] for row in rows]
+        m, dens = [], []
+        for row in rows:
+            row = [a if type(a) is int else Fraction(a) for a in row]
+            den = 1
+            for a in row:
+                if type(a) is not int:
+                    den = lcm(den, a.denominator)
+            m.append(row if den == 1 else [int(a * den) for a in row])
+            dens.append(den)
     else:
         m = [[int(a) % p for a in row] for row in rows]
     nrows = len(m)
     pivots: list[int] = []
-    scale = 1
+    scale = prev = 1  # over Q the pivots' product telescopes to the last, prev
     for j in range(len(m[0]) if m else 0):
         r = len(pivots)
         if r == nrows:
@@ -262,22 +284,32 @@ def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            if p is None:
+                dens[r], dens[piv] = dens[piv], dens[r]
             scale = -scale
         x = m[r][j]
-        scale *= x
         if p is None:
-            inv = 1 / x
-            top = m[r] = [inv * a for a in m[r]]
+            top = m[r]
+            for i in range(nrows):
+                c = m[i][j]
+                if i == r or not c and x == prev:
+                    continue
+                m[i] = [(x * a - c * b) // prev for a, b in zip(m[i], top)]
+            prev = x
         else:
+            scale *= x
             inv = pow(x, -1, p)
             top = m[r] = [inv * a % p for a in m[r]]
-        for i in range(nrows):
-            c = m[i][j]
-            if c and i != r:
-                row = [a - c * b for a, b in zip(m[i], top)]
-                m[i] = row if p is None else [a % p for a in row]
+            for i in range(nrows):
+                c = m[i][j]
+                if c and i != r:
+                    m[i] = [(a - c * b) % p for a, b in zip(m[i], top)]
         pivots.append(j)
-    return m, pivots, scale if p is None else scale % p
+    if p is not None:
+        return m, pivots, scale % p
+    zero = Fraction(0)
+    R = [[Fraction(a, prev) if a else zero for a in row] for row in m]
+    return R, pivots, Fraction(scale * prev, prod(dens[:len(pivots)])) if pivots else 1
 
 
 def field_rank(A: Matrix, ring: CoefficientRing) -> int:

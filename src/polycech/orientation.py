@@ -4,17 +4,16 @@ Every face gets a reference orientation from its lexicographically sorted
 vertex list; the sign [F:G] compares (outward direction of F inside G,
 basis of F) against the basis of G. With these signs the face-indexed
 boundary operator squares to zero, which is checked on construction.
-All determinants are exact rationals.
+All arithmetic is in integers: one elimination per face and one integer
+minor per pair, with no rational coordinates solved for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
 
 from .exact_linalg import Matrix, row_echelon
-from .polytope import Face, FaceLattice, _affine_basis
+from .polytope import Face, FaceLattice, _dot
 
 
 class DegenerateBasis(Exception):
@@ -40,58 +39,75 @@ def _sorted_vertices(lattice: FaceLattice, face: Face, reverse: bool) -> list[tu
     return sorted(coords, reverse=reverse)
 
 
-def _oriented_basis(lattice: FaceLattice, face: Face, reverse: bool) -> list[tuple[int, ...]]:
-    """Greedy rank-increasing difference vectors from the sorted vertex list."""
+def _oriented_basis(lattice: FaceLattice, face: Face,
+                    reverse: bool) -> tuple[list[tuple[int, ...]], list[int], int]:
+    """Oriented basis of a face, coordinates on which it is invertible, and that minor's sign.
+
+    The basis is the greedy rank-increasing run of difference vectors
+    from the sorted vertex list. One elimination of [differences | I]
+    finds it: its pivots among the differences pick the basis, and its
+    pivots among the unit vectors e_t pick coordinates T that complete
+    the basis to a basis of Q^n, so the basis restricted to the other
+    coordinates S is invertible. Since [basis | e_T] has full rank, its
+    determinant is the elimination's scale, and moving the rows of T
+    below those of S turns it into the minor on S.
+    """
     verts = _sorted_vertices(lattice, face, reverse)
     base = verts[0]
-    basis = [tuple(a - b for a, b in zip(verts[j], base)) for j in _affine_basis(verts)[1:]]
+    n = len(base)
+    diffs = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
+    rows = [[v[c] for v in diffs] + [int(c == t) for t in range(n)] for c in range(n)]
+    _, pivots, scale = row_echelon(rows)
+    basis = [diffs[j] for j in pivots if j < len(diffs)]
     if len(basis) != face.dim:
         raise DegenerateBasis(f"face {face.index} has no affine basis of size {face.dim}")
-    return basis
-
-
-def _coords_in_basis(basis: Sequence[Sequence[int]],
-                     targets: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Solve basis-matrix * lambda = target for each target, exactly."""
-    e = len(basis)
-    aug = [list(col) + [t[i] for t in targets] for i, col in enumerate(zip(*basis))]
-    R, pivots, _ = row_echelon(aug)
-    if pivots[:e] != list(range(e)):
-        raise DegenerateBasis("face basis is rank deficient")
-    if len(pivots) > e:
-        raise DegenerateBasis("target vector leaves the span of the face")
-    return [[R[r][e + k] for r in range(e)] for k in range(len(targets))]
-
-
-def _centroid(lattice: FaceLattice, face: Face) -> tuple[Fraction, ...]:
-    pts = [lattice.polytope.vertices[i] for i in face.vertex_set]
-    n = len(pts)
-    return tuple(Fraction(sum(p[c] for p in pts), n) for c in range(lattice.polytope.dim))
+    completion = {j - len(diffs) for j in pivots[face.dim:]}
+    coords = [c for c in range(n) if c not in completion]
+    swaps = sum(1 for s in coords for t in completion if t < s)
+    return basis, coords, (1 if scale > 0 else -1) * (-1) ** swaps
 
 
 def incidence_numbers(lattice: FaceLattice, reverse: bool = False) -> IncidenceSystem:
     """Assign [F:G] in {-1, +1} to each codimension-one pair F of G.
 
+    [F:G] is the sign of the determinant of (outward direction of F in G,
+    basis of F) in the coordinates of the basis of G. With n_F vertices
+    summing to s_F, v = n_G*s_F - n_F*s_G is n_F*n_G > 0 times the
+    difference of the centroids, and the vectors (v, basis of F) are the
+    basis of G times that coordinate matrix. On the coordinates where the
+    basis of G has an invertible minor, the determinant of (v, basis of F)
+    is that minor times the determinant sought: one integer minor per pair.
+
     ``reverse`` flips the lexicographic vertex order used for the
     reference orientations; homology downstream must not depend on it.
     """
+    polytope = lattice.polytope
     numbers: dict[tuple[int, int], int] = {}
-    basis = [_oriented_basis(lattice, f, reverse) for f in lattice.faces]
-    centroid = [_centroid(lattice, f) for f in lattice.faces]
+    oriented = [_oriented_basis(lattice, f, reverse) for f in lattice.faces]
+    sums = [[sum(col) for col in zip(*(polytope.vertices[i] for i in f.vertex_set))]
+            for f in lattice.faces]
     for outer in lattice.faces:
         if outer.dim == 0:
             continue
+        _, coords, minor_sign = oriented[outer.index]
+        normals = [polytope.facets[i][0] for i in outer.tight_facets]
+        n_outer = len(outer.vertex_set)
         for inner in lattice.by_dim[outer.dim - 1]:
             if not lattice.contains(inner, outer):
                 continue
-            outward = tuple(a - b for a, b in zip(centroid[inner.index], centroid[outer.index]))
-            coords = _coords_in_basis(basis[outer.index], [outward] + basis[inner.index])
-            lam = Matrix.from_rows(list(zip(*coords)))  # columns = coordinates
-            d = lam.det()
+            n_inner = len(inner.vertex_set)
+            outward = [n_outer * a - n_inner * b
+                       for a, b in zip(sums[inner.index], sums[outer.index])]
+            vectors = [outward] + oriented[inner.index][0]
+            # the direction space of G is cut out by the normals of the facets tight at G
+            if any(_dot(a, w) for a in normals for w in vectors):
+                raise DegenerateBasis(
+                    f"a vector of face {inner.index} leaves the span of face {outer.index}")
+            d = Matrix.from_rows([[w[c] for w in vectors] for c in coords]).det()
             if d == 0:
                 raise DegenerateBasis(
                     f"faces {inner.index} < {outer.index} give a singular comparison")
-            numbers[(inner.index, outer.index)] = 1 if d > 0 else -1
+            numbers[(inner.index, outer.index)] = minor_sign if d > 0 else -minor_sign
     system = IncidenceSystem(tuple(sorted(numbers.items())))
     _check_boundary_squares_to_zero(lattice, system)
     return system

@@ -7,20 +7,21 @@ pipeline, hulls by point classification instead of hyperplane search.
 The polytope oracles are the exhaustive enumerations the library no
 longer uses: facets from every dim-subset of the vertices, faces from
 every subset of the facets, lattice points from the whole bounding box.
+Their ranks, nullspaces and solutions come from a plain Fraction
+Gauss-Jordan kept here, not from the library's ``row_echelon``, which is
+itself tested against it.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
 from polycech.exact_linalg import (
-    QQ,
     Matrix,
     FreeChainComplex,
     HomologyResult,
     contraction,
-    field_rank,
     invariant_factors,
-    rational_nullspace,
 )
 from polycech.polytope import facets_from_vertices, lattice_points, standard_simplex
 from polycech.sheaf_complexes import direct_sum, line_bundle, make_twist_complex
@@ -43,6 +44,69 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def gauss_jordan(rows, p=None):
+    """Reduced row echelon form by plain Gauss-Jordan, over Q or F_p.
+
+    Every entry is a Fraction (an int mod p) throughout: the textbook
+    elimination, independent of the library's fraction-free kernel, with
+    the same conventions as ``polycech.exact_linalg.row_echelon``. The
+    pivot of each column is its first nonzero entry at or below the
+    current rank; returns (R, pivots, scale) with ``scale`` the product
+    of the pivots met times the sign of the row swaps.
+    """
+    if p is None:
+        m = [[Fraction(a) for a in row] for row in rows]
+    else:
+        m = [[int(a) % p for a in row] for row in rows]
+    nrows = len(m)
+    pivots = []
+    scale = 1
+    for j in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][j]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            scale = -scale
+        x = m[r][j]
+        scale *= x
+        if p is None:
+            inv = 1 / x
+            top = m[r] = [inv * a for a in m[r]]
+        else:
+            inv = pow(x, -1, p)
+            top = m[r] = [inv * a % p for a in m[r]]
+        for i in range(nrows):
+            c = m[i][j]
+            if c and i != r:
+                row = [a - c * b for a, b in zip(m[i], top)]
+                m[i] = row if p is None else [a % p for a in row]
+        pivots.append(j)
+    return m, pivots, scale if p is None else scale % p
+
+
+def rank_by_elimination(rows, p=None):
+    return len(gauss_jordan(rows, p)[1])
+
+
+def nullspace_by_elimination(rows, ncols):
+    """Basis of the right nullspace over Q of a matrix with ``ncols`` columns."""
+    R, pivots, _ = gauss_jordan(rows)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            v[pj] = -R[i][j]
+        basis.append(v)
+    return basis
+
+
 def _primitive(vec):
     denom = 1
     for x in vec:
@@ -59,7 +123,7 @@ def _affine_rank(points):
         return 0
     base = points[0]
     rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return field_rank(Matrix.from_rows(rows), QQ) if rows[0] else 0
+    return rank_by_elimination(rows)
 
 
 def facets_by_subsets(dim, vertices):
@@ -75,7 +139,7 @@ def facets_by_subsets(dim, vertices):
         pts = [verts[i] for i in subset]
         base = pts[0]
         rows = [[p[i] - base[i] for i in range(dim)] for p in pts[1:]]
-        null = rational_nullspace(Matrix.from_rows(rows) if rows else Matrix.zeros(0, dim))
+        null = nullspace_by_elimination(rows, dim)
         if len(null) != 1:
             continue  # subset does not span a hyperplane
         normal = _primitive(null[0])
@@ -145,9 +209,7 @@ def cone_contains(generators, x):
         return all(v == 0 for v in x)
     normals = set()
     for sub in combinations(range(len(gens)), n - 1):
-        rows = [gens[i] for i in sub]
-        m = Matrix.from_rows(rows) if rows else Matrix.zeros(0, n)
-        null = rational_nullspace(m)
+        null = nullspace_by_elimination([gens[i] for i in sub], n)
         if len(null) != 1:
             continue
         a = _primitive(null[0])
@@ -182,33 +244,59 @@ def hull_facets_by_point_test(dim, vertices):
 
 
 def _solve_exact(rows, rhs):
-    from fractions import Fraction
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    nrows, ncols = len(m), len(rows[0])
-    rank = 0
-    pivots = []
-    for j in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][j] != 0), None)
-        if piv is None:
+    """The unique solution of rows * x = rhs, or None when there is none."""
+    ncols = len(rows[0])
+    R, pivots, _ = gauss_jordan([list(row) + [rhs[i]] for i, row in enumerate(rows)])
+    if pivots != list(range(ncols)):
+        return None  # inconsistent, or underdetermined; caller tries another subset
+    return [R[r][-1] for r in range(ncols)]
+
+
+def incidence_signs_by_coordinates(lattice, reverse=False):
+    """Sorted ((inner, outer), [F:G]) over the codimension-one pairs F < G.
+
+    The rational route: each face's basis is grown greedily from the
+    differences of its sorted vertex list, keeping a difference when it
+    raises the rank; the outward direction is the difference of the
+    vertex centroids; [F:G] is the sign of the determinant of the
+    coordinates of (outward, basis of F) in the basis of G, solved for
+    by Gauss-Jordan over the Fractions.
+    """
+    P = lattice.polytope
+
+    def basis(face):
+        verts = sorted((P.vertices[i] for i in face.vertex_set), reverse=reverse)
+        chosen = []
+        for v in verts[1:]:
+            d = [a - b for a, b in zip(v, verts[0])]
+            if rank_by_elimination(chosen + [d]) > len(chosen):
+                chosen.append(d)
+        assert len(chosen) == face.dim
+        return chosen
+
+    def centroid(face):
+        pts = [P.vertices[i] for i in face.vertex_set]
+        return [Fraction(sum(col), len(pts)) for col in zip(*pts)]
+
+    numbers = []
+    for outer in lattice.faces:
+        if outer.dim == 0:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][j]
-        m[rank] = [inv * a for a in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][j] != 0:
-                c = m[i][j]
-                m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
-        pivots.append(j)
-        rank += 1
-    for i in range(rank, nrows):
-        if m[i][-1] != 0:
-            return None
-    if rank < ncols:
-        return None  # underdetermined; caller tries another subset
-    sol = [Fraction(0)] * ncols
-    for r, j in enumerate(pivots):
-        sol[j] = m[r][-1]
-    return sol
+        outer_basis = basis(outer)
+        for inner in lattice.by_dim[outer.dim - 1]:
+            if not inner.vertex_set <= outer.vertex_set:
+                continue
+            outward = [a - b for a, b in zip(centroid(inner), centroid(outer))]
+            targets = [outward] + basis(inner)
+            e = len(outer_basis)
+            aug = [[b[c] for b in outer_basis] + [t[c] for t in targets] for c in range(P.dim)]
+            R, pivots, _ = gauss_jordan(aug)
+            assert pivots == list(range(e)), "targets leave the span of the outer face"
+            coords = [[R[r][e + k] for k in range(len(targets))] for r in range(e)]
+            _, coord_pivots, det = gauss_jordan(coords)
+            assert len(coord_pivots) == e, "singular comparison"
+            numbers.append(((inner.index, outer.index), 1 if det > 0 else -1))
+    return tuple(sorted(numbers))
 
 
 def random_free_complex(rng, max_blocks=3, degree_span=3, entry_bound=3):
@@ -349,7 +437,7 @@ def les_two_level_homology(P, Y, ring):
         if grid is None:
             return nrows, ncols, 0, ()
         if ring.is_field:
-            return nrows, ncols, field_rank(grid, ring), ()
+            return nrows, ncols, rank_by_elimination(grid.data, ring.p), ()
         facs = invariant_factors(grid)
         return nrows, ncols, len(facs), tuple(f for f in facs if f > 1)
 

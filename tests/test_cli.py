@@ -249,6 +249,25 @@ def test_invalid_complex_document_exit_2(docs, tmp_path, capsys):
         assert out.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["cech", "chi"])
+def test_non_list_entries_and_terms_exit_2(docs, tmp_path, command, capsys):
+    # each once crashed the parser with a TypeError traceback and exit 1
+    entry = {"row": 0, "col": 0, "terms": [{"c": "1", "u": [0]}]}
+    bad = tmp_path / "badcx.json"
+    for doc, expected in [
+        ({"from": 1, "entries": 7}, "bad_differentials"),
+        ({"from": 1, "entries": None}, "bad_differentials"),
+        ({"from": 1, "entries": {"0": entry}}, "bad_differentials"),
+        ({"from": 1, "entries": [{**entry, "terms": 5}]}, "bad_entry"),
+        ({"from": 1, "entries": [{**entry, "terms": None}]}, "bad_entry"),
+        ({"from": 1, "entries": [{**entry, "terms": "1"}]}, "bad_entry"),
+    ]:
+        bad.write_text(json.dumps({"min_level": 0, "levels": [[1], [0]], "differentials": [doc]}))
+        code, out = run([command, docs["iv.json"], str(bad)], capsys)
+        assert code == 2 and json.loads(out)["code"] == expected
+        assert out.count("\n") == 1
+
+
 def test_byte_identical_reruns(docs, capsys):
     _, first = run(["verify", docs["d2.json"], "--kmax", "2"], capsys)
     _, second = run(["verify", docs["d2.json"], "--kmax", "2"], capsys)

@@ -21,11 +21,12 @@ from polycech.exact_linalg import (
     invariant_factors,
     perturb_transfer,
     rational_nullspace,
+    row_echelon,
     smith_normal_form,
 )
 from polycech.polytope import facets_from_vertices
 
-from helpers import random_free_complex, sample_polytopes
+from helpers import gauss_jordan, random_free_complex, sample_polytopes
 
 
 def diag_of(D):
@@ -390,7 +391,7 @@ def test_homology_result_shift_and_euler():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_kernel_against_sympy(seed):
-    # an oracle outside the package: tests/helpers.py builds on this kernel
+    # an oracle outside the package, beside the plain Gauss-Jordan of tests/helpers.py
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors as sympy_factors
     from sympy.polys.matrices import DomainMatrix
@@ -414,3 +415,49 @@ def test_kernel_against_sympy(seed):
         assert len(null) == len(S.nullspace())
         for v in null:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+def _same_echelon(got, expected):
+    """Equal (R, pivots, scale), with R and scale of the same types as well."""
+    assert got == expected
+    assert type(got[2]) is type(expected[2])
+    assert [list(map(type, row)) for row in got[0]] == [list(map(type, row)) for row in expected[0]]
+
+
+def test_row_echelon_edge_cases():
+    for rows in ([], [[]], [[], []], [[0, 0, 0]] * 3, [[Fraction(0)] * 2] * 2):
+        _same_echelon(row_echelon(rows), gauss_jordan(rows))
+        _same_echelon(row_echelon(rows, GF(3)), gauss_jordan(rows, 3))
+    # the denominator of a row left without a pivot stays out of the scale
+    R, pivots, scale = row_echelon([[2, 4], [Fraction(1, 3), Fraction(2, 3)]])
+    assert pivots == [0] and scale == 2 and R[0] == [1, 2]
+    assert row_echelon([[Fraction(1, 2), 1], [1, 3]])[2] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_echelon_against_plain_gauss_jordan(seed):
+    rng = random.Random(3000 + seed)
+
+    def entry(spread, fractions):
+        x = rng.randint(-spread, spread)
+        return Fraction(x, rng.randint(1, 6)) if fractions and rng.random() < 0.5 else x
+
+    for _ in range(300):
+        r, c = rng.randint(1, 6), rng.randint(1, 7)
+        spread, fractions = rng.choice([1, 2, 9, 100]), rng.random() < 0.5
+        rows = [[entry(spread, fractions) for _ in range(c)] for _ in range(r)]
+        if r > 2 and rng.random() < 0.4:
+            # a dependent row, with denominators of its own
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
+            rows[rng.randrange(2, r)] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        _same_echelon(row_echelon(rows), gauss_jordan(rows))
+        integral = [[int(x) for x in row] for row in rows]
+        for p in (2, 3, 7):
+            _same_echelon(row_echelon(integral, GF(p)), gauss_jordan(integral, p))
+        if r == c:
+            det, (_, pivots, scale) = Matrix.from_rows(rows).det(), gauss_jordan(rows)
+            assert det == (scale if len(pivots) == r else 0)
+            int_det = Matrix.from_rows(integral).det()
+            assert type(int_det) is int
+            _, pivots, scale = gauss_jordan(integral)
+            assert int_det == (scale if len(pivots) == r else 0)

@@ -1,17 +1,95 @@
+import random
+from itertools import product
+
 import pytest
 
+from polycech import orientation
 from polycech.cech import CechContext, constant_diagram_cech
 from polycech.exact_linalg import ZZ, FreeChainComplex, GF, Matrix
 from polycech.orientation import (
+    DegenerateBasis,
     IncidenceSystem,
     _check_boundary_squares_to_zero,
     incidence_numbers,
 )
-from polycech.polytope import face_lattice
+from polycech.polytope import face_lattice, facets_from_vertices
 
-from helpers import sample_polytopes
+from helpers import incidence_signs_by_coordinates, sample_polytopes
 
 SAMPLES = sample_polytopes()
+
+
+def _unimodular_image(rng, verts):
+    """Image under random shears, a signed coordinate permutation and a
+    translation, vertices shuffled: a lattice symmetry that moves every
+    coordinate minor of the face bases."""
+    n = len(verts[0])
+    pts = [list(v) for v in verts]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        for v in pts:
+            v[i] += k * v[j]
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    shift = [rng.randint(-3, 3) for _ in range(n)]
+    out = [tuple(signs[c] * v[perm[c]] + shift[c] for c in range(n)) for v in pts]
+    rng.shuffle(out)
+    return out
+
+
+def _oracle_cases():
+    cases = [(name, P) for name, P in sorted(SAMPLES.items())]
+    shapes = {
+        "cube": list(product((0, 1), repeat=3)),
+        "octahedron": [tuple(s * (c == i) for c in range(3)) for i in range(3) for s in (1, -1)],
+        "prism": [v + (z,) for v in ((0, 0), (1, 0), (0, 1)) for z in (0, 1)],
+        "cube4": list(product((0, 1), repeat=4)),
+    }
+    rng = random.Random(20100730)
+    for name, verts in shapes.items():
+        for i in range(3):
+            image = _unimodular_image(rng, verts)
+            cases.append((f"{name}-{i}", facets_from_vertices(len(verts[0]), image)))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name,P", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_incidence_numbers_match_rational_oracle(name, P, reverse):
+    L = face_lattice(P)
+    assert incidence_numbers(L, reverse).numbers == incidence_signs_by_coordinates(L, reverse)
+
+
+def _patch_basis(monkeypatch, L, coords, vector):
+    """Make the oriented basis of the face with vertices ``coords`` the one ``vector``."""
+    face = L.face_with_vertices(L.polytope.vertices.index(v) for v in coords)
+    true_basis = orientation._oriented_basis
+
+    def patched(lattice, f, reverse):
+        basis, minor_coords, sign = true_basis(lattice, f, reverse)
+        return ([vector] if f == face else basis), minor_coords, sign
+
+    monkeypatch.setattr(orientation, "_oriented_basis", patched)
+
+
+def test_span_guard_fires_when_a_basis_vector_leaves_its_face(monkeypatch):
+    L = face_lattice(SAMPLES["cube"])
+    # the edge from the origin along x, tilted out of the facets z = 0 and y = 0
+    _patch_basis(monkeypatch, L, [(0, 0, 0), (1, 0, 0)], (1, 0, 1))
+    with pytest.raises(DegenerateBasis, match="leaves the span"):
+        incidence_numbers(L)
+
+
+def test_singular_comparison_guard_fires(monkeypatch):
+    L = face_lattice(SAMPLES["square"])
+    # the bottom edge pointed along the outward direction it has in the square
+    _patch_basis(monkeypatch, L, [(0, 0), (1, 0)], (0, 1))
+    with pytest.raises(DegenerateBasis, match="singular comparison"):
+        incidence_numbers(L)
 
 
 def test_interval_endpoint_signs_are_opposite():
