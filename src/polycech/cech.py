@@ -5,14 +5,15 @@ multidegree at a time, into finite "column" complexes indexed by the
 faces whose shifted tangent cone contains the multidegree. A column is
 determined by its facet mask, the set of facets whose inequality holds at
 the multidegree. Each context builds the column of a mask once, and
-computes its contraction once, on first use; every twist, multidegree
-and call that reaches the mask shares them. Line-bundle homology is
-found by scanning a verified bounding box of columns, taking homology
-once per face pattern per call; general twist complexes are handled by
-contracting the columns onto their homology and transferring the
-monomial differentials through the homotopies; the transferred complex
-is taken apart into the components its nonzero entries link, and only
-those are eliminated.
+computes its contraction once, on first use; every twist, multidegree,
+level and call that reaches the mask shares them, the transfer reading a
+column placed at level t through a degree offset of t rather than a
+copy. Line-bundle homology is found by scanning a verified bounding box
+of columns, taking homology once per face pattern per call; general twist
+complexes are handled by contracting the columns onto their homology and
+transferring the monomial differentials through the homotopies; the
+transferred complex is taken apart into the components its nonzero
+entries link, and only those are eliminated.
 Columns, contractions and the transfer are integral: the paper builds
 its complexes over Z and a coefficient ring R enters by base change, so
 R is applied only in the homology of the small transferred complex.
@@ -207,7 +208,8 @@ class CechContext:
         (level, summand, multidegree) columns lying on monomial paths
         between supports; (3) contract their columns, each mask once per
         context; (4) transfer the relocated monomial differentials (with
-        the (-1)^s column sign) through the homotopies; (5) take homology
+        the (-1)^s column sign) through the homotopies, the contraction
+        of a column at level t read t degrees up; (5) take homology
         of the small complex one linked component at a time, count the
         columns no transferred entry links by their ranks, and add it all
         up with the torsion merged once. Steps (3) and (4) are over Z;
@@ -260,7 +262,6 @@ class CechContext:
         transfer_paths = sum(paths[tr] for tr in support_triples)
 
         cols = [self.column_complex(Y.level(t)[j], m) for t, j, m in active]
-        blocks = [col.contraction.shifted(t) for col, (t, _, _) in zip(cols, active)]
         block_index = {tr: b for b, tr in enumerate(active)}
 
         delta: dict[tuple[int, int], dict[int, Matrix]] = {}
@@ -284,7 +285,8 @@ class CechContext:
                     prev = per_degree.get(t + s)
                     per_degree[t + s] = block if prev is None else prev + block
 
-        transferred = perturb_transfer(blocks, delta, Y.hi - Y.lo + 1)
+        transferred = perturb_transfer([col.contraction for col in cols], delta,
+                                       Y.hi - Y.lo + 1, [t for t, _, _ in active])
         hom = HomologyResult.direct_sum_of(
             (complex_homology(c, ring) for c in transferred.components), transferred.unlinked)
         return CechResult(hom, len(active), transfer_paths)

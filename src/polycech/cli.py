@@ -42,6 +42,9 @@ from .sheaf_complexes import (
 # multidegrees a line-bundle scan will visit, and most support multidegrees
 # of a complex's summands the `cech` command will transfer
 POINTS_BUDGET = 1_000_000
+# most points in the bounding box of (n+1)P: the Ehrhart interpolation
+# enumerates the dilates 0P..(n+1)P, before any count above is known
+EHRHART_BUDGET = 1_000_000
 
 
 class InputError(Exception):
@@ -243,6 +246,15 @@ def _point_count(P: LatticePolytope, e: EhrhartPolynomial, k: int, interior: boo
     return int((-1) ** P.dim * e(-abs(k)) if interior and k else e(k))
 
 
+def _check_ehrhart_box(P: LatticePolytope, location: str) -> None:
+    n = P.dim
+    size = prod((n + 1) * (max(xs) - min(xs)) + 1 for xs in zip(*P.vertices))
+    if size > EHRHART_BUDGET:
+        raise InputError(
+            "too_large", f"the bounding box of {n + 1}P holds {size} points, more than "
+            f"the budget of {EHRHART_BUDGET}", location)
+
+
 def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
     if interior or k >= 0:
         count = _point_count(P, ehrhart_polynomial(P), k, interior)
@@ -408,12 +420,15 @@ def run(argv: Sequence[str]) -> tuple[Any, int]:
     P = _load_polytope(args.polytope)
     if args.command == "faces":
         return cmd_faces(P), 0
+    # every other command may interpolate the Ehrhart polynomial, directly
+    # or in the context: refuse before any dilate is enumerated
+    _check_ehrhart_box(P, args.polytope)
+    if args.command == "points":
+        return cmd_points(P, args.dilate, args.interior), 0
     if args.command == "ehrhart":
         return cmd_ehrhart(P), 0
     if args.command == "np":
         return {"np": np_index(P)}, 0
-    if args.command == "points":
-        return cmd_points(P, args.dilate, args.interior), 0
     if args.command == "cohomology":
         ring = _parse_ring(args.ring)
         _check_scan_box(P, args.twist, "--twist")

@@ -25,7 +25,8 @@ On top of these:
   over Z retracting a complex onto its homology, read off one
   diagonalising change of basis per differential.
 * ``perturb_transfer`` corrects the differential on a direct sum of
-  contracted blocks by the terminating series p*delta*(-h*delta)^j*i,
+  contracted blocks, each placed at its own degree offset, by the
+  terminating series p*delta*(-h*delta)^j*i,
   followed block by block along the nonzero blocks of delta, over Z.
   The result is never assembled globally: it comes back split into the
   connected components of the blocks its nonzero entries join, each a
@@ -524,12 +525,6 @@ class FreeChainComplex:
     def total_rank(self) -> int:
         return sum(self.ranks)
 
-    def shifted(self, j: int) -> "FreeChainComplex":
-        """Reindex degrees by +j without touching the differentials."""
-        if self.hi < self.lo:
-            return self
-        return FreeChainComplex(self.lo + j, self.hi + j, self.ranks, self.diffs)
-
 
 def _factor(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
@@ -695,11 +690,6 @@ class Contraction:
             return self.homotopy[d - self.ambient.lo]
         return Matrix.zeros(self.ambient.rank(d + 1), self.ambient.rank(d))
 
-    def shifted(self, j: int) -> "Contraction":
-        """The same contraction with all degrees reindexed by +j."""
-        return Contraction(self.ambient.shifted(j), self.small.shifted(j),
-                           self.include, self.project, self.homotopy)
-
     def verify(self) -> None:
         """Check all five contraction identities as literal matrix equations over Z."""
         amb, sm = self.ambient, self.small
@@ -794,9 +784,14 @@ def perturb_transfer(
     blocks: Sequence[Contraction],
     delta: Mapping[tuple[int, int], Mapping[int, Matrix]],
     level_bound: int,
+    shifts: Sequence[int],
 ) -> Transferred:
     """Transfer a perturbed differential onto the small parts of the blocks, over Z.
 
+    Block b sits ``shifts[b]`` degrees up in the direct sum: its degree d
+    is degree ``d - shifts[b]`` of the contraction ``blocks[b]``, so one
+    contraction serves every level it is placed at, without a copy.
+    Degrees below, in delta and in the result, are those of the sum.
     ``delta[(tgt, src)][d]`` maps the ambient of block ``src`` in degree d
     to the ambient of block ``tgt`` in degree d-1, and must strictly lower
     a finite filtration so that the series p∘delta∘(-h∘delta)^j∘i stops
@@ -827,7 +822,8 @@ def perturb_transfer(
     acc: dict[tuple[int, int, int], Matrix] = {}
     for d, out_of in leaving.items():
         # x[(t, s)]: small part of block s in degree d -> ambient of block t
-        x = {(k, k): blocks[k].include_at(d) for k in out_of if blocks[k].small.rank(d)}
+        x = {(k, k): blocks[k].include_at(d - shifts[k])
+             for k in out_of if blocks[k].small.rank(d - shifts[k])}
         j = 0
         while x:
             if j >= level_bound:
@@ -838,9 +834,10 @@ def perturb_transfer(
                     add(y, (ti, s), dm @ m)
             x = {}
             for (t, s), m in y.items():
-                if blocks[t].small.rank(d - 1):
-                    add(acc, (d, t, s), blocks[t].project_at(d - 1) @ m)
-                h = -(blocks[t].homotopy_at(d - 1) @ m)
+                e = d - 1 - shifts[t]
+                if blocks[t].small.rank(e):
+                    add(acc, (d, t, s), blocks[t].project_at(e) @ m)
+                h = -(blocks[t].homotopy_at(e) @ m)
                 if not h.is_zero():
                     x[(t, s)] = h
             j += 1
@@ -864,6 +861,7 @@ def perturb_transfer(
             continue
         for d, r in zip(block.small.degrees(), block.small.ranks):
             if r:
+                d += shifts[b]
                 unlinked[d] = unlinked.get(d, 0) + r
     by_component: dict[int, list] = {c: [] for c in members}
     for key, m in links.items():
@@ -876,6 +874,7 @@ def perturb_transfer(
         for b in bs:
             for d, r in zip(blocks[b].small.degrees(), blocks[b].small.ranks):
                 if r:
+                    d += shifts[b]
                     offset[(d, b)] = ranks.get(d, 0)
                     ranks[d] = ranks.get(d, 0) + r
         grids: dict[int, list[list]] = {}

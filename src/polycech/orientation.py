@@ -92,9 +92,7 @@ def incidence_numbers(lattice: FaceLattice, reverse: bool = False) -> IncidenceS
         _, coords, minor_sign = oriented[outer.index]
         normals = [polytope.facets[i][0] for i in outer.tight_facets]
         n_outer = len(outer.vertex_set)
-        for inner in lattice.by_dim[outer.dim - 1]:
-            if not lattice.contains(inner, outer):
-                continue
+        for inner in lattice.codim_one[outer.index]:
             n_inner = len(inner.vertex_set)
             outward = [n_outer * a - n_inner * b
                        for a, b in zip(sums[inner.index], sums[outer.index])]
@@ -114,17 +112,16 @@ def incidence_numbers(lattice: FaceLattice, reverse: bool = False) -> IncidenceS
 
 
 def _check_boundary_squares_to_zero(lattice: FaceLattice, system: IncidenceSystem) -> None:
+    # each flag bottom < mid < top, one dimension apart, is reached once:
+    # through mid in codim_one[top] and bottom in codim_one[mid]
     for top in lattice.faces:
-        if top.dim < 2:
-            continue
-        for bottom in lattice.by_dim[top.dim - 2]:
-            if not lattice.contains(bottom, top):
-                continue
-            total = sum(
-                system.sign(bottom.index, mid.index) * system.sign(mid.index, top.index)
-                for mid in lattice.by_dim[top.dim - 1]
-                if lattice.contains(bottom, mid) and lattice.contains(mid, top)
-            )
+        totals: dict[int, int] = {}
+        for mid in lattice.codim_one[top.index]:
+            outer = system.sign(mid.index, top.index)
+            for bottom in lattice.codim_one[mid.index]:
+                totals[bottom.index] = (totals.get(bottom.index, 0)
+                                        + system.sign(bottom.index, mid.index) * outer)
+        for bottom, total in totals.items():
             if total != 0:
                 raise AssertionError(
-                    f"boundary fails to square to zero on flag {bottom.index} < {top.index}")
+                    f"boundary fails to square to zero on flag {bottom} < {top.index}")

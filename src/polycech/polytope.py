@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
@@ -196,6 +197,26 @@ class FaceLattice:
 
     def face_with_vertices(self, vertex_set: Iterable[int]) -> Face:
         return self._by_vertex_set[frozenset(vertex_set)]
+
+    @cached_property
+    def codim_one(self) -> tuple[tuple[Face, ...], ...]:
+        """``codim_one[g]``: the faces of dimension dim G - 1 in face g, by index.
+
+        A facet F of G lies in a facet of P that G does not lie in, and
+        G meets that facet exactly in F; so these are the intersections
+        G ∩ facet_i of dimension dim G - 1 over the facets i not tight at G.
+        """
+        out = []
+        for g in self.faces:
+            below = set()
+            for i, verts in enumerate(self.facet_vertices):
+                common = g.vertex_set & verts
+                if i not in g.tight_facets and common:
+                    f = self.face_with_vertices(common)
+                    if f.dim == g.dim - 1:
+                        below.add(f.index)
+            out.append(tuple(self.faces[j] for j in sorted(below)))
+        return tuple(out)
 
     def contains(self, inner: Face, outer: Face) -> bool:
         return inner.vertex_set <= outer.vertex_set

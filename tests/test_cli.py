@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from polycech import cech as cech_mod
 from polycech import cli as cli_mod
+from polycech import polytope as polytope_mod
 from polycech.cli import (
     canonical_dumps,
     complex_document,
@@ -153,6 +155,49 @@ def test_scan_box_over_budget_exit_2(docs, capsys, monkeypatch):
                  ["verify", docs["d2.json"], "--kmax", "3000"]):
         code, out = run(args, capsys)
         assert code == 2 and json.loads(out)["code"] == "too_large", args
+
+
+def ehrhart_commands(polytope, cx):
+    """Every command that interpolates the Ehrhart polynomial."""
+    return [["points", polytope, "--dilate", "0"], ["ehrhart", polytope], ["np", polytope],
+            ["chi", polytope, cx], ["splitting", polytope],
+            ["cohomology", polytope, "--twist", "0"], ["verify", polytope, "--kmax", "0"],
+            ["cech", polytope, cx]]
+
+
+def test_large_volume_refused_before_any_enumeration(capsys, monkeypatch, tmp_path):
+    # 3P for the triangle of side 10^6 spans a box of (3*10^6 + 1)^2 points
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [10 ** 6, 0], [0, 10 ** 6]]}))
+    cx = tmp_path / "o0.json"
+    cx.write_text(json.dumps({"min_level": 0, "levels": [[0]], "differentials": []}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice points enumerated")
+
+    for module in (polytope_mod, cli_mod, cech_mod):
+        monkeypatch.setattr(module, "lattice_points", refuse)
+    for args in ehrhart_commands(str(big), str(cx)):
+        code, out = run(args, capsys)
+        doc = json.loads(out)
+        assert code == 2 and (doc["code"], doc["location"]) == ("too_large", str(big)), args
+    code, out = run(["faces", str(big)], capsys)
+    assert code == 0 and json.loads(out)["f_vector"] == [3, 3, 1]
+
+
+def test_ehrhart_box_budget_on_the_square(docs, capsys, monkeypatch, tmp_path):
+    # 3 * square spans a box of 4^2 points
+    cx = tmp_path / "o0.json"
+    cx.write_text(json.dumps({"min_level": 0, "levels": [[0]], "differentials": []}))
+    for budget, refused in ((15, True), (16, False)):
+        monkeypatch.setattr(cli_mod, "EHRHART_BUDGET", budget)
+        for args in ehrhart_commands(docs["sq.json"], str(cx)):
+            code, out = run(args, capsys)
+            if refused:
+                assert code == 2 and json.loads(out)["code"] == "too_large", args
+                assert out.count("\n") == 1
+            else:
+                assert code == 0, args
 
 
 def test_faces_output(docs, capsys):

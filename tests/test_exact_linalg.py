@@ -238,7 +238,7 @@ def transferred_homology(out, ring=ZZ):
 
 
 def test_perturb_transfer_zero_delta():
-    out = perturb_transfer([unit_block(1), unit_block(0)], {}, 2)
+    out = perturb_transfer([unit_block(1), unit_block(0)], {}, 2, [0, 0])
     # nothing links the blocks: no matrix, no component
     assert out.components == () and out.linked == ()
     assert out.unlinked == {0: 1, 1: 1}
@@ -247,7 +247,7 @@ def test_perturb_transfer_zero_delta():
 
 def test_perturb_transfer_unit_cancellation():
     delta = {(1, 0): {1: Matrix.from_rows([[1]])}}
-    out = perturb_transfer([unit_block(1), unit_block(0)], delta, 2)
+    out = perturb_transfer([unit_block(1), unit_block(0)], delta, 2, [0, 0])
     assert out.linked == ((0, 1),) and out.unlinked == {}
     (C,) = out.components
     assert C.diff(1) == Matrix.from_rows([[1]])
@@ -260,7 +260,7 @@ def test_perturb_transfer_square_zero():
         (1, 0): {2: Matrix.from_rows([[2]])},
         (2, 1): {1: Matrix.from_rows([[0]])},
     }
-    out = perturb_transfer(blocks, delta, 3)
+    out = perturb_transfer(blocks, delta, 3, [0] * 3)
     # the zero delta block links nothing, so block 2 stays apart
     assert out.linked == ((0, 1),) and out.unlinked == {0: 1}
     (C,) = out.components
@@ -275,11 +275,11 @@ def test_perturb_transfer_square_zero_guard_fires_per_component():
               unit_block(1), unit_block(0), unit_block(1)]
     one = Matrix.from_rows([[1]])
     good = {(4, 3): {1: one}}
-    out = perturb_transfer(blocks, good, 3)
+    out = perturb_transfer(blocks, good, 3, [0] * 6)
     assert out.linked == ((3, 4),) and out.unlinked == {0: 1, 1: 2, 2: 1}
     bad = {(1, 0): {2: one}, (2, 1): {1: one}, **good}
     with pytest.raises(ValueError, match="does not square to zero"):
-        perturb_transfer(blocks, bad, 3)
+        perturb_transfer(blocks, bad, 3, [0] * 6)
 
 
 def test_perturb_transfer_non_nilpotent():
@@ -292,7 +292,7 @@ def test_perturb_transfer_non_nilpotent():
         (1, 1): {1: Matrix.from_rows([[1]])},
     }
     with pytest.raises(NonNilpotent):
-        perturb_transfer([start, acyclic], delta, 4)
+        perturb_transfer([start, acyclic], delta, 4, [0, 0])
 
 
 def _dense(blocks, row_ranks, col_ranks):
@@ -360,7 +360,7 @@ def test_perturb_transfer_matches_perturbation_lemma(ring):
             blocks = [contraction(C) for C in parts]
         except TorsionObstruction:
             continue
-        out = perturb_transfer(blocks, delta, len(parts))
+        out = perturb_transfer(blocks, delta, len(parts), [0] * len(parts))
         assert transferred_homology(out, ring) == complex_homology(dense, ring)
         # each block lies in at most one component, which spans its blocks only
         linked = [b for bs in out.linked for b in bs]
@@ -370,6 +370,28 @@ def test_perturb_transfer_matches_perturbation_lemma(ring):
         rest = [B for b, B in enumerate(blocks) if b not in linked]
         assert sum(out.unlinked.values()) == sum(B.small.total_rank() for B in rest)
         checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), ZZ], ids=lambda r: r.label)
+def test_perturb_transfer_reads_blocks_at_their_shifts(ring):
+    # each part is contracted renumbered down by a seeded offset, and the
+    # transfer is told to read it that many degrees up again
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(60):
+        parts, delta, dense = _block_lower_perturbation(rng)
+        offsets = [rng.randint(-2, 2) for _ in parts]
+        try:
+            blocks = [contraction(FreeChainComplex(C.lo - o, C.hi - o, C.ranks, C.diffs))
+                      for C, o in zip(parts, offsets)]
+        except TorsionObstruction:
+            continue
+        out = perturb_transfer(blocks, delta, len(parts), offsets)
+        assert transferred_homology(out, ring) == complex_homology(dense, ring)
+        unshifted = [contraction(C) for C in parts]
+        assert out == perturb_transfer(unshifted, delta, len(parts), [0] * len(parts))
+        checked += any(offsets)
     assert checked >= 10
 
 

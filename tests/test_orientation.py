@@ -12,7 +12,7 @@ from polycech.orientation import (
     _check_boundary_squares_to_zero,
     incidence_numbers,
 )
-from polycech.polytope import face_lattice, facets_from_vertices
+from polycech.polytope import FaceLattice, face_lattice, facets_from_vertices
 
 from helpers import incidence_signs_by_coordinates, sample_polytopes
 
@@ -124,6 +124,22 @@ def test_boundary_check_fires_on_a_flipped_sign():
     flipped = IncidenceSystem(((pair, -sign), *rest))
     with pytest.raises(AssertionError, match="square to zero"):
         _check_boundary_squares_to_zero(L, flipped)
+
+
+def test_incidence_numbers_take_codim_one_faces_from_the_facets(monkeypatch):
+    # a scan of the faces one dimension down would test containment once
+    # per face pair of adjacent dimension, and once per flag in the check
+    calls = []
+    contains = FaceLattice.contains
+
+    def counting(self, inner, outer):
+        calls.append((inner.index, outer.index))
+        return contains(self, inner, outer)
+
+    monkeypatch.setattr(FaceLattice, "contains", counting)
+    L = face_lattice(SAMPLES["cube"])
+    pairs = len(incidence_numbers(L).numbers)
+    assert pairs == 54 and calls == []
 
 
 def test_codim_one_pairs_all_signed():

@@ -267,6 +267,9 @@ def test_combinatorics_against_exhaustive_oracles(name, dim, verts):
     assert [(f.dim, tuple(sorted(f.vertex_set)), f.tight_facets) for f in L.faces] == (
         faces_by_subsets(P))
     assert [f.index for f in L.faces] == list(range(len(L.faces)))
+    for g in L.faces:
+        assert L.codim_one[g.index] == tuple(
+            f for f in L.faces if f.dim == g.dim - 1 and f.vertex_set < g.vertex_set)
     rng = random.Random(name)
     for _ in range(40):
         f, g = rng.choice(L.faces), rng.choice(L.faces)
