@@ -11,9 +11,12 @@ column placed at level t through a degree offset of t rather than a
 copy. Line-bundle homology is found by scanning a verified bounding box
 of columns, taking homology once per face pattern per call; general twist
 complexes are handled by contracting the columns onto their homology and
-transferring the monomial differentials through the homotopies; the
-transferred complex is taken apart into the components its nonzero
-entries link, and only those are eliminated.
+transferring the monomial differentials through the homotopies. The
+monomial edges between columns are found once per call, and each block of
+the monomial differential is a signed gather, face f of one column to
+face f of the next, applied without a matrix product. The transferred
+complex is taken apart into the components its nonzero entries link, and
+only those are eliminated.
 Columns, contractions and the transfer are integral: the paper builds
 its complexes over Z and a coefficient ring R enters by base change, so
 R is applied only in the homology of the small transferred complex.
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .exact_linalg import (
@@ -37,6 +40,7 @@ from .exact_linalg import (
     FreeChainComplex,
     HomologyResult,
     Matrix,
+    SignedGather,
     complex_homology,
     contraction,
     perturb_transfer,
@@ -71,7 +75,8 @@ class ColumnComplex:
     mask: a complex of rank-0/1 face contributions in Čech degrees 0..n.
 
     A context holds one per mask reached. Its contraction is computed over
-    Z the first time it is read and kept with it.
+    Z the first time it is read and kept with it, and so are the rows of
+    its faces, from which the transfer's delta blocks gather.
     """
 
     complex: FreeChainComplex
@@ -80,6 +85,11 @@ class ColumnComplex:
     @cached_property
     def contraction(self) -> Contraction:
         return contraction(self.complex)
+
+    @cached_property
+    def positions(self) -> tuple[dict[int, int], ...]:
+        """Row of each active face, per Čech degree."""
+        return tuple({f: r for r, f in enumerate(fs)} for fs in self.faces)
 
 
 @dataclass(frozen=True)
@@ -96,6 +106,19 @@ class CechResult:
     homology: HomologyResult
     active_multidegrees: int
     transfer_paths: int
+
+
+def scan_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
+    """The multidegrees a line-bundle scan of O(k) visits: the bounding box
+    of kP widened by one bounding box of P on every side. It reads the
+    vertices only, so a scan can be sized before any context is built."""
+    box = []
+    for c in range(P.dim):
+        coords = [v[c] for v in P.vertices]
+        width = max(coords) - min(coords)
+        scaled = [k * x for x in coords]
+        box.append((min(scaled) - width, max(scaled) + width))
+    return box
 
 
 class CechContext:
@@ -155,16 +178,6 @@ class CechContext:
         pts = lattice_points(self.polytope, k, interior=k < 0)
         return SupportTable(k, self.polytope.dim if k >= 0 else 0, pts)
 
-    def _scan_box(self, k: int) -> list[tuple[int, int]]:
-        # bounding box of kP widened by one bounding box of P on every side
-        box = []
-        for c in range(self.polytope.dim):
-            coords = [v[c] for v in self.polytope.vertices]
-            width = max(coords) - min(coords)
-            scaled = [k * x for x in coords]
-            box.append((min(scaled) - width, max(scaled) + width))
-        return box
-
     def line_bundle_cohomology(self, k: int, ring: CoefficientRing = ZZ) -> CechResult:
         """Homology of the Čech complex of O(k) by exhaustive column scan.
 
@@ -177,7 +190,7 @@ class CechContext:
         no torsion, so by universal coefficients the result is the same
         for every ``ring``, and the Z result is returned for all of them.
         """
-        box = self._scan_box(k)
+        box = scan_box(self.polytope, k)
         total = HomologyResult.zero()
         active = 0
         by_pattern: dict[tuple, HomologyResult] = {}
@@ -206,16 +219,20 @@ class CechContext:
 
         Steps: (1) supports of every summand; (2) close up the set of
         (level, summand, multidegree) columns lying on monomial paths
-        between supports; (3) contract their columns, each mask once per
-        context; (4) transfer the relocated monomial differentials (with
-        the (-1)^s column sign) through the homotopies, the contraction
-        of a column at level t read t degrees up; (5) take homology
-        of the small complex one linked component at a time, count the
-        columns no transferred entry links by their ranks, and add it all
-        up with the torsion merged once. Steps (3) and (4) are over Z;
-        ``ring`` enters only in (5), which is exact because tensoring
-        preserves the homotopy equivalence of free Z-complexes. Integral
-        torsion in a column raises TorsionObstruction for every ring.
+        between supports, recording each monomial edge once for the path
+        counts and for delta; (3) contract their columns, each mask once
+        per context; (4) transfer the relocated monomial differentials
+        through the homotopies, the contraction of a column at level t
+        read t degrees up. Each delta block is a ``SignedGather``: the
+        coefficient times the (-1)^s column sign times the partial
+        identity from the source's faces to the same faces of the
+        target; (5) take homology of the small complex one linked
+        component at a time, count the columns no transferred entry links
+        by their ranks, and add it all up with the torsion merged once.
+        Steps (3) and (4) are over Z; ``ring`` enters only in (5), which is
+        exact because tensoring preserves the homotopy equivalence of free
+        Z-complexes. Integral torsion in a column raises
+        TorsionObstruction for every ring.
         """
         validate(Y, self.polytope)
         if Y.hi < Y.lo or Y.is_empty():
@@ -235,53 +252,53 @@ class CechContext:
                 per_source.setdefault(j, []).extend((i, term) for term in terms)
             diff_entries[t] = per_source
 
-        def edges_from(t: int, j: int, m: tuple) -> list[tuple[int, int, tuple]]:
-            out = []
-            for i, (_, u) in diff_entries.get(t, {}).get(j, ()):
-                out.append((t - 1, i, tuple(a + b for a, b in zip(m, u))))
-            return out
-
-        reachable = set(support_triples)
-        frontier = list(support_triples)
-        while frontier:
-            nxt = []
-            for (t, j, m) in frontier:
-                for tgt in edges_from(t, j, m):
-                    if tgt not in reachable:
-                        reachable.add(tgt)
-                        nxt.append(tgt)
-            frontier = nxt
+        # edges[(t, j, m)]: the target triple of each entry of
+        # diff_entries[t][j], in that order, for every triple reachable from
+        # the supports; delta reads the coefficients from the entries. Only
+        # the targets are kept: the cube's Koszul complex has 351 232 edges,
+        # and a (target, coefficient) pair alive for each lengthens every
+        # garbage collection
+        edges: dict[tuple, tuple[tuple, ...]] = {}
+        stack = list(support_triples)
+        while stack:
+            tr = stack.pop()
+            if tr in edges:
+                continue
+            t, j, m = tr
+            edges[tr] = out = tuple([(t - 1, i, tuple(map(add, m, u)))
+                                     for i, (_, u) in diff_entries.get(t, {}).get(j, ())])
+            stack.extend(out)
 
         # paths from each triple down to a support; edges go down one level,
         # so ascending order visits every target first
-        order = sorted(reachable)
+        order = sorted(edges)
         paths: dict[tuple, int] = {}
         for tr in order:
-            paths[tr] = sum(paths[tgt] + (tgt in support_triples) for tgt in edges_from(*tr))
+            paths[tr] = sum(paths[tgt] + (tgt in support_triples) for tgt in edges[tr])
         active = [tr for tr in order if tr in support_triples or paths[tr]]
         transfer_paths = sum(paths[tr] for tr in support_triples)
 
         cols = [self.column_complex(Y.level(t)[j], m) for t, j, m in active]
         block_index = {tr: b for b, tr in enumerate(active)}
 
-        delta: dict[tuple[int, int], dict[int, Matrix]] = {}
-        for src_idx, (t, j, m) in enumerate(active):
-            for i, (c, u) in diff_entries.get(t, {}).get(j, ()):
-                tgt_idx = block_index.get((t - 1, i, tuple(a + b for a, b in zip(m, u))))
+        # each delta block sends face f of the source column to face f of
+        # the target: validity makes every source face active there, so the
+        # block is the coefficient times (-1)^s times a partial identity
+        delta: dict[tuple[int, int], dict[int, SignedGather]] = {}
+        for src_idx, tr in enumerate(active):
+            t, j, _ = tr
+            src = cols[src_idx]
+            for tgt, (_, (c, _)) in zip(edges[tr], diff_entries.get(t, {}).get(j, ())):
+                tgt_idx = block_index.get(tgt)
                 if tgt_idx is None:
                     continue
                 per_degree = delta.setdefault((tgt_idx, src_idx), {})
-                for s, (src_faces, tgt_faces) in enumerate(
-                        zip(cols[src_idx].faces, cols[tgt_idx].faces)):
-                    if not src_faces or not tgt_faces:
+                for s, tgt_faces in enumerate(cols[tgt_idx].faces):
+                    if not src.faces[s] or not tgt_faces:
                         continue
-                    sign = -1 if s % 2 else 1
-                    tgt_pos = {f: r for r, f in enumerate(tgt_faces)}
-                    grid = [[0] * len(src_faces) for _ in tgt_faces]
-                    for ci, f in enumerate(src_faces):
-                        # validity makes the source face active in the target
-                        grid[tgt_pos[f]][ci] = sign * c
-                    block = Matrix.from_rows(grid)
+                    block = SignedGather(-c if s % 2 else c,
+                                         [src.positions[s].get(f) for f in tgt_faces],
+                                         len(src.faces[s]))
                     prev = per_degree.get(t + s)
                     per_degree[t + s] = block if prev is None else prev + block
 

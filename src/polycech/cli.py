@@ -280,7 +280,7 @@ def _check_supports(P: LatticePolytope, Y: TwistComplex, location: str) -> None:
 
 
 def _check_scan_box(P: LatticePolytope, k: int, location: str) -> None:
-    size = prod(hi - lo + 1 for lo, hi in cech.context(P)._scan_box(k))
+    size = prod(hi - lo + 1 for lo, hi in cech.scan_box(P, k))
     if size > POINTS_BUDGET:
         raise InputError(
             "too_large", f"the scan box of twist {k} holds {size} multidegrees, more than "

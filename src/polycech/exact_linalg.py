@@ -8,6 +8,9 @@ elimination in the package goes through two routines:
   result. Over Q it is fraction-free (Bareiss): rows are cleared of
   denominators, the elimination runs in integers with exact division by
   the previous pivot, and Fractions are built once, for the result.
+  Its elimination is ``_eliminate``: ranks, determinants, affine bases
+  and orientations read only pivots and scale and call that directly,
+  so no reduced matrix is built for them.
 * ``_diagonalize`` brings an integer matrix to its Smith form
   D = U*A*V with the inverse transforms tracked, a divisibility chain on
   the diagonal and a deterministic pivoting rule (entry of minimal
@@ -28,6 +31,9 @@ On top of these:
   contracted blocks, each placed at its own degree offset, by the
   terminating series p*delta*(-h*delta)^j*i,
   followed block by block along the nonzero blocks of delta, over Z.
+  A block of delta is a dense ``Matrix`` or a ``SignedGather``, c times
+  a partial identity, which is applied by gathering rows, not by a
+  matrix product.
   The result is never assembled globally: it comes back split into the
   connected components of the blocks its nonzero entries join, each a
   complex over its own blocks, plus the ranks of the blocks no entry
@@ -232,31 +238,56 @@ class Matrix:
         """Exact determinant by fraction-free elimination; an int when the entries are."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, scale = row_echelon(self.data)
+        _, pivots, scale, _ = _eliminate(self.data)
         if len(pivots) < self.rows:
             return 0
         return int(scale) if scale.denominator == 1 else scale
 
 
-def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
-    """Reduced row echelon form over Q or F_p by Gauss-Jordan elimination.
+class SignedGather:
+    """c times a partial identity: row r is c times the unit row e_{rows[r]},
+    or a zero row where ``rows[r]`` is None; ``cols`` is the width.
 
-    The pivot of each column is its first nonzero entry at or below the
-    current rank. Returns (R, pivots, scale): R is the reduced matrix as a
-    list of rows of Fractions (of ints mod p over F_p), ``pivots`` the
-    pivot column of each nonzero row of R, and ``scale`` the product of
-    the pivots met times the sign of the row swaps, which is the
-    determinant of a square matrix of full rank.
+    ``G @ M`` gathers instead of multiplying: row r of the product is c
+    times row ``rows[r]`` of M. With c = 1 the product shares M's rows.
+    Terms with the same pattern add by their coefficients.
+    """
 
-    Over Q the elimination is fraction-free (Bareiss, 1968). Each row is
-    multiplied by the common denominator of its entries, and each step
-    replaces every other row a by (x*a - c*b) / d, where b is the pivot
-    row, x its pivot, c the row's entry in the pivot column and d the
-    previous pivot. The division is exact: every entry stays an integer
-    minor of the cleared matrix, and after the last step the pivot rows
-    are d times the rows of R. So Fractions are built once, for R, and
-    ``scale`` is the sign of the swaps times d over the denominators of
-    the rows that ended up as pivot rows.
+    __slots__ = ("c", "rows", "cols")
+
+    def __init__(self, c: int, rows: Sequence[int | None], cols: int):
+        self.c = c
+        self.rows = tuple(rows)
+        self.cols = cols
+
+    def __matmul__(self, other: Matrix) -> Matrix:
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {len(self.rows)}x{self.cols} @ "
+                             f"{other.rows}x{other.cols}")
+        c, data, zero = self.c, other.data, (0,) * other.cols
+        if c == 1:
+            out = tuple(zero if r is None else data[r] for r in self.rows)
+        else:
+            out = tuple(zero if r is None else tuple(c * a for a in data[r])
+                        for r in self.rows)
+        return Matrix(len(self.rows), other.cols, out)
+
+    def __add__(self, other: "SignedGather") -> "SignedGather":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("gathers with different patterns")
+        return SignedGather(self.c + other.c, self.rows, self.cols)
+
+    def is_zero(self) -> bool:
+        return not self.c or self.rows.count(None) == len(self.rows)
+
+
+def _eliminate(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
+    """The elimination of ``row_echelon``, without building R.
+
+    Returns (m, pivots, scale, d): the eliminated rows m, which are d
+    times the rows of R (d = 1 over F_p, where m is R), and the pivots
+    and scale of ``row_echelon``. Callers that read only the pivots or
+    the scale stop here and build no Fraction for R.
     """
     if not ring.is_field:
         raise ValueError(f"row echelon form needs a field, not {ring.label}")
@@ -307,15 +338,42 @@ def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
                     m[i] = [(a - c * b) % p for a, b in zip(m[i], top)]
         pivots.append(j)
     if p is not None:
-        return m, pivots, scale % p
+        return m, pivots, scale % p, 1
+    scale = Fraction(scale * prev, prod(dens[:len(pivots)])) if pivots else 1
+    return m, pivots, scale, prev
+
+
+def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
+    """Reduced row echelon form over Q or F_p by Gauss-Jordan elimination.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current rank. Returns (R, pivots, scale): R is the reduced matrix as a
+    list of rows of Fractions (of ints mod p over F_p), ``pivots`` the
+    pivot column of each nonzero row of R, and ``scale`` the product of
+    the pivots met times the sign of the row swaps, which is the
+    determinant of a square matrix of full rank.
+
+    Over Q the elimination is fraction-free (Bareiss, 1968). Each row is
+    multiplied by the common denominator of its entries, and each step
+    replaces every other row a by (x*a - c*b) / d, where b is the pivot
+    row, x its pivot, c the row's entry in the pivot column and d the
+    previous pivot. The division is exact: every entry stays an integer
+    minor of the cleared matrix, and after the last step the pivot rows
+    are d times the rows of R. So Fractions are built once, for R, and
+    ``scale`` is the sign of the swaps times d over the denominators of
+    the rows that ended up as pivot rows. The elimination itself is
+    ``_eliminate``; only R is built here.
+    """
+    m, pivots, scale, d = _eliminate(rows, ring)
+    if ring.p is not None:
+        return m, pivots, scale
     zero = Fraction(0)
-    R = [[Fraction(a, prev) if a else zero for a in row] for row in m]
-    return R, pivots, Fraction(scale * prev, prod(dens[:len(pivots)])) if pivots else 1
+    return [[Fraction(a, d) if a else zero for a in row] for row in m], pivots, scale
 
 
 def field_rank(A: Matrix, ring: CoefficientRing) -> int:
     """Rank of A over the given field (Q or F_p) by exact elimination."""
-    return len(row_echelon(A.data, ring)[1])
+    return len(_eliminate(A.data, ring)[1])
 
 
 def rational_nullspace(A: Matrix) -> list[list[Fraction]]:
@@ -782,7 +840,7 @@ class Transferred:
 
 def perturb_transfer(
     blocks: Sequence[Contraction],
-    delta: Mapping[tuple[int, int], Mapping[int, Matrix]],
+    delta: Mapping[tuple[int, int], Mapping[int, Matrix | SignedGather]],
     level_bound: int,
     shifts: Sequence[int],
 ) -> Transferred:
@@ -793,9 +851,11 @@ def perturb_transfer(
     contraction serves every level it is placed at, without a copy.
     Degrees below, in delta and in the result, are those of the sum.
     ``delta[(tgt, src)][d]`` maps the ambient of block ``src`` in degree d
-    to the ambient of block ``tgt`` in degree d-1, and must strictly lower
-    a finite filtration so that the series p∘delta∘(-h∘delta)^j∘i stops
-    after at most ``level_bound`` terms; otherwise NonNilpotent is raised.
+    to the ambient of block ``tgt`` in degree d-1. A block is a ``Matrix``
+    or a ``SignedGather`` and is read only through ``@`` and
+    ``is_zero()``. Delta must strictly lower a finite filtration so that
+    the series p∘delta∘(-h∘delta)^j∘i stops after at most
+    ``level_bound`` terms; otherwise NonNilpotent is raised.
     The sign of h comes from the convention 1 - i∘p = d∘h + h∘d of
     ``Contraction``. The series is followed block by block, starting only
     at the blocks that delta leaves in degree d: each term maps the small
@@ -809,7 +869,7 @@ def perturb_transfer(
     tensoring with any ring.
     """
     # leaving[d][s]: the nonzero delta blocks (tgt, matrix) out of block s in degree d
-    leaving: dict[int, dict[int, list[tuple[int, Matrix]]]] = {}
+    leaving: dict[int, dict[int, list[tuple[int, Matrix | SignedGather]]]] = {}
     for (ti, si), per_degree in delta.items():
         for d, m in per_degree.items():
             if not m.is_zero():

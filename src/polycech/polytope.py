@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .exact_linalg import row_echelon
+from .exact_linalg import _eliminate, row_echelon
 
 
 class NotFullDimensional(Exception):
@@ -56,7 +56,7 @@ def _affine_basis(points: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a maximal affinely independent subset, taken greedily from the front."""
     base = points[0]
     cols = [[p[c] - base[c] for p in points[1:]] for c in range(len(base))]
-    return [0] + [j + 1 for j in row_echelon(cols)[1]]
+    return [0] + [j + 1 for j in _eliminate(cols)[1]]
 
 
 def _affine_rank(points: Sequence[Sequence[int]]) -> int:

@@ -371,6 +371,24 @@ def random_two_level_complex(P, rng, max_width=2):
     return make_twist_complex(t0, [tgt, src], {t0 + 1: entries})
 
 
+def koszul(P):
+    """Koszul complex of the vertex monomials x^v of P, at levels 0..N.
+
+    Level t holds one O(-t) per t-subset S of the N vertices, in the
+    order of ``itertools.combinations``; the differential sends S to the
+    sum over the r-th vertex v of S of (-1)^r x^v times S without v. The
+    vertex sections of O(1) have no common zero, so the complex is exact.
+    """
+    verts = P.vertices
+    subsets = [list(combinations(range(len(verts)), t)) for t in range(len(verts) + 1)]
+    index = [{S: i for i, S in enumerate(level)} for level in subsets]
+    diffs = {}
+    for t in range(1, len(subsets)):
+        diffs[t] = {(index[t - 1][S[:r] + S[r + 1:]], j): [(-1 if r % 2 else 1, verts[v])]
+                    for j, S in enumerate(subsets[t]) for r, v in enumerate(S)}
+    return make_twist_complex(0, [[-t] * len(level) for t, level in enumerate(subsets)], diffs)
+
+
 def les_two_level_homology(P, Y, ring):
     """Homology of a two-level twist complex via the connecting map.
 

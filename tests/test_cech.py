@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -28,6 +29,7 @@ from polycech.exact_linalg import (
     FreeChainComplex,
     HomologyResult,
     Matrix,
+    SignedGather,
     complex_homology,
 )
 from polycech.polytope import (
@@ -35,6 +37,7 @@ from polycech.polytope import (
     cone_membership,
     ehrhart_polynomial,
     facets_from_vertices,
+    lattice_points,
     standard_simplex,
 )
 from polycech.sheaf_complexes import (
@@ -48,6 +51,8 @@ from polycech.sheaf_complexes import (
 )
 
 from helpers import (
+    koszul,
+    lattice_points_by_box,
     les_two_level_homology,
     random_free_complex,
     random_twist_complex,
@@ -61,6 +66,11 @@ D2 = SAMPLES["simplex2"]
 OCTAHEDRON = facets_from_vertices(
     3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
 PYRAMID = facets_from_vertices(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+KOSZUL_SHAPES = {
+    "triangle": D2,
+    "square": SAMPLES["square"],
+    "hexagon": facets_from_vertices(2, [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]),
+}
 
 
 def H(data):
@@ -391,8 +401,39 @@ def test_zero_monomial_cone_splits_by_multidegree(monkeypatch):
     assert out.unlinked == {3: len(twos) - len(ones)}
 
 
+def test_delta_blocks_are_gathers_not_dense_grids(monkeypatch):
+    # every delta block reaches the transfer as a signed gather, and
+    # cech_homology itself builds no matrix from rows for any of them
+    callers = []
+    from_rows = Matrix.from_rows.__func__
+
+    def spying(cls, rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return from_rows(cls, rows)
+
+    deltas = []
+    transfer = cech_mod.perturb_transfer
+
+    def keeping(blocks, delta, *rest):
+        deltas.append(delta)
+        return transfer(blocks, delta, *rest)
+
+    monkeypatch.setattr(Matrix, "from_rows", classmethod(spying))
+    monkeypatch.setattr(cech_mod, "perturb_transfer", keeping)
+    rng = random.Random(20100730)
+    P = SAMPLES["square"]
+    terms = [(rng.choice([-2, -1, 1, 2]), u) for u in rng.sample(lattice_points(P, 2), 3)]
+    Y = cone({0: {(0, 0): terms}}, line_bundle(0), line_bundle(2))
+    res = CechContext(P).cech_homology(Y, ZZ)
+    (delta,) = deltas
+    blocks = [G for per_degree in delta.values() for G in per_degree.values()]
+    assert blocks and all(isinstance(G, SignedGather) for G in blocks)
+    assert "column_complex" in callers and "cech_homology" not in callers
+    assert res.homology == les_two_level_homology(P, Y, ZZ)
+
+
 @pytest.mark.parametrize("name", ["simplex2", "square"])
-def test_support_escapes_box_fires_on_a_narrow_box(name):
+def test_support_escapes_box_fires_on_a_narrow_box(name, monkeypatch):
     # kP's own bounding box puts columns carrying homology on the boundary.
     # Widened on the low side only, the first column with a given pattern is
     # inside the box and a later one with the same pattern is on its edge.
@@ -402,7 +443,7 @@ def test_support_escapes_box_fires_on_a_narrow_box(name):
              for c in range(P.dim)]
     for box in (tight, [(lo - 1, hi) for lo, hi in tight]):
         ctx = CechContext(P)
-        ctx._scan_box = lambda twist, box=box: box
+        monkeypatch.setattr(cech_mod, "scan_box", lambda P, twist, box=box: box)
         with pytest.raises(SupportEscapesBox):
             ctx.line_bundle_cohomology(k, ZZ)
 
@@ -414,7 +455,7 @@ def test_column_faces_match_cone_membership():
         by_dim = ctx.lattice.by_dim
         n = P.dim
         for k in range(-3, 3):
-            for m in product(*(range(a, b + 1) for a, b in ctx._scan_box(k))):
+            for m in product(*(range(a, b + 1) for a, b in cech_mod.scan_box(P, k))):
                 expected = tuple(
                     tuple(F.index for F in by_dim[n - s] if cone_membership(P, F, k, m))
                     for s in range(n + 1))
@@ -454,38 +495,18 @@ def test_transfer_matches_les_oracle_random():
                     == les_two_level_homology(P, Y, ring)), (P.dim, Y)
 
 
-def koszul_interval():
-    # O(-2) -> O(-1)^2 -> O(0) with d1 = (x0, x1), d2 = (-x1, x0)^T
-    return make_twist_complex(0, [[0], [-1, -1], [-2]], {
-        1: {(0, 0): [(1, (0,))], (0, 1): [(1, (1,))]},
-        2: {(0, 0): [(-1, (1,))], (1, 0): [(1, (0,))]},
-    })
-
-
-def koszul_triangle():
-    x = [(0, 0), (1, 0), (0, 1)]
-    return make_twist_complex(0, [[0], [-1, -1, -1], [-2, -2, -2], [-3]], {
-        1: {(0, 0): [(1, x[0])], (0, 1): [(1, x[1])], (0, 2): [(1, x[2])]},
-        2: {
-            (1, 0): [(1, x[0])], (0, 0): [(-1, x[1])],
-            (2, 1): [(1, x[0])], (0, 1): [(-1, x[2])],
-            (2, 2): [(1, x[1])], (1, 2): [(-1, x[2])],
-        },
-        3: {(2, 0): [(1, x[0])], (1, 0): [(-1, x[1])], (0, 0): [(1, x[2])]},
-    })
-
-
 def test_koszul_complexes_are_acyclic():
     # at every face one coordinate map acts invertibly, so the whole
     # complex is componentwise exact; the transfer must see this through
     # length-2 and length-3 homotopy paths with matching signs
-    K1 = koszul_interval()
+    # O(-2) -> O(-1)^2 -> O(0) with d1 = (x0, x1), d2 = (-x1, x0)^T
+    K1 = koszul(D1)
     validate(K1, D1)
     for ring in (ZZ, QQ, GF(2), GF(5)):
         res = cech_homology(D1, K1, ring)
         assert res.homology.is_zero(), ring.label
     assert cech_homology(D1, K1, ZZ).transfer_paths == 2
-    K2 = koszul_triangle()
+    K2 = koszul(D2)
     validate(K2, D2)
     for ring in (ZZ, GF(2)):
         res = cech_homology(D2, K2, ring)
@@ -495,11 +516,36 @@ def test_koszul_complexes_are_acyclic():
 
 
 def test_koszul_twists_stay_acyclic():
-    K1, K2 = koszul_interval(), koszul_triangle()
+    K1, K2 = koszul(D1), koszul(D2)
     for j in range(-2, 3):
         assert cech_homology(D1, twist(K1, j), ZZ).homology.is_zero(), j
     # a nontrivial member of the residual class: acyclic through twist n_P
     assert hk_acyclic(D2, K2, 2)
+
+
+@pytest.mark.parametrize("name", ["triangle", "square", "hexagon"])
+def test_vertex_koszul_complexes_are_acyclic(name):
+    # N + 1 levels: the series runs through homotopy paths of every length
+    # up to N, each delta block a signed gather
+    P = KOSZUL_SHAPES[name]
+    K = koszul(P)
+    validate(K, P)
+    for j in range(-1, 3):
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            assert cech_homology(P, twist(K, j), ring).homology.is_zero(), (j, ring.label)
+
+
+@pytest.mark.parametrize("name", ["triangle", "square", "hexagon"])
+def test_vertex_koszul_without_its_top_level(name):
+    # levels 0..N-1 resolve the image of O(-N) at level N-1: the homology
+    # is that of O(-N) there, free on the interior points of NP
+    P = KOSZUL_SHAPES[name]
+    K = koszul(P)
+    N = K.hi
+    top_dropped = make_twist_complex(0, K.levels[:N], {t: K.diff_map(t) for t in range(1, N)})
+    expected = H({N - 1: (len(lattice_points_by_box(P, N, interior=True)), ())})
+    for ring in (ZZ, GF(2)):
+        assert cech_homology(P, top_dropped, ring).homology == expected, ring.label
 
 
 def test_zero_dimensional_polytope_line_bundles():

@@ -157,6 +157,23 @@ def test_scan_box_over_budget_exit_2(docs, capsys, monkeypatch):
         assert code == 2 and json.loads(out)["code"] == "too_large", args
 
 
+def test_scan_box_refused_without_a_context(capsys, monkeypatch, tmp_path):
+    # the box is read off the vertices: refusing it computes no face
+    # lattice, incidence signs or Ehrhart data
+    tri = tmp_path / "tri300.json"
+    tri.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [300, 0], [0, 300]]}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("context built")
+
+    monkeypatch.setattr(cech_mod, "context", refuse)
+    for args in (["cohomology", str(tri), "--twist", "100"],
+                 ["verify", str(tri), "--kmax", "100"]):
+        code, out = run(args, capsys)
+        doc = json.loads(out)
+        assert code == 2 and (doc["code"], doc["location"]) == ("too_large", args[2]), args
+
+
 def ehrhart_commands(polytope, cx):
     """Every command that interpolates the Ehrhart polynomial."""
     return [["points", polytope, "--dilate", "0"], ["ehrhart", polytope], ["np", polytope],

@@ -14,6 +14,7 @@ from polycech.exact_linalg import (
     InvalidComplex,
     Matrix,
     NonNilpotent,
+    SignedGather,
     TorsionObstruction,
     complex_homology,
     contraction,
@@ -26,7 +27,13 @@ from polycech.exact_linalg import (
 )
 from polycech.polytope import facets_from_vertices
 
-from helpers import gauss_jordan, random_free_complex, sample_polytopes
+from helpers import (
+    gauss_jordan,
+    koszul,
+    random_free_complex,
+    random_twist_complex,
+    sample_polytopes,
+)
 
 
 def diag_of(D):
@@ -205,7 +212,7 @@ def test_contraction_random(ring):
 def test_contraction_of_polytope_columns(ring):
     # three-degree columns: the restriction left by one degree's
     # cancellations carries over into the next differential
-    from polycech.cech import CechContext
+    from polycech.cech import CechContext, scan_box
 
     polytopes = {
         "cube": sample_polytopes()["cube"],
@@ -216,7 +223,7 @@ def test_contraction_of_polytope_columns(ring):
         ctx = CechContext(P)
         patterns = {}
         for k in range(-2, 2):
-            for m in product(*(range(a, b + 1) for a, b in ctx._scan_box(k))):
+            for m in product(*(range(a, b + 1) for a, b in scan_box(P, k))):
                 col = ctx.column_complex(k, m)
                 patterns.setdefault(col.faces, col.complex)
         assert len(patterns) == {"cube": 46, "octahedron": 104}[name]
@@ -371,6 +378,86 @@ def test_perturb_transfer_matches_perturbation_lemma(ring):
         assert sum(out.unlinked.values()) == sum(B.small.total_rank() for B in rest)
         checked += 1
     assert checked >= 10
+
+
+def gather_matrix(G):
+    """The dense matrix of a signed gather: c at (r, rows[r]) where rows[r] is set."""
+    return Matrix(len(G.rows), G.cols, tuple(
+        tuple(G.c if j == r else 0 for j in range(G.cols)) for r in G.rows))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=lambda r: r.label)
+def test_signed_gather_matches_dense_product(ring):
+    rng = random.Random(5150)
+
+    def entry():
+        if ring == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return ring.normalize(rng.randint(-9, 9))
+
+    for _ in range(200):
+        src, tgt, width = rng.randint(0, 5), rng.randint(0, 6), rng.randint(0, 4)
+        M = Matrix(src, width, tuple(tuple(entry() for _ in range(width)) for _ in range(src)))
+        # a partial identity: distinct source rows at some target rows, zero rows elsewhere
+        hit = rng.sample(range(tgt), min(tgt, rng.randint(0, src)))
+        sources = iter(rng.sample(range(src), len(hit)))
+        rows = [next(sources) if r in hit else None for r in range(tgt)]
+        for c in (1, -1, 2):
+            G = SignedGather(c, rows, src)
+            got = G @ M
+            assert got == gather_matrix(G) @ M, (c, rows, M)
+            assert G.is_zero() == gather_matrix(G).is_zero()
+            if c == 1:  # the rows of M are shared, not copied
+                assert all(got.data[r] is M.data[i] for r, i in enumerate(rows) if i is not None)
+        G, H = SignedGather(2, rows, src), SignedGather(-3, rows, src)
+        assert gather_matrix(G + H) == gather_matrix(G) + gather_matrix(H)
+        assert (G + SignedGather(-2, rows, src)).is_zero()
+    with pytest.raises(ValueError):
+        SignedGather(1, [0, None], 1) + SignedGather(1, [None, 0], 1)
+    with pytest.raises(ValueError):
+        SignedGather(1, [0], 2) @ Matrix.identity(3)
+
+
+def _dense_total(blocks, delta, shifts):
+    """The total complex d + delta of the shifted blocks, as one dense complex."""
+    lo = min(B.ambient.lo + k for B, k in zip(blocks, shifts))
+    hi = max(B.ambient.hi + k for B, k in zip(blocks, shifts))
+    ranks = {d: [B.ambient.rank(d - k) for B, k in zip(blocks, shifts)]
+             for d in range(lo, hi + 1)}
+    diffs = {}
+    for d in range(lo + 1, hi + 1):
+        parts = {(b, b): B.ambient.diff(d - k) for b, (B, k) in enumerate(zip(blocks, shifts))}
+        parts.update({key: per[d] for key, per in delta.items() if d in per})
+        diffs[d] = _dense(parts, ranks[d - 1], ranks[d])
+    return FreeChainComplex.from_dicts({d: sum(ranks[d]) for d in range(lo, hi + 1)}, diffs)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), ZZ], ids=lambda r: r.label)
+def test_perturb_transfer_with_signed_gathers_matches_dense_delta(ring, monkeypatch):
+    # the delta of a Čech transfer is made of signed partial identities;
+    # handed over as gathers and as their dense matrices it must give the
+    # same transferred complex, whose homology is that of d + delta
+    from polycech import cech
+
+    calls = []
+    monkeypatch.setattr(cech, "perturb_transfer",
+                        lambda *args: calls.append(args) or perturb_transfer(*args))
+    rng = random.Random(1789)
+    D1, D2 = sample_polytopes()["interval"], sample_polytopes()["simplex2"]
+    for P, Y in [(D1, koszul(D1)), (D2, koszul(D2))] + [
+            (P, random_twist_complex(P, rng)) for P in (D1, D2, D1, D2, D1, D2)]:
+        cech.cech_homology(P, Y)
+    series = 0
+    for blocks, delta, bound, shifts in calls:
+        assert all(isinstance(G, SignedGather) for per in delta.values() for G in per.values())
+        dense = {key: {d: gather_matrix(G) for d, G in per.items()}
+                 for key, per in delta.items()}
+        out = perturb_transfer(blocks, delta, bound, shifts)
+        assert out == perturb_transfer(blocks, dense, bound, shifts)
+        assert transferred_homology(out, ring) == complex_homology(
+            _dense_total(blocks, dense, shifts), ring)
+        series += bound > 2
+    assert len(calls) >= 6 and series >= 2
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(3), ZZ], ids=lambda r: r.label)
