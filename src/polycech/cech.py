@@ -48,6 +48,7 @@ from .exact_linalg import (
 from .orientation import incidence_numbers
 from .polytope import (
     LatticePolytope,
+    bounding_box,
     ehrhart_polynomial,
     face_lattice,
     lattice_points,
@@ -112,13 +113,8 @@ def scan_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
     """The multidegrees a line-bundle scan of O(k) visits: the bounding box
     of kP widened by one bounding box of P on every side. It reads the
     vertices only, so a scan can be sized before any context is built."""
-    box = []
-    for c in range(P.dim):
-        coords = [v[c] for v in P.vertices]
-        width = max(coords) - min(coords)
-        scaled = [k * x for x in coords]
-        box.append((min(scaled) - width, max(scaled) + width))
-    return box
+    return [(lo - (hi1 - lo1), hi + (hi1 - lo1))
+            for (lo, hi), (lo1, hi1) in zip(bounding_box(P, k), bounding_box(P, 1))]
 
 
 class CechContext:
@@ -446,14 +442,13 @@ class CechContext:
         return direct == tensored
 
 
-_context_cache: dict[tuple[LatticePolytope, bool], CechContext] = {}
+_context_cache: dict[LatticePolytope, CechContext] = {}
 
 
-def context(P: LatticePolytope, reverse_orientation: bool = False) -> CechContext:
-    key = (P, reverse_orientation)
-    if key not in _context_cache:
-        _context_cache[key] = CechContext(P, reverse_orientation)
-    return _context_cache[key]
+def context(P: LatticePolytope) -> CechContext:
+    if P not in _context_cache:
+        _context_cache[P] = CechContext(P)
+    return _context_cache[P]
 
 
 def column_complex(P: LatticePolytope, k: int, m: Sequence[int]) -> ColumnComplex:

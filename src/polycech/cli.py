@@ -22,6 +22,7 @@ from .polytope import (
     EhrhartPolynomial,
     LatticePolytope,
     NotFullDimensional,
+    bounding_box,
     ehrhart_polynomial,
     face_lattice,
     facets_from_vertices,
@@ -248,7 +249,7 @@ def _point_count(P: LatticePolytope, e: EhrhartPolynomial, k: int, interior: boo
 
 def _check_ehrhart_box(P: LatticePolytope, location: str) -> None:
     n = P.dim
-    size = prod((n + 1) * (max(xs) - min(xs)) + 1 for xs in zip(*P.vertices))
+    size = prod(hi - lo + 1 for lo, hi in bounding_box(P, n + 1))
     if size > EHRHART_BUDGET:
         raise InputError(
             "too_large", f"the bounding box of {n + 1}P holds {size} points, more than "

@@ -4,19 +4,20 @@ This module contains the arithmetic kernel used everywhere else. All
 elimination in the package goes through two routines:
 
 * ``row_echelon`` is Gauss-Jordan reduction over Q or F_p; ranks,
-  nullspaces, determinants, affine ranks and face bases are read off its
-  result. Over Q it is fraction-free (Bareiss): rows are cleared of
-  denominators, the elimination runs in integers with exact division by
-  the previous pivot, and Fractions are built once, for the result.
-  Its elimination is ``_eliminate``: ranks, determinants, affine bases
-  and orientations read only pivots and scale and call that directly,
-  so no reduced matrix is built for them.
+  determinants, affine bases, simplicial cone rays and face bases are
+  read off its result. Over Q it is fraction-free (Bareiss): rows are
+  cleared of denominators and the elimination runs in integers with
+  exact division by the previous pivot, so it returns integer rows d*R
+  with their common denominator d and builds no Fraction matrix.
 * ``_diagonalize`` brings an integer matrix to its Smith form
   D = U*A*V with the inverse transforms tracked, a divisibility chain on
   the diagonal and a deterministic pivoting rule (entry of minimal
   nonzero absolute value, ties broken by (row, col)).
   ``smith_normal_form``, ``invariant_factors`` and ``contraction`` are
-  built on it.
+  built on it. The torsion of a direct sum of homology groups is that
+  Smith form's chain for the diagonal matrix of the parts' factors, but
+  ``direct_sum_of`` builds it by gcd/lcm folding, near-linear in the
+  number of factors.
 
 On top of these:
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 
@@ -98,26 +99,12 @@ class CoefficientRing:
             raise ValueError("modulus only allowed for prime fields")
 
     @staticmethod
-    def integers() -> "CoefficientRing":
-        return CoefficientRing("Z")
-
-    @staticmethod
-    def rationals() -> "CoefficientRing":
-        return CoefficientRing("Q")
-
-    @staticmethod
-    def prime_field(p: int) -> "CoefficientRing":
-        return CoefficientRing("Fp", p)
-
-    @staticmethod
     def parse(text: str) -> "CoefficientRing":
         """Parse "Z", "Q" or "Fp:<p>" as used by the command line."""
-        if text == "Z":
-            return CoefficientRing.integers()
-        if text == "Q":
-            return CoefficientRing.rationals()
+        if text in ("Z", "Q"):
+            return CoefficientRing(text)
         if text.startswith("Fp:"):
-            return CoefficientRing.prime_field(int(text[3:]))
+            return CoefficientRing("Fp", int(text[3:]))
         raise ValueError(f"unknown ring {text!r}")
 
     @property
@@ -142,12 +129,12 @@ class CoefficientRing:
         return int(x) % self.p
 
 
-ZZ = CoefficientRing.integers()
-QQ = CoefficientRing.rationals()
+ZZ = CoefficientRing("Z")
+QQ = CoefficientRing("Q")
 
 
 def GF(p: int) -> CoefficientRing:
-    return CoefficientRing.prime_field(p)
+    return CoefficientRing("Fp", p)
 
 
 class Matrix:
@@ -238,7 +225,7 @@ class Matrix:
         """Exact determinant by fraction-free elimination; an int when the entries are."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, scale, _ = _eliminate(self.data)
+        _, pivots, scale, _ = row_echelon(self.data)
         if len(pivots) < self.rows:
             return 0
         return int(scale) if scale.denominator == 1 else scale
@@ -281,13 +268,25 @@ class SignedGather:
         return not self.c or self.rows.count(None) == len(self.rows)
 
 
-def _eliminate(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
-    """The elimination of ``row_echelon``, without building R.
+def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
+    """Reduced row echelon form over Q or F_p by Gauss-Jordan elimination.
 
-    Returns (m, pivots, scale, d): the eliminated rows m, which are d
-    times the rows of R (d = 1 over F_p, where m is R), and the pivots
-    and scale of ``row_echelon``. Callers that read only the pivots or
-    the scale stop here and build no Fraction for R.
+    The pivot of each column is its first nonzero entry at or below the
+    current rank. Returns (m, pivots, scale, d): the eliminated rows m are
+    d times the reduced matrix R (over F_p, d = 1 and m is R, in ints mod
+    p), ``pivots`` is the pivot column of each nonzero row of R, and
+    ``scale`` the product of the pivots met times the sign of the row
+    swaps, which is the determinant of a square matrix of full rank.
+
+    Over Q the elimination is fraction-free (Bareiss, 1968). Each row is
+    multiplied by the common denominator of its entries, and each step
+    replaces every other row a by (x*a - c*b) / d, where b is the pivot
+    row, x its pivot, c the row's entry in the pivot column and d the
+    previous pivot. The division is exact: every entry stays an integer
+    minor of the cleared matrix, and after the last step the pivot rows
+    are d times the rows of R, so m holds ints and R is Fraction(a, d).
+    ``scale`` is the sign of the swaps times d over the denominators of
+    the rows that ended up as pivot rows.
     """
     if not ring.is_field:
         raise ValueError(f"row echelon form needs a field, not {ring.label}")
@@ -296,11 +295,9 @@ def _eliminate(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
         m, dens = [], []
         for row in rows:
             row = [a if type(a) is int else Fraction(a) for a in row]
-            den = 1
-            for a in row:
-                if type(a) is not int:
-                    den = lcm(den, a.denominator)
-            m.append(row if den == 1 else [int(a * den) for a in row])
+            fracs = [a.denominator for a in row if type(a) is not int]
+            den = lcm(*fracs)
+            m.append([int(a * den) for a in row] if fracs else row)
             dens.append(den)
     else:
         m = [[int(a) % p for a in row] for row in rows]
@@ -343,52 +340,9 @@ def _eliminate(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
     return m, pivots, scale, prev
 
 
-def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
-    """Reduced row echelon form over Q or F_p by Gauss-Jordan elimination.
-
-    The pivot of each column is its first nonzero entry at or below the
-    current rank. Returns (R, pivots, scale): R is the reduced matrix as a
-    list of rows of Fractions (of ints mod p over F_p), ``pivots`` the
-    pivot column of each nonzero row of R, and ``scale`` the product of
-    the pivots met times the sign of the row swaps, which is the
-    determinant of a square matrix of full rank.
-
-    Over Q the elimination is fraction-free (Bareiss, 1968). Each row is
-    multiplied by the common denominator of its entries, and each step
-    replaces every other row a by (x*a - c*b) / d, where b is the pivot
-    row, x its pivot, c the row's entry in the pivot column and d the
-    previous pivot. The division is exact: every entry stays an integer
-    minor of the cleared matrix, and after the last step the pivot rows
-    are d times the rows of R. So Fractions are built once, for R, and
-    ``scale`` is the sign of the swaps times d over the denominators of
-    the rows that ended up as pivot rows. The elimination itself is
-    ``_eliminate``; only R is built here.
-    """
-    m, pivots, scale, d = _eliminate(rows, ring)
-    if ring.p is not None:
-        return m, pivots, scale
-    zero = Fraction(0)
-    return [[Fraction(a, d) if a else zero for a in row] for row in m], pivots, scale
-
-
 def field_rank(A: Matrix, ring: CoefficientRing) -> int:
     """Rank of A over the given field (Q or F_p) by exact elimination."""
-    return len(_eliminate(A.data, ring)[1])
-
-
-def rational_nullspace(A: Matrix) -> list[list[Fraction]]:
-    """Basis of the right nullspace of A over Q."""
-    R, pivots, _ = row_echelon(A.data)
-    basis = []
-    for j in range(A.cols):
-        if j in pivots:
-            continue
-        v = [Fraction(0)] * A.cols
-        v[j] = Fraction(1)
-        for i, pj in enumerate(pivots):
-            v[pj] = -R[i][j]
-        basis.append(v)
-    return basis
+    return len(row_echelon(A.data, ring)[1])
 
 
 def _nearest_quotient(a: int, b: int) -> int:
@@ -584,41 +538,33 @@ class FreeChainComplex:
         return sum(self.ranks)
 
 
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _insert_factor(runs: list[list[int]], f: int) -> None:
+    """Add Z/f to an ascending invariant-factor chain kept as [value, count] runs.
 
-
-def _merge_invariant_factors(lists: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    # canonical divisor chain of a direct sum: per prime, sort exponent
-    # multiset descending, then multiply across primes positionwise
-    by_prime: dict[int, list[int]] = {}
-    for factors in lists:
-        for f in factors:
-            for p, e in _factor(f).items():
-                by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    for p in by_prime:
-        by_prime[p].sort(reverse=True)
-    width = max(len(v) for v in by_prime.values())
-    chain = []
-    for i in range(width):
-        f = 1
-        for p, exps in by_prime.items():
-            if i < len(exps):
-                f *= p ** exps[i]
-        chain.append(f)
-    chain.reverse()  # ascending, each dividing the next
-    return tuple(chain)
+    Walking down from the top, an element c that f does not divide becomes
+    lcm(c, f) and f goes on as gcd(c, f). Per prime this inserts f's exponent
+    into the sorted exponents, so the chain is that of the Smith form, and no
+    factor is factored. The distinct values divide each other properly, so
+    there are few runs however many factors are added.
+    """
+    i = len(runs)
+    while f > 1:
+        v = runs[i - 1][0] if i else 1
+        if v % f == 0:
+            i -= 1
+            continue
+        g = gcd(v, f)
+        top = v // g * f
+        if i < len(runs) and runs[i][0] == top:
+            runs[i][1] += 1
+        else:
+            runs.insert(i, [top, 1])
+        if g == v:  # f fits between runs i-1 and i
+            return
+        runs[i - 1][1] -= 1  # the top element of run i-1 became lcm(v, f)
+        if not runs[i - 1][1]:
+            del runs[i - 1]
+        f, i = g, i - 1
 
 
 @dataclass(frozen=True)
@@ -668,16 +614,20 @@ class HomologyResult:
     @classmethod
     def direct_sum_of(cls, parts: Iterable["HomologyResult"],
                       free: Mapping[int, int] | None = None) -> "HomologyResult":
-        """Direct sum of ``parts`` and of free groups of the ranks ``free[d]``;
-        the torsion of each degree is merged once, over all parts."""
+        """Direct sum of ``parts`` and of free groups of the ranks ``free[d]``.
+
+        The torsion factors of each degree, over all parts, are folded one
+        by one into a single invariant-factor chain by ``_insert_factor``.
+        """
         ranks = dict(free or {})
-        torsion: dict[int, list[tuple[int, ...]]] = {}
+        runs: dict[int, list[list[int]]] = {}
         for h in parts:
             for d, f, t in h.groups:
                 ranks[d] = ranks.get(d, 0) + f
-                torsion.setdefault(d, []).append(t)
-        return cls.from_dict(
-            {d: (r, _merge_invariant_factors(torsion.get(d, ()))) for d, r in ranks.items()})
+                for factor in t:
+                    _insert_factor(runs.setdefault(d, []), factor)
+        return cls.from_dict({d: (r, tuple(v for v, c in runs.get(d, []) for _ in range(c)))
+                              for d, r in ranks.items()})
 
     def direct_sum(self, other: "HomologyResult") -> "HomologyResult":
         return HomologyResult.direct_sum_of((self, other))

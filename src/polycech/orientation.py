@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import Matrix, _eliminate
+from .exact_linalg import Matrix, row_echelon
 from .polytope import Face, FaceLattice, _dot
 
 
@@ -57,7 +57,7 @@ def _oriented_basis(lattice: FaceLattice, face: Face,
     n = len(base)
     diffs = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
     rows = [[v[c] for v in diffs] + [int(c == t) for t in range(n)] for c in range(n)]
-    _, pivots, scale, _ = _eliminate(rows)
+    _, pivots, scale, _ = row_echelon(rows)
     basis = [diffs[j] for j in pivots if j < len(diffs)]
     if len(basis) != face.dim:
         raise DegenerateBasis(f"face {face.index} has no affine basis of size {face.dim}")

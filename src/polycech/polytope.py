@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .exact_linalg import _eliminate, row_echelon
+from .exact_linalg import row_echelon
 
 
 class NotFullDimensional(Exception):
@@ -56,24 +56,20 @@ def _affine_basis(points: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a maximal affinely independent subset, taken greedily from the front."""
     base = points[0]
     cols = [[p[c] - base[c] for p in points[1:]] for c in range(len(base))]
-    return [0] + [j + 1 for j in _eliminate(cols)[1]]
+    return [0] + [j + 1 for j in row_echelon(cols)[1]]
 
 
 def _affine_rank(points: Sequence[Sequence[int]]) -> int:
     return len(_affine_basis(points)) - 1
 
 
-def _primitive(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     g = 0
-    for x in ints:
+    for x in vec:
         g = gcd(g, abs(x))
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in vec)
 
 
 def _hull_rays(lifted: Sequence[tuple[int, ...]],
@@ -82,7 +78,8 @@ def _hull_rays(lifted: Sequence[tuple[int, ...]],
 
     Double description (Fukuda and Prodon, 1996): start from the
     simplicial cone of the linearly independent points ``basis``, whose
-    rays are the columns of the inverse matrix, and insert the other
+    rays are the columns of the inverse matrix, read in integers off the
+    eliminated rows d*[I | inverse], and insert the other
     points one at a time. Each ray carries the mask of inserted points it
     is tight on. On insertion, rays on the nonnegative side stay, and a
     ray p on the positive side and n on the negative side give the new
@@ -92,8 +89,9 @@ def _hull_rays(lifted: Sequence[tuple[int, ...]],
     """
     d = len(lifted[0])
     rows = [list(lifted[i]) + [int(r == c) for c in range(d)] for r, i in enumerate(basis)]
-    inverse = row_echelon(rows)[0]
-    rays = [(_primitive([inverse[r][d + j] for r in range(d)]),
+    m, _, _, den = row_echelon(rows)
+    sign = 1 if den > 0 else -1
+    rays = [(_primitive([sign * m[r][d + j] for r in range(d)]),
              sum(1 << b for b in basis if b != i)) for j, i in enumerate(basis)]
     rest = sorted(set(range(len(lifted))) - set(basis))
     for t in rest:
@@ -288,7 +286,8 @@ def cone_membership(P: LatticePolytope, F: Face, k: int, m: Sequence[int]) -> bo
     return satisfies_inequalities((P.facets[i] for i in F.tight_facets), k, m)
 
 
-def _bounding_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
+def bounding_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
+    """Per-coordinate (min, max) of k*v over the vertices v: the box of kP."""
     box = []
     for c in range(P.dim):
         coords = [k * v[c] for v in P.vertices]
@@ -313,7 +312,7 @@ def lattice_points(P: LatticePolytope, k: int, interior: bool = False) -> tuple[
     sign = 1 if k >= 0 else -1
     rows = [(tuple(sign * x for x in a), sign * k * b + (1 if interior else 0))
             for a, b in P.facets]
-    *head, (lo_box, hi_box) = _bounding_box(P, k)
+    *head, (lo_box, hi_box) = bounding_box(P, k)
     points = []
     for prefix in product(*(range(lo, hi + 1) for lo, hi in head)):
         lo, hi = lo_box, hi_box

@@ -8,8 +8,11 @@ The polytope oracles are the exhaustive enumerations the library no
 longer uses: facets from every dim-subset of the vertices, faces from
 every subset of the facets, lattice points from the whole bounding box.
 Their ranks, nullspaces and solutions come from a plain Fraction
-Gauss-Jordan kept here, not from the library's ``row_echelon``, which is
-itself tested against it.
+Gauss-Jordan kept here, not from the library's fraction-free
+``row_echelon``, which is itself tested against it. The torsion of a
+direct sum is merged here prime by prime, after factoring by trial
+division, where the library folds each factor into the chain by gcd
+and lcm; the trial division limits this oracle to small factors.
 """
 
 from fractions import Fraction
@@ -105,6 +108,46 @@ def nullspace_by_elimination(rows, ncols):
             v[pj] = -R[i][j]
         basis.append(v)
     return basis
+
+
+def _factor(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def merge_torsion_by_primes(lists):
+    """Canonical divisor chain of a direct sum of cyclic groups, ascending.
+
+    Per prime, the exponents are sorted in descending order, and the
+    chain multiplies them across primes position by position.
+    """
+    by_prime = {}
+    for factors in lists:
+        for f in factors:
+            for p, e in _factor(f).items():
+                by_prime.setdefault(p, []).append(e)
+    if not by_prime:
+        return ()
+    for p in by_prime:
+        by_prime[p].sort(reverse=True)
+    width = max(len(v) for v in by_prime.values())
+    chain = []
+    for i in range(width):
+        f = 1
+        for p, exps in by_prime.items():
+            if i < len(exps):
+                f *= p ** exps[i]
+        chain.append(f)
+    chain.reverse()
+    return tuple(chain)
 
 
 def _primitive(vec):

@@ -235,6 +235,22 @@ def test_cech_and_chi(docs, capsys):
     assert code == 0 and json.loads(out) == {"chi": -1}
 
 
+def test_cech_of_a_cone_by_a_large_prime(docs, capsys, tmp_path):
+    # O(0) -> O(0) by p: its torsion is merged without factoring p
+    p = 999999999999999989
+    doc = tmp_path / "prime_cone.json"
+    doc.write_text(json.dumps({
+        "min_level": 0,
+        "levels": [[0], [0]],
+        "differentials": [
+            {"from": 1, "entries": [{"row": 0, "col": 0, "terms": [{"c": str(p), "u": [0]}]}]}
+        ],
+    }))
+    code, out = run(["cech", docs["iv.json"], str(doc)], capsys)
+    assert code == 0
+    assert f'"torsion":[{p}]' in out
+
+
 def test_verify_passes(docs, capsys):
     code, out = run(["verify", docs["d2.json"], "--kmax", "3"], capsys)
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -21,7 +22,6 @@ from polycech.exact_linalg import (
     field_rank,
     invariant_factors,
     perturb_transfer,
-    rational_nullspace,
     row_echelon,
     smith_normal_form,
 )
@@ -30,6 +30,7 @@ from polycech.polytope import facets_from_vertices
 from helpers import (
     gauss_jordan,
     koszul,
+    merge_torsion_by_primes,
     random_free_complex,
     random_twist_complex,
     sample_polytopes,
@@ -492,6 +493,43 @@ def test_homology_result_direct_sum_merges_torsion():
     assert c.direct_sum(d).as_dict() == {0: (0, (2, 4, 24))}
 
 
+def test_direct_sum_merges_torsion_of_large_primes():
+    # a trial-division merge never finishes on these: it runs as sqrt(p)
+    p, q = 999999999999999989, 1000000000000000003
+    parts = [HomologyResult.from_dict({0: (0, t)}) for t in ((p,), (p * q,), (q,))]
+    assert HomologyResult.direct_sum_of(parts).as_dict() == {0: (0, (p * q, p * q))}
+
+
+def test_direct_sum_of_thousands_of_small_factors():
+    # a merge through the Smith form of their diagonal matrix is cubic in the count
+    primes = [n for n in range(2, 20000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    rng = random.Random(6000)
+    for factors in ([2] * 5000, primes[:2000], [rng.choice((2, 3, 4, 9, 12)) for _ in range(5000)],
+                    [2] * 2000 + [3] * 2000 + [4] * 2000):
+        parts = [HomologyResult.from_dict({0: (0, (f,))}) for f in factors]
+        start = time.perf_counter()
+        merged = HomologyResult.direct_sum_of(parts)
+        assert time.perf_counter() - start < 5
+        assert merged.as_dict() == {0: (0, merge_torsion_by_primes([factors]))}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_direct_sum_matches_per_prime_merge(seed):
+    rng = random.Random(5000 + seed)
+    for _ in range(200):
+        lists = [tuple(sorted(rng.choice([2, 3, 4, 5, 6, 8, 9, 12, 25, 27, 30, 49])
+                              for _ in range(rng.randint(0, 3))))
+                 for _ in range(rng.randint(0, 4))]
+        # each part's factors as a divisibility chain, the way homology reports them
+        chains = [merge_torsion_by_primes([t]) for t in lists]
+        parts = [HomologyResult.from_dict({0: (1, t)}) for t in chains]
+        free = {1: rng.randint(0, 2)}
+        expected = {0: (len(parts), merge_torsion_by_primes(chains))} if parts else {}
+        if free[1]:
+            expected[1] = (free[1], ())
+        assert HomologyResult.direct_sum_of(parts, free).as_dict() == expected
+
+
 def test_homology_result_shift_and_euler():
     h = HomologyResult.from_dict({0: (1, ()), 1: (2, ())})
     assert h.shifted(2).as_dict() == {2: (1, ()), 3: (2, ())}
@@ -520,26 +558,30 @@ def test_kernel_against_sympy(seed):
         if r == c:
             det = A.det()
             assert type(det) is int and det == int(S.det())
-        null = rational_nullspace(A)
-        assert len(null) == len(S.nullspace())
-        for v in null:
-            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
 
-def _same_echelon(got, expected):
-    """Equal (R, pivots, scale), with R and scale of the same types as well."""
-    assert got == expected
-    assert type(got[2]) is type(expected[2])
-    assert [list(map(type, row)) for row in got[0]] == [list(map(type, row)) for row in expected[0]]
+def _reduced(m, d, p=None):
+    """The reduced matrix R of the rows m = d*R that ``row_echelon`` returns."""
+    return m if p is not None else [[Fraction(a, d) for a in row] for row in m]
+
+
+def _same_echelon(got, expected, p=None):
+    """Equal (R, pivots, scale) once R is read off (m, d); m holds ints over
+    either field, and scale has the type of the oracle's."""
+    m, pivots, scale, d = got
+    assert all(type(a) is int for row in m for a in row)
+    assert p is None or d == 1
+    assert (_reduced(m, d, p), pivots, scale) == expected
+    assert type(scale) is type(expected[2])
 
 
 def test_row_echelon_edge_cases():
     for rows in ([], [[]], [[], []], [[0, 0, 0]] * 3, [[Fraction(0)] * 2] * 2):
         _same_echelon(row_echelon(rows), gauss_jordan(rows))
-        _same_echelon(row_echelon(rows, GF(3)), gauss_jordan(rows, 3))
+        _same_echelon(row_echelon(rows, GF(3)), gauss_jordan(rows, 3), 3)
     # the denominator of a row left without a pivot stays out of the scale
-    R, pivots, scale = row_echelon([[2, 4], [Fraction(1, 3), Fraction(2, 3)]])
-    assert pivots == [0] and scale == 2 and R[0] == [1, 2]
+    m, pivots, scale, d = row_echelon([[2, 4], [Fraction(1, 3), Fraction(2, 3)]])
+    assert pivots == [0] and scale == 2 and _reduced(m, d)[0] == [1, 2]
     assert row_echelon([[Fraction(1, 2), 1], [1, 3]])[2] == Fraction(1, 2)
 
 
@@ -562,7 +604,7 @@ def test_row_echelon_against_plain_gauss_jordan(seed):
         _same_echelon(row_echelon(rows), gauss_jordan(rows))
         integral = [[int(x) for x in row] for row in rows]
         for p in (2, 3, 7):
-            _same_echelon(row_echelon(integral, GF(p)), gauss_jordan(integral, p))
+            _same_echelon(row_echelon(integral, GF(p)), gauss_jordan(integral, p), p)
         if r == c:
             det, (_, pivots, scale) = Matrix.from_rows(rows).det(), gauss_jordan(rows)
             assert det == (scale if len(pivots) == r else 0)
