@@ -4,11 +4,12 @@ This module contains the arithmetic kernel used everywhere else. All
 elimination in the package goes through two routines:
 
 * ``row_echelon`` is Gauss-Jordan reduction over Q or F_p; ranks,
-  determinants, affine bases, simplicial cone rays and face bases are
-  read off its result. Over Q it is fraction-free (Bareiss): rows are
-  cleared of denominators and the elimination runs in integers with
-  exact division by the previous pivot, so it returns integer rows d*R
-  with their common denominator d and builds no Fraction matrix.
+  determinants, affine bases, simplicial cone rays, face bases and the
+  Ehrhart coefficients are read off its result. Over Q it is
+  fraction-free (Bareiss): rows are cleared of denominators and the
+  elimination runs in integers with exact division by the previous
+  pivot, so it returns integer rows d*R with their common denominator d
+  and builds no Fraction matrix.
 * ``_diagonalize`` brings an integer matrix to its Smith form
   D = U*A*V with the inverse transforms tracked, a divisibility chain on
   the diagonal and a deterministic pivoting rule (entry of minimal
@@ -629,9 +630,6 @@ class HomologyResult:
         return cls.from_dict({d: (r, tuple(v for v, c in runs.get(d, []) for _ in range(c)))
                               for d, r in ranks.items()})
 
-    def direct_sum(self, other: "HomologyResult") -> "HomologyResult":
-        return HomologyResult.direct_sum_of((self, other))
-
     def euler_characteristic(self) -> int:
         # parity, not exponentiation: degrees may be negative
         return sum(-free if d % 2 else free for d, free, _ in self.groups)
@@ -759,10 +757,7 @@ def contraction(C: FreeChainComplex) -> Contraction:
         inc[d - 1] = inc[d - 1] @ Uinv.submatrix(rows, rows[r:])
         proj[d - 1] = UP.submatrix(rows[r:], amb)
 
-    small = FreeChainComplex.from_dicts(
-        {d: inc[d].cols for d in C.degrees()},
-        {d: Matrix.zeros(inc[d - 1].cols, inc[d].cols) for d in range(lo + 1, hi + 1)},
-    )
+    small = FreeChainComplex.from_dicts({d: inc[d].cols for d in C.degrees()}, {})
     return Contraction(
         ambient=C,
         small=small,

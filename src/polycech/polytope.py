@@ -4,7 +4,8 @@ Facet enumeration from integral vertices by double description, the face
 lattice as the intersection closure of the facets' vertex sets, with
 joins, tangent-cone membership tests, lattice point enumeration in
 dilates one last-coordinate interval at a time, the Ehrhart polynomial,
-and the count of its integral roots.
+whose coefficients are read off ``row_echelon`` of the Vandermonde system
+of the point counts, and the count of its integral roots.
 """
 
 from __future__ import annotations
@@ -264,10 +265,6 @@ def face_lattice(P: LatticePolytope) -> FaceLattice:
     return lattice
 
 
-def join(L: FaceLattice, f: Face, g: Face) -> Face:
-    return L.join(f, g)
-
-
 def satisfies_inequalities(constraints: Iterable[tuple[Sequence[int], int]], k: int,
                            m: Sequence[int]) -> bool:
     """Whether <a, m> >= k*b for every pair (a, b) in ``constraints``."""
@@ -349,38 +346,18 @@ class EhrhartPolynomial:
         return len(self.coefficients) - 1
 
 
-def _interpolate(nodes: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
-    # Lagrange through the given integer nodes; exact rationals
-    n = len(nodes) - 1
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, (xi, yi) in enumerate(nodes):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(nodes):
-            if j == i:
-                continue
-            # multiply basis by (x - xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] -= c * xj
-                nxt[d + 1] += c
-            basis = nxt
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
-    return tuple(coeffs)
-
-
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     """Interpolate the lattice point counts of 0P..nP exactly.
 
-    The node n+1 is reserved as a consistency guard; a mismatch there
-    means an internal bug, not bad input.
+    The coefficients c solve the Vandermonde system of the nodes 0..n,
+    eliminated by ``row_echelon``: the nodes are distinct, so the rows
+    come back as d*[I | c]. The node n+1 is reserved as a consistency
+    guard; a mismatch there means an internal bug, not bad input.
     """
     n = P.dim
-    nodes = [(k, len(lattice_points(P, k))) for k in range(n + 1)]
-    coeffs = _interpolate(nodes)
+    rows = [[k ** j for j in range(n + 1)] + [len(lattice_points(P, k))] for k in range(n + 1)]
+    m, _, _, d = row_echelon(rows)
+    coeffs = tuple(Fraction(m[j][n + 1], d) for j in range(n + 1))
     guard = len(lattice_points(P, n + 1))
     poly = EhrhartPolynomial(coeffs, 0, ())
     if poly(n + 1) != guard:

@@ -212,7 +212,8 @@ def cone(f: Mapping[int, Mapping[tuple[int, int], object]],
 
     ``f[t]`` holds the monomial entries from level t of the source to
     level t of the target. Level t of the cone is source_{t-1} (+) target_t
-    with differential [[-d_source, 0], [f, d_target]].
+    with differential [[-d_source, 0], [f, d_target]]: the direct sum of
+    the suspended source and the target, with f added below the source.
     """
     f_maps = {t: {pos: _merge_terms(terms) for pos, terms in (f.get(t) or {}).items()}
               for t in range(min(source.lo, target.lo) - 1, max(source.hi, target.hi) + 2)}
@@ -221,22 +222,12 @@ def cone(f: Mapping[int, Mapping[tuple[int, int], object]],
         rhs = _compose_maps(target.diff_map(t), f_maps[t])
         if lhs != rhs:
             raise NotChainMap(f"f does not commute with the differentials at level {t}")
-    lo = min(source.lo + 1, target.lo)
-    hi = max(source.hi + 1, target.hi)
-    levels = [source.level(t - 1) + target.level(t) for t in range(lo, hi + 1)]
-    diffs: dict[int, EntryMap] = {}
-    for t in range(lo + 1, hi + 1):
-        entries: EntryMap = {}
-        n_src_rows = len(source.level(t - 2))
-        n_src_cols = len(source.level(t - 1))
-        for (i, j), terms in source.diff_map(t - 1).items():
-            entries[(i, j)] = _scale_terms(terms, -1)
+    Y = direct_sum(suspend(source, 1), target)
+    diffs = {t: Y.diff_map(t) for t in range(Y.lo + 1, Y.hi + 1)}
+    for t, entries in diffs.items():
         for (i, j), terms in f_maps[t - 1].items():
-            entries[(i + n_src_rows, j)] = terms
-        for (i, j), terms in target.diff_map(t).items():
-            entries[(i + n_src_rows, j + n_src_cols)] = terms
-        diffs[t] = entries
-    return make_twist_complex(lo, levels, diffs)
+            entries[(i + len(source.level(t - 2)), j)] = terms
+    return make_twist_complex(Y.lo, Y.levels, diffs)
 
 
 def bundle_tensor(k: int, C: FreeChainComplex, dim: int) -> TwistComplex:

@@ -12,7 +12,9 @@ Gauss-Jordan kept here, not from the library's fraction-free
 ``row_echelon``, which is itself tested against it. The torsion of a
 direct sum is merged here prime by prime, after factoring by trial
 division, where the library folds each factor into the chain by gcd
-and lcm; the trial division limits this oracle to small factors.
+and lcm; the trial division limits this oracle to small factors. The
+Ehrhart coefficients are summed here from the Lagrange basis, where the
+library solves the Vandermonde system with ``row_echelon``.
 """
 
 from fractions import Fraction
@@ -148,6 +150,30 @@ def merge_torsion_by_primes(lists):
         chain.append(f)
     chain.reverse()
     return tuple(chain)
+
+
+def interpolate_by_lagrange(nodes):
+    """Ascending coefficients of the polynomial through the integer nodes
+    (x, y), summed from the Lagrange basis in Fraction arithmetic."""
+    n = len(nodes) - 1
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, (xi, yi) in enumerate(nodes):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(nodes):
+            if j == i:
+                continue
+            # multiply basis by (x - xj)
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                nxt[d] -= c * xj
+                nxt[d + 1] += c
+            basis = nxt
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        for d, c in enumerate(basis):
+            coeffs[d] += scale * c
+    return tuple(coeffs)
 
 
 def _primitive(vec):

@@ -486,11 +486,11 @@ def test_perturb_transfer_reads_blocks_at_their_shifts(ring):
 def test_homology_result_direct_sum_merges_torsion():
     a = HomologyResult.from_dict({0: (1, (2,))})
     b = HomologyResult.from_dict({0: (0, (3,)), 1: (2, ())})
-    s = a.direct_sum(b)
+    s = HomologyResult.direct_sum_of((a, b))
     assert s.as_dict() == {0: (1, (6,)), 1: (2, ())}
     c = HomologyResult.from_dict({0: (0, (4, 8))})
     d = HomologyResult.from_dict({0: (0, (6,))})
-    assert c.direct_sum(d).as_dict() == {0: (0, (2, 4, 24))}
+    assert HomologyResult.direct_sum_of((c, d)).as_dict() == {0: (0, (2, 4, 24))}
 
 
 def test_direct_sum_merges_torsion_of_large_primes():

@@ -26,6 +26,7 @@ from helpers import (
     faces_by_subsets,
     facets_by_subsets,
     hull_facets_by_point_test,
+    interpolate_by_lagrange,
     lattice_points_by_box,
     sample_polytopes,
 )
@@ -159,6 +160,31 @@ def test_ehrhart_coefficients():
         Fraction(1), Fraction(2), Fraction(1))
     assert ehrhart_polynomial(SAMPLES["interval"]).coefficients == (
         Fraction(1), Fraction(1))
+
+
+def _random_lattice_polytopes(rng, count):
+    """``count`` distinct lattice polytopes of dimension 1-4: hulls of a few
+    random points of a small box, kept when every point is a vertex."""
+    out = {}
+    while len(out) < count:
+        dim = rng.randint(1, 4)
+        span = (3, 3, 2, 1)[dim - 1]
+        pts = sorted({tuple(rng.randint(0, span) for _ in range(dim))
+                      for _ in range(rng.randint(dim + 1, dim + 4))})
+        try:
+            out[tuple(pts)] = facets_from_vertices(dim, pts)
+        except (NotFullDimensional, ValueError):
+            continue
+    return list(out.values())
+
+
+def test_ehrhart_coefficients_against_lagrange():
+    rng = random.Random(20100730)
+    polytopes = list(SAMPLES.values()) + _random_lattice_polytopes(rng, 240)
+    assert {P.dim for P in polytopes} >= {1, 2, 3, 4}
+    for P in polytopes:
+        nodes = [(k, len(lattice_points(P, k))) for k in range(P.dim + 1)]
+        assert ehrhart_polynomial(P).coefficients == interpolate_by_lagrange(nodes), P.vertices
 
 
 def test_ehrhart_constant_term_and_leading_sign():

@@ -97,6 +97,16 @@ def test_cone_of_identity_and_of_zero():
     assert cone({}, Y, Z) == direct_sum(suspend(Y, 1), Z)
 
 
+def test_cone_with_an_empty_side():
+    # no placeholder levels: an empty side adds nothing
+    Y = make_twist_complex(0, [[1], [0]], {1: {(0, 0): [(1, (1, 0))]}})
+    Z = make_twist_complex(3, [[2], [2]], {4: {(0, 0): [(1, (0, 0))]}})
+    empty = TwistComplex.empty()
+    assert cone({}, empty, Z) == Z
+    assert cone({}, Y, empty) == suspend(Y, 1)
+    assert cone({}, empty, empty) == empty
+
+
 def test_cone_requires_chain_map():
     src = make_twist_complex(0, [[0], [0]], {1: {(0, 0): [(1, (0, 0))]}})
     tgt = make_twist_complex(0, [[1], [1]], {1: {(0, 0): [(2, (0, 0))]}})
