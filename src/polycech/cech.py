@@ -8,15 +8,17 @@ the multidegree. Each context builds the column of a mask once, and
 computes its contraction once, on first use; every twist, multidegree,
 level and call that reaches the mask shares them, the transfer reading a
 column placed at level t through a degree offset of t rather than a
-copy. Line-bundle homology is found by scanning a verified bounding box
-of columns, taking homology once per face pattern per call; general twist
-complexes are handled by contracting the columns onto their homology and
-transferring the monomial differentials through the homotopies. The
-monomial edges between columns are found once per call, and each block of
-the monomial differential is a signed gather, face f of one column to
-face f of the next, applied without a matrix product. The transferred
-complex is taken apart into the components its nonzero entries link, and
-only those are eliminated.
+copy. The support of each twist k, the lattice points of kP for k >= 0
+and the interior points of kP for k < 0, is enumerated once per context
+and kept for every later call. Line-bundle homology is found by scanning
+a verified bounding box of columns, taking homology once per face
+pattern per call; general twist complexes are handled by contracting the
+columns onto their homology and transferring the monomial differentials
+through the homotopies. The monomial edges between columns are found
+once per call, and each block of the monomial differential is a signed
+gather, face f of one column to face f of the next, applied without a
+matrix product. The transferred complex is taken apart into the
+components its nonzero entries link, and only those are eliminated.
 Columns, contractions and the transfer are integral: the paper builds
 its complexes over Z and a coefficient ring R enters by base change, so
 R is applied only in the homology of the small transferred complex.
@@ -116,9 +118,11 @@ def scan_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
 
 
 class CechContext:
-    """Per-polytope caches: face lattice, incidence signs, Ehrhart data and
-    the column of every facet mask reached so far, with the column's
-    contraction once it has been used."""
+    """Per-polytope caches: face lattice, incidence signs, Ehrhart data,
+    the support table of every twist asked so far, and the column of every
+    facet mask reached so far, with the column's contraction once it has
+    been used. Nothing is evicted: like the module's context cache, a
+    context keeps what it has enumerated for as long as it lives."""
 
     def __init__(self, P: LatticePolytope, reverse_orientation: bool = False):
         self.polytope = P
@@ -133,6 +137,7 @@ class CechContext:
         self._face_masks = tuple(
             sum(1 << i for i in f.tight_facets) for f in self.lattice.faces)
         self._columns: dict[int, ColumnComplex] = {}  # by facet mask
+        self._supports: dict[int, SupportTable] = {}  # by twist
 
     def column_complex(self, k: int, m: Sequence[int]) -> ColumnComplex:
         """Faces whose cone k*F + T_F contains m, with incidence differentials.
@@ -168,9 +173,18 @@ class CechContext:
         return col
 
     def support_table(self, k: int) -> SupportTable:
-        """Multidegrees carrying homology: kP for k >= 0, interior of kP else."""
-        pts = lattice_points(self.polytope, k, interior=k < 0)
-        return SupportTable(self.polytope.dim if k >= 0 else 0, pts)
+        """Multidegrees carrying homology: kP for k >= 0, interior of kP else.
+
+        The points are enumerated the first time twist k is asked and the
+        table is kept; every later call, from any reader, returns the same
+        immutable table. A context thus keeps the support of every twist it
+        has been asked, each table the size the first call enumerated.
+        """
+        table = self._supports.get(k)
+        if table is None:
+            pts = lattice_points(self.polytope, k, interior=k < 0)
+            table = self._supports[k] = SupportTable(self.polytope.dim if k >= 0 else 0, pts)
+        return table
 
     def line_bundle_cohomology(self, k: int, ring: CoefficientRing = ZZ) -> CechResult:
         """Homology of the Čech complex of O(k) by exhaustive column scan.

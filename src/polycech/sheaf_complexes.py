@@ -214,7 +214,15 @@ def cone(f: Mapping[int, Mapping[tuple[int, int], object]],
     level t of the target. Level t of the cone is source_{t-1} (+) target_t
     with differential [[-d_source, 0], [f, d_target]]: the direct sum of
     the suspended source and the target, with f added below the source.
+    An entry (i, j) of ``f[t]`` outside the block, i not a summand of
+    target_t or j not a summand of source_t, raises ValueError.
     """
+    for t, entries in f.items():
+        rows, cols = len(target.level(t)), len(source.level(t))
+        for i, j in entries or {}:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(
+                    f"f entry ({i}, {j}) at level {t} lies outside the {rows} x {cols} block")
     f_maps = {t: {pos: _merge_terms(terms) for pos, terms in (f.get(t) or {}).items()}
               for t in range(min(source.lo, target.lo) - 1, max(source.hi, target.hi) + 2)}
     for t in range(min(source.lo, target.lo), max(source.hi, target.hi) + 1):

@@ -126,12 +126,99 @@ def test_support_tables():
 
 
 def test_support_table_empty_exactly_on_the_root_window():
+    # the table equals the box count on the first read and the stored one
     from polycech.polytope import np_index
     for name, P in SAMPLES.items():
         npi = np_index(P)
-        for k in range(-P.dim - 2, 3):
-            empty = not support_table(P, k).multidegrees
-            assert empty == (-npi <= k <= -1), (name, k)
+        ctx = CechContext(P)
+        for k in range(-P.dim - 2, 4):
+            expected = lattice_points_by_box(P, k, interior=k < 0)
+            for table in (ctx.support_table(k), ctx.support_table(k)):
+                assert table.multidegrees == expected, (name, k)
+                assert table.degree == (P.dim if k >= 0 else 0), (name, k)
+            assert (not expected) == (-npi <= k <= -1), (name, k)
+
+
+def seeded_cones(P, seed, count=4):
+    """Cones O(a) -> O(b), a < b, by one to three seeded monomials of (b - a)P."""
+    rng = random.Random(seed)
+    cones = []
+    for _ in range(count):
+        a = rng.randint(-1, 1)
+        b = rng.randint(a + 1, 2)
+        pts = lattice_points(P, b - a)
+        terms = [(rng.choice([-2, -1, 1, 2]), u)
+                 for u in rng.sample(pts, min(len(pts), rng.randint(1, 3)))]
+        cones.append(cone({0: {(0, 0): terms}}, line_bundle(a), line_bundle(b)))
+    return cones
+
+
+@pytest.mark.parametrize("name", ["simplex2", "square", "cube"])
+def test_supports_are_enumerated_once_per_twist(name, monkeypatch):
+    # a context enumerates the support of a twist the first time it is
+    # asked, whichever reader asks, and every later read is the stored table
+    P = SAMPLES[name]
+    real = cech_mod.lattice_points
+    enumerated = []
+
+    def counting(P, k, interior=False):
+        enumerated.append(k)
+        return real(P, k, interior)
+
+    monkeypatch.setattr(cech_mod, "lattice_points", counting)
+    # two summands of one twist, beside the seeded cones
+    Ys = seeded_cones(P, 20100730) + [make_twist_complex(0, [[1, 1]])]
+    twists = sorted({k for Y in Ys for _, _, k in Y.summands()})
+
+    ctx = CechContext(P)
+    first = [ctx.cech_homology(Y, ZZ) for Y in Ys]
+    assert sorted(enumerated) == twists
+    enumerated.clear()
+    assert [ctx.cech_homology(Y, ZZ) for Y in Ys] == first
+    for k in twists:
+        ctx.line_bundle_cohomology(k, ZZ)
+    assert enumerated == []
+
+    ctx = CechContext(P)
+    scans = [ctx.line_bundle_cohomology(k, ZZ) for k in twists]
+    assert enumerated == twists
+    enumerated.clear()
+    assert [ctx.line_bundle_cohomology(k, ZZ) for k in twists] == scans
+    for Y in Ys:
+        ctx.cech_homology(Y, ZZ)
+    assert enumerated == []
+    # the module-level reader shares the table of the module's context
+    assert support_table(P, twists[0]) is cech_mod.context(P).support_table(twists[0])
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=lambda r: r.label)
+def test_contexts_answer_alike_in_either_order(ring):
+    # the order a context is asked in changes none of its answers
+    for name in ("simplex2", "square", "cube"):
+        P = SAMPLES[name]
+        twists = range(-P.dim - 1, 3)
+        Ys = seeded_cones(P, 4242) + [line_bundle(k) for k in twists]
+        asks = ([lambda ctx, Y=Y: ctx.cech_homology(Y, ring) for Y in Ys]
+                + [lambda ctx, k=k: ctx.line_bundle_cohomology(k, ring) for k in twists])
+        forward, backward = CechContext(P), CechContext(P)
+        ahead = [ask(forward) for ask in asks]
+        behind = [ask(backward) for ask in reversed(asks)]
+        assert ahead == behind[::-1], name
+
+
+def test_closed_form_check_fires_on_a_stored_table(monkeypatch):
+    # the scan is checked against the table the transfer reads, whichever
+    # of them enumerated it, on the first call and on every later one
+    real = cech_mod.lattice_points
+    monkeypatch.setattr(cech_mod, "lattice_points",
+                        lambda P, k, interior=False: real(P, k, interior)[:-1])
+    for transfer_first in (False, True):
+        ctx = CechContext(SAMPLES["square"])
+        if transfer_first:
+            ctx.cech_homology(line_bundle(2), ZZ)
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="closed form says"):
+                ctx.line_bundle_cohomology(2, ZZ)
 
 
 def test_cech_homology_single_bundle_matches_scan():

@@ -118,6 +118,20 @@ def test_cone_requires_chain_map():
     validate(result, D2)
 
 
+def test_cone_rejects_entries_outside_their_block():
+    # a column past source_t would land among the target's columns and
+    # replace a differential entry; a row past target_t has no row to land in
+    T = make_twist_complex(0, [[1], [1], [1]], {2: {(0, 0): [(1, (0, 0))]}})
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) at level 1 "):
+        cone({1: {(0, 0): [(5, (0, 0))]}}, line_bundle(0), T)
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) at level 0 "):
+        cone({0: {(1, 0): [(1, (0, 0))]}}, line_bundle(0), line_bundle(1))
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) at level 0 "):
+        cone({0: {(0, 1): [(1, (0, 0))]}}, line_bundle(0), line_bundle(1))
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) at level 3 "):
+        cone({3: {(0, 0): [(1, (0, 0))]}}, line_bundle(0), line_bundle(1))
+
+
 def test_cone_differential_blocks():
     f = basic_map((0,))
     Y = cone(f, line_bundle(0), line_bundle(1))
