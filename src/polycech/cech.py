@@ -28,7 +28,6 @@ matrix are derived on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import add, mul
@@ -56,6 +55,7 @@ from .polytope import (
     np_index,
     standard_simplex,
 )
+from .record import Record
 from .sheaf_complexes import TwistComplex, bundle_tensor, cone, line_bundle, twist, validate
 
 
@@ -71,8 +71,7 @@ class NotUnimodular(Exception):
     """The splitting matrix failed triangularity or unimodularity."""
 
 
-@dataclass(frozen=True)
-class ColumnComplex:
+class ColumnComplex(Record):
     """The multidegree slices of the Čech complex of O(k) with one facet
     mask: a complex of rank-0/1 face contributions in Čech degrees 0..n.
 
@@ -94,16 +93,14 @@ class ColumnComplex:
         return tuple({f: r for r, f in enumerate(fs)} for fs in self.faces)
 
 
-@dataclass(frozen=True)
-class SupportTable:
+class SupportTable(Record):
     """Homological degree and multidegrees carrying the homology of O(k)."""
 
     degree: int
     multidegrees: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CechResult:
+class CechResult(Record):
     homology: HomologyResult
     active_multidegrees: int
     transfer_paths: int
@@ -124,10 +121,10 @@ class CechContext:
     been used. Nothing is evicted: like the module's context cache, a
     context keeps what it has enumerated for as long as it lives."""
 
-    def __init__(self, P: LatticePolytope, reverse_orientation: bool = False):
+    def __init__(self, P: LatticePolytope):
         self.polytope = P
         self.lattice = face_lattice(P)
-        self.incidence = incidence_numbers(self.lattice, reverse=reverse_orientation)
+        self.incidence = incidence_numbers(self.lattice)
         self.ehrhart = ehrhart_polynomial(P)
         self.np = np_index(P, self.ehrhart)
         n = P.dim

@@ -48,10 +48,11 @@ All entries are Python ints or Fractions; there is no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
+
+from .record import Record
 
 
 class InvalidComplex(Exception):
@@ -77,8 +78,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
+class CoefficientRing(Record):
     """One of the implemented coefficient rings: Z, Q, or F_p.
 
     ``kind`` is "Z", "Q" or "Fp"; ``p`` is set only for prime fields.
@@ -478,8 +478,7 @@ def invariant_factors(A: Matrix) -> list[int]:
     return [D[i, i] for i in range(min(D.rows, D.cols)) if D[i, i]]
 
 
-@dataclass(frozen=True)
-class FreeChainComplex:
+class FreeChainComplex(Record):
     """Bounded complex of finite free modules; differentials lower degree by 1.
 
     ``ranks[d - lo]`` is the rank in degree d; ``diffs[d - lo - 1]`` is the
@@ -568,8 +567,7 @@ def _insert_factor(runs: list[list[int]], f: int) -> None:
         f, i = g, i - 1
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(Record):
     """Homology groups keyed by degree: free rank plus invariant factors."""
 
     groups: tuple[tuple[int, int, tuple[int, ...]], ...]
@@ -665,8 +663,7 @@ def complex_homology(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Homolog
     return HomologyResult.from_dict(data)
 
 
-@dataclass(frozen=True)
-class Contraction:
+class Contraction(Record):
     """Retraction of ``ambient`` onto ``small`` with explicit homotopy.
 
     include (i), project (p) and homotopy (h) are stored per degree of the
@@ -767,8 +764,7 @@ def contraction(C: FreeChainComplex) -> Contraction:
     )
 
 
-@dataclass(frozen=True)
-class Transferred:
+class Transferred(Record):
     """The transferred complex, split into connected components.
 
     Blocks joined by a nonzero transferred entry form one component;

@@ -10,22 +10,20 @@ minor per pair, with no rational coordinates solved for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exact_linalg import Matrix, row_echelon
 from .polytope import Face, FaceLattice, _dot
+from .record import Record
 
 
 class DegenerateBasis(Exception):
     """Internal guard: a face basis failed to span where it must."""
 
 
-@dataclass(frozen=True)
-class IncidenceSystem:
+class IncidenceSystem(Record):
     """Signs keyed by (inner face index, outer face index); absent pairs are 0."""
 
     numbers: tuple[tuple[tuple[int, int], int], ...]
-    _signs: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    _signs: dict[tuple[int, int], int]  # set by __post_init__, not a field
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_signs", dict(self.numbers))

@@ -10,7 +10,6 @@ of the point counts, and the count of its integral roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -18,6 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .exact_linalg import row_echelon
+from .record import Record
 
 
 class NotFullDimensional(Exception):
@@ -36,8 +36,7 @@ class CharacterizationMismatch(Exception):
     """Internal guard: the two descriptions of the root count disagree."""
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(Record):
     """Full-dimensional polytope in R^dim with integral vertices.
 
     ``facets`` holds pairs (normal, offset) with the inward convention
@@ -164,8 +163,7 @@ def standard_simplex(n: int) -> LatticePolytope:
     return facets_from_vertices(n, verts)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """Nonempty face of a polytope, stored by its vertex indices."""
 
     index: int
@@ -326,8 +324,7 @@ def lattice_points(P: LatticePolytope, k: int, interior: bool = False) -> tuple[
     return tuple(points)
 
 
-@dataclass(frozen=True)
-class EhrhartPolynomial:
+class EhrhartPolynomial(Record):
     """Exact point-counting polynomial: coefficients ascending, plus the
     count of integral roots and the roots themselves."""
 

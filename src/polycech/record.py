@@ -1,0 +1,76 @@
+"""Immutable value records, the package's one base for its value types.
+
+``dataclasses`` imports ``inspect`` and writes each class's methods with
+``exec``; for thirteen frozen classes that was about a third of the time
+of ``import polycech``, paid again by every command line process.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+_set = object.__setattr__
+
+
+class Record:
+    """Frozen value whose fields are the class's own annotations not starting
+    with an underscore, in order; a class attribute of that name is a default.
+
+    Instances of the same class with equal fields are equal, hash as their
+    fields and print as ``Name(f=v, ...)``. ``__post_init__`` runs after the
+    fields are set; it may check them or set private attributes with
+    ``object.__setattr__``, as the fields are set. A record keeps its
+    ``__dict__``, so ``cached_property`` works on it.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(n for n in cls.__annotations__ if not n.startswith("_"))
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+        cls._key = attrgetter(*cls._fields)  # the field tuple; the value if only one
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for i, name in enumerate(names):  # faster than zip on CPython 3.11
+            _set(self, name, args[i])
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
+        try:
+            rest = [kwargs.pop(n) if n in kwargs else cls._defaults[n] for n in names[len(args):]]
+        except KeyError as missing:
+            raise TypeError(f"{cls.__name__} is missing field {missing}") from None
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{cls.__name__} got an unexpected or repeated field {name!r}")
+        return args + tuple(rest)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"

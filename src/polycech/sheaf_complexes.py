@@ -9,11 +9,11 @@ module complex keep everything inside this fragment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .exact_linalg import FreeChainComplex
 from .polytope import LatticePolytope, satisfies_inequalities
+from .record import Record
 
 # a formal sum of monomials: ((coeff, exponent vector), ...)
 Terms = tuple[tuple[int, tuple[int, ...]], ...]
@@ -74,8 +74,7 @@ def _freeze_map(entries: Mapping[tuple[int, int], object]) -> tuple:
     return tuple(frozen)
 
 
-@dataclass(frozen=True)
-class TwistComplex:
+class TwistComplex(Record):
     """Chain complex of direct sums of twists; levels lo..hi, differentials
     from level t to t-1 as sparse matrices of monomial sums."""
 
@@ -125,12 +124,21 @@ class TwistComplex:
 
 def make_twist_complex(lo: int, levels: Sequence[Sequence[int]],
                        diffs: Mapping[int, Mapping[tuple[int, int], object]] | None = None) -> TwistComplex:
-    """Normalize raw level/differential data into a TwistComplex."""
+    """Normalize raw level/differential data into a TwistComplex.
+
+    ``diffs[t]`` maps level t to t-1, so t must lie in lo+1..hi; a key
+    outside that range raises ValueError instead of being dropped.
+    """
     levels_t = tuple(tuple(int(k) for k in lv) for lv in levels)
-    if not levels_t:
-        return TwistComplex.empty()
     hi = lo + len(levels_t) - 1
     diffs = diffs or {}
+    for t in diffs:
+        if not lo < t <= hi:
+            starts = f"levels {lo + 1}..{hi}" if lo < hi else "no level"
+            raise ValueError(
+                f"differential from level {t} out of range: differentials start at {starts}")
+    if not levels_t:
+        return TwistComplex.empty()
     diff_t = tuple(_freeze_map(diffs.get(t, {})) for t in range(lo + 1, hi + 1))
     return TwistComplex(lo, hi, levels_t, diff_t)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 from itertools import product
@@ -34,6 +33,7 @@ from polycech.exact_linalg import (
 )
 from polycech.polytope import (
     CharacterizationMismatch,
+    EhrhartPolynomial,
     cone_membership,
     ehrhart_polynomial,
     facets_from_vertices,
@@ -677,7 +677,8 @@ def test_context_interpolates_once_and_keeps_the_np_cross_check(monkeypatch):
     ctx = CechContext(PYRAMID)
     assert calls == [PYRAMID] and ctx.np == ctx.ehrhart.np
     # a root count that the interior dilates contradict still raises
-    wrong = dataclasses.replace(ctx.ehrhart, np=ctx.np + 1)
+    e = ctx.ehrhart
+    wrong = EhrhartPolynomial(e.coefficients, ctx.np + 1, e.integral_roots)
     monkeypatch.setattr(cech_mod, "ehrhart_polynomial", lambda P: wrong)
     with pytest.raises(CharacterizationMismatch):
         CechContext(PYRAMID)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,18 +389,27 @@ def test_verify_suite_simplex3():
         verify_suite(standard_simplex(3), kmax=-3)
 
 
-def test_module_entry_point(docs):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def child_python(*args):
+    """Run a fresh interpreter with this checkout's src/ first on the path."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "polycech.cli", "ehrhart", docs["d2.json"]],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(docs):
+    proc = child_python("-m", "polycech.cli", "ehrhart", docs["d2.json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"coeffs": ["1", "3/2", "1/2"], "np": 2,
                                        "integral_roots": [-2, -1]}
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect():
+    # every command is a fresh process and would pay for both imports;
+    # modules that site loaded before the first line do not count
+    proc = child_python("-c", "import sys; before = set(sys.modules); import polycech.cli; "
+                              "print(*set(sys.modules) - before)")
+    assert proc.returncode == 0, proc.stderr
+    new = set(proc.stdout.split())
+    assert "polycech.cli" in new
+    assert not {"dataclasses", "inspect"} & new

@@ -25,7 +25,10 @@ from polycech.exact_linalg import (
     row_echelon,
     smith_normal_form,
 )
+from polycech import cech as cech_mod
+from polycech.orientation import IncidenceSystem
 from polycech.polytope import facets_from_vertices
+from polycech.sheaf_complexes import TwistComplex
 
 from helpers import (
     gauss_jordan,
@@ -97,6 +100,50 @@ def test_ring_parsing_and_units():
     with pytest.raises(ValueError):
         GF(2**61 - 1)  # prime, but above the bound on trial division
     assert GF(3).normalize(-1) == 2
+
+
+def test_records_are_frozen_values(monkeypatch):
+    assert CoefficientRing("Fp", 5) == CoefficientRing(kind="Fp", p=5) == GF(5)
+    assert CoefficientRing("Q").p is None and CoefficientRing("Q") == QQ
+    assert hash(CoefficientRing("Fp", p=5)) == hash(GF(5))
+    assert GF(5) != GF(7) and GF(5) != "Fp:5"
+    # equal field values in another class are still a different value
+    assert FreeChainComplex.empty() != TwistComplex.empty()
+    # the private sign table is set by __post_init__ and is not a field
+    inc = IncidenceSystem((((0, 1), -1),))
+    assert inc == IncidenceSystem((((0, 1), -1),)) and inc.sign(0, 1) == -1
+    assert repr(inc) == "IncidenceSystem(numbers=(((0, 1), -1),))"
+    assert repr(GF(5)) == "CoefficientRing(kind='Fp', p=5)"
+    assert repr(ZZ) == "CoefficientRing(kind='Z', p=None)"
+    assert repr(HomologyResult(((0, 1, (2,)),))) == "HomologyResult(groups=((0, 1, (2,)),))"
+    assert repr(FreeChainComplex.empty()) == "FreeChainComplex(lo=0, hi=-1, ranks=(), diffs=())"
+    P = facets_from_vertices(1, [(0,), (1,)])
+    assert repr(P) == "LatticePolytope(dim=1, vertices=((0,), (1,)), facets=(((-1,), -1), ((1,), 0)))"
+    # an equal polytope built again finds the same cached context
+    monkeypatch.setattr(cech_mod, "_context_cache", {})
+    again = facets_from_vertices(1, [(0,), (1,)])
+    assert again is not P and again == P and hash(again) == hash(P)
+    assert cech_mod.context(again) is cech_mod.context(P)
+    assert len(cech_mod._context_cache) == 1
+    with pytest.raises(AttributeError):
+        GF(5).p = 7
+    with pytest.raises(AttributeError):
+        del GF(5).kind
+    with pytest.raises(AttributeError):
+        GF(5).extra = 1
+    with pytest.raises(TypeError):
+        CoefficientRing()
+    with pytest.raises(TypeError):
+        CoefficientRing("Fp", 5, 7)
+    with pytest.raises(TypeError):
+        CoefficientRing("Fp", modulus=5)
+    with pytest.raises(TypeError):
+        CoefficientRing("Fp", kind="Fp")
+    # __post_init__ still checks its fields
+    with pytest.raises(ValueError):
+        CoefficientRing("Fp", 4)
+    with pytest.raises(ValueError, match="wrong shape"):
+        FreeChainComplex(0, 1, (1, 1), (Matrix.zeros(2, 1),))
 
 
 def test_integer_normalize_keeps_its_type_rules():

@@ -167,7 +167,9 @@ def test_cellular_homology_of_constant_diagram(name):
 def test_orientation_choice_does_not_change_homology(name):
     P = SAMPLES[name]
     normal = CechContext(P)
-    reversed_ctx = CechContext(P, reverse_orientation=True)
+    # the other orientation, set before the context builds any column
+    reversed_ctx = CechContext(P)
+    reversed_ctx.incidence = incidence_numbers(reversed_ctx.lattice, reverse=True)
     for k in range(-3, 4):
         a = normal.line_bundle_cohomology(k, ZZ).homology
         b = reversed_ctx.line_bundle_cohomology(k, ZZ).homology

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,6 +8,7 @@ from polycech import polytope as polytope_mod
 from polycech.polytope import (
     CharacterizationMismatch,
     DuplicateVertex,
+    EhrhartPolynomial,
     InterpolationInconsistent,
     LatticePolytope,
     NotFullDimensional,
@@ -368,4 +368,4 @@ def test_np_index_cross_check_fires_on_a_wrong_root_count():
     e = ehrhart_polynomial(P)
     assert np_index(P, e) == np_index(P) == 2
     with pytest.raises(CharacterizationMismatch):
-        np_index(P, dataclasses.replace(e, np=1))
+        np_index(P, EhrhartPolynomial(e.coefficients, 1, e.integral_roots))

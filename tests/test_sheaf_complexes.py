@@ -62,6 +62,17 @@ def test_validate_catches_nonzero_square():
         validate(Y, D2)
 
 
+@pytest.mark.parametrize("levels, t", [
+    ([[1], [0]], 5),
+    ([[1], [0]], 0),
+    ([[1]], 1),
+    ([], 1),
+], ids=["above_the_top", "from_the_bottom", "one_level", "no_levels"])
+def test_make_twist_complex_rejects_a_differential_outside_the_levels(levels, t):
+    with pytest.raises(ValueError, match=f"level {t} out of range"):
+        make_twist_complex(0, levels, {t: {(0, 0): [(1, (0, 0))]}})
+
+
 def test_negative_difference_has_no_valid_monomials():
     # the inequality system for a negative dilate of a full-dimensional
     # polytope is empty, so every entry from O(1) down to O(0) is invalid
