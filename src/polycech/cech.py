@@ -14,11 +14,12 @@ and kept for every later call. Line-bundle homology is found by scanning
 a verified bounding box of columns, taking homology once per face
 pattern per call; general twist complexes are handled by contracting the
 columns onto their homology and transferring the monomial differentials
-through the homotopies. The monomial edges between columns are found
-once per call, and each block of the monomial differential is a signed
-gather, face f of one column to face f of the next, applied without a
-matrix product. The transferred complex is taken apart into the
-components its nonzero entries link, and only those are eliminated.
+through the homotopies. One walk per call from the supports finds the
+columns on monomial paths between supports, counts the paths and builds
+the monomial differential, each block a signed gather, face f of one
+column to face f of the next, applied without a matrix product. The
+transferred complex is taken apart into the components its nonzero
+entries link, and only those are eliminated.
 Columns, contractions and the transfer are integral: the paper builds
 its complexes over Z and a coefficient ring R enters by base change, so
 R is applied only in the homology of the small transferred complex.
@@ -221,27 +222,27 @@ class CechContext:
     def cech_homology(self, Y: TwistComplex, ring: CoefficientRing = ZZ) -> CechResult:
         """Homology of the Čech complex of a twist complex by homotopy transfer.
 
-        Steps: (1) supports of every summand; (2) close up the set of
-        (level, summand, multidegree) columns lying on monomial paths
-        between supports, recording each monomial edge once for the path
-        counts and for delta; (3) contract their columns, each mask once
-        per context; (4) transfer the relocated monomial differentials
-        through the homotopies, the contraction of a column at level t
-        read t degrees up. Each delta block is a ``SignedGather``: the
-        coefficient times the (-1)^s column sign times the partial
-        identity from the source's faces to the same faces of the
-        target; (5) take homology of the small complex one linked
-        component at a time, count the columns no transferred entry links
-        by their ranks, and add it all up with the torsion merged once.
+        Steps: (1) supports of every summand; (2) one iterative depth-first
+        walk from the support (level, summand, multidegree) triples down
+        the monomial edges: a triple finishes after its targets and counts
+        its paths down to a support from theirs; if it is a support or
+        has such a path it becomes the next block, its column is read and
+        its delta entries, one per edge and Čech degree, go to the targets
+        that are blocks already. Each delta block is a ``SignedGather``:
+        the coefficient times the (-1)^s column sign times the partial
+        identity from the source's faces to the same faces of the target;
+        (3) contract the columns, each mask once per context; (4) transfer
+        the monomial differentials through the homotopies, the contraction
+        of a column at level t read t degrees up; (5) take homology of the
+        small complex one linked component at a time, count the columns no
+        transferred entry links by their ranks, and add it all up with the
+        torsion merged once.
         Steps (3) and (4) are over Z; ``ring`` enters only in (5), which is
         exact because tensoring preserves the homotopy equivalence of free
         Z-complexes. Integral torsion in a column raises
         TorsionObstruction for every ring.
         """
         validate(Y, self.polytope)
-        if Y.hi < Y.lo or Y.is_empty():
-            return CechResult(HomologyResult.zero(), 0, 0)
-
         support_triples = {(t, j, m) for t, j, k in Y.summands()
                            for m in self.support_table(k).multidegrees}
         if not support_triples:
@@ -254,61 +255,53 @@ class CechContext:
                 per_source.setdefault(j, []).extend((i, term) for term in terms)
             diff_entries[t] = per_source
 
-        # edges[(t, j, m)]: the target triple of each entry of
-        # diff_entries[t][j], in that order, for every triple reachable from
-        # the supports; delta reads the coefficients from the entries. Only
-        # the targets are kept: the cube's Koszul complex has 351 232 edges,
-        # and a (target, coefficient) pair alive for each lengthens every
-        # garbage collection
-        edges: dict[tuple, tuple[tuple, ...]] = {}
-        stack = list(support_triples)
-        while stack:
-            tr = stack.pop()
-            if tr in edges:
-                continue
-            t, j, m = tr
-            edges[tr] = out = tuple([(t - 1, i, tuple(map(add, m, u)))
-                                     for i, (_, u) in diff_entries.get(t, {}).get(j, ())])
-            stack.extend(out)
-
-        # paths from each triple down to a support; edges go down one level,
-        # so ascending order visits every target first
-        order = sorted(edges)
+        # one depth-first walk from the supports; a frame [triple, edges]
+        # gets its (target, coefficient) edges when the walk enters it.
+        # Every edge goes down one level, so a triple finishes after all
+        # its targets: it then knows its paths down to a support and, if
+        # it is a support or has one, becomes the next block
         paths: dict[tuple, int] = {}
-        for tr in order:
-            paths[tr] = sum(paths[tgt] + (tgt in support_triples) for tgt in edges[tr])
-        active = [tr for tr in order if tr in support_triples or paths[tr]]
-        transfer_paths = sum(paths[tr] for tr in support_triples)
-
-        cols = [self.column_complex(Y.level(t)[j], m) for t, j, m in active]
-        block_index = {tr: b for b, tr in enumerate(active)}
-
-        # each delta block sends face f of the source column to face f of
-        # the target: validity makes every source face active there, so the
-        # block is the coefficient times (-1)^s times a partial identity
-        delta: dict[tuple[int, int], dict[int, SignedGather]] = {}
-        for src_idx, tr in enumerate(active):
-            t, j, _ = tr
-            src = cols[src_idx]
-            for tgt, (_, (c, _)) in zip(edges[tr], diff_entries.get(t, {}).get(j, ())):
-                tgt_idx = block_index.get(tgt)
+        block_of: dict[tuple, int] = {}
+        cols: list[ColumnComplex] = []
+        delta: list[tuple[int, int, int, SignedGather]] = []
+        stack = [[tr, None] for tr in support_triples]
+        while stack:
+            frame = stack[-1]
+            tr, out = frame
+            t, j, m = tr
+            if out is None:
+                if tr in paths:
+                    stack.pop()
+                    continue
+                frame[1] = out = [((t - 1, i, tuple(map(add, m, u))), c)
+                                  for i, (c, u) in diff_entries.get(t, {}).get(j, ())]
+                stack.extend([tgt, None] for tgt, _ in out if tgt not in paths)
+                continue
+            stack.pop()
+            paths[tr] = n = sum(paths[tgt] + (tgt in support_triples) for tgt, _ in out)
+            if not n and tr not in support_triples:
+                continue
+            src = self.column_complex(Y.level(t)[j], m)
+            b = block_of[tr] = len(cols)
+            cols.append(src)
+            # each delta block sends face f of the source column to face f
+            # of the target: validity makes every source face active there,
+            # so the block is c times (-1)^s times a partial identity
+            for tgt, c in out:
+                tgt_idx = block_of.get(tgt)
                 if tgt_idx is None:
                     continue
-                per_degree = delta.setdefault((tgt_idx, src_idx), {})
                 for s, tgt_faces in enumerate(cols[tgt_idx].faces):
-                    if not src.faces[s] or not tgt_faces:
-                        continue
-                    block = SignedGather(-c if s % 2 else c,
-                                         [src.positions[s].get(f) for f in tgt_faces],
-                                         len(src.faces[s]))
-                    prev = per_degree.get(t + s)
-                    per_degree[t + s] = block if prev is None else prev + block
+                    if src.faces[s] and tgt_faces:
+                        delta.append((t + s, b, tgt_idx, SignedGather(
+                            -c if s % 2 else c, [src.positions[s].get(f) for f in tgt_faces],
+                            len(src.faces[s]))))
 
         transferred = perturb_transfer([col.contraction for col in cols], delta,
-                                       Y.hi - Y.lo + 1, [t for t, _, _ in active])
+                                       Y.hi - Y.lo + 1, [t for t, _, _ in block_of])
         hom = HomologyResult.direct_sum_of(
             (complex_homology(c, ring) for c in transferred.components), transferred.unlinked)
-        return CechResult(hom, len(active), transfer_paths)
+        return CechResult(hom, len(cols), sum(paths[tr] for tr in support_triples))
 
     def euler_characteristic(self, Y: TwistComplex) -> int:
         """Alternating sum over levels of the signed point counts (-1)^n E(k)."""

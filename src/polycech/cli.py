@@ -247,45 +247,22 @@ def _point_count(P: LatticePolytope, e: EhrhartPolynomial, k: int, interior: boo
     return int((-1) ** P.dim * e(-abs(k)) if interior and k else e(k))
 
 
-def _check_ehrhart_box(P: LatticePolytope, location: str) -> None:
-    n = P.dim
-    size = prod(hi - lo + 1 for lo, hi in bounding_box(P, n + 1))
-    if size > EHRHART_BUDGET:
-        raise InputError(
-            "too_large", f"the bounding box of {n + 1}P holds {size} points, more than "
-            f"the budget of {EHRHART_BUDGET}", location)
+def _refuse_over(budget: int, size: int, what: str, location: str) -> None:
+    # ``what`` names the refused quantity, with {} where its size goes
+    if size > budget:
+        raise InputError("too_large", f"{what.format(size)}, more than the budget of {budget}",
+                         location)
 
 
 def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
     if interior or k >= 0:
-        count = _point_count(P, ehrhart_polynomial(P), k, interior)
-        if count > POINTS_BUDGET:
-            raise InputError(
-                "too_large", f"the dilate holds {count} lattice points, more than the "
-                f"budget of {POINTS_BUDGET}", "--dilate")
+        _refuse_over(POINTS_BUDGET, _point_count(P, ehrhart_polynomial(P), k, interior),
+                     "the dilate holds {} lattice points", "--dilate")
     try:
         pts = lattice_points(P, k, interior)
     except ValueError as exc:
         raise InputError("bad_dilate", str(exc), "--dilate")
     return {"count": len(pts), "points": [list(p) for p in pts]}
-
-
-def _check_supports(P: LatticePolytope, Y: TwistComplex, location: str) -> None:
-    # a summand O(k) is supported on kP, or on the interior of kP for k < 0
-    e = cech.context(P).ehrhart
-    size = sum(_point_count(P, e, k, interior=k < 0) for _, _, k in Y.summands())
-    if size > POINTS_BUDGET:
-        raise InputError(
-            "too_large", f"the supports of the complex hold {size} multidegrees, more than "
-            f"the budget of {POINTS_BUDGET}", location)
-
-
-def _check_scan_box(P: LatticePolytope, k: int, location: str) -> None:
-    size = prod(hi - lo + 1 for lo, hi in cech.scan_box(P, k))
-    if size > POINTS_BUDGET:
-        raise InputError(
-            "too_large", f"the scan box of twist {k} holds {size} multidegrees, more than "
-            f"the budget of {POINTS_BUDGET}", location)
 
 
 def cmd_splitting(P: LatticePolytope) -> dict:
@@ -423,7 +400,8 @@ def run(argv: Sequence[str]) -> tuple[Any, int]:
         return cmd_faces(P), 0
     # every other command may interpolate the Ehrhart polynomial, directly
     # or in the context: refuse before any dilate is enumerated
-    _check_ehrhart_box(P, args.polytope)
+    _refuse_over(EHRHART_BUDGET, prod(hi - lo + 1 for lo, hi in bounding_box(P, P.dim + 1)),
+                 f"the bounding box of {P.dim + 1}P holds {{}} points", args.polytope)
     if args.command == "points":
         return cmd_points(P, args.dilate, args.interior), 0
     if args.command == "ehrhart":
@@ -432,13 +410,17 @@ def run(argv: Sequence[str]) -> tuple[Any, int]:
         return {"np": np_index(P)}, 0
     if args.command == "cohomology":
         ring = _parse_ring(args.ring)
-        _check_scan_box(P, args.twist, "--twist")
+        _refuse_over(POINTS_BUDGET, prod(hi - lo + 1 for lo, hi in cech.scan_box(P, args.twist)),
+                     f"the scan box of twist {args.twist} holds {{}} multidegrees", "--twist")
         res = cech.line_bundle_cohomology(P, args.twist, ring)
         return homology_json(res.homology), 0
     if args.command == "cech":
         ring = _parse_ring(args.ring)
         Y = _load_complex(args.complex, P)
-        _check_supports(P, Y, args.complex)
+        # a summand O(k) is supported on kP, or on the interior of kP for k < 0
+        e = cech.context(P).ehrhart
+        _refuse_over(POINTS_BUDGET, sum(_point_count(P, e, k, k < 0) for _, _, k in Y.summands()),
+                     "the supports of the complex hold {} multidegrees", args.complex)
         res = cech.cech_homology(P, Y, ring)
         return {
             "homology": homology_json(res.homology),
@@ -454,7 +436,8 @@ def run(argv: Sequence[str]) -> tuple[Any, int]:
         if args.kmax < 0:
             raise InputError("bad_kmax", f"kmax {args.kmax} is negative", "--kmax")
         # the scans of twists -kmax..kmax are no larger than that of kmax
-        _check_scan_box(P, args.kmax, "--kmax")
+        _refuse_over(POINTS_BUDGET, prod(hi - lo + 1 for lo, hi in cech.scan_box(P, args.kmax)),
+                     f"the scan box of twist {args.kmax} holds {{}} multidegrees", "--kmax")
         report = verify_suite(P, args.kmax)
         ok = all(item["pass"] for item in report)
         return {"ok": ok, "results": report}, 0 if ok else 1

@@ -127,7 +127,10 @@ class CoefficientRing(Record):
             return int(x)
         if self.kind == "Q":
             return Fraction(x)
-        return int(x) % self.p
+        if type(x) is int:
+            return x % self.p
+        x = Fraction(x)  # a/b is a * b^-1; pow raises ValueError when p divides b
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
 
 ZZ = CoefficientRing("Z")
@@ -238,7 +241,6 @@ class SignedGather:
 
     ``G @ M`` gathers instead of multiplying: row r of the product is c
     times row ``rows[r]`` of M. With c = 1 the product shares M's rows.
-    Terms with the same pattern add by their coefficients.
     """
 
     __slots__ = ("c", "rows", "cols")
@@ -259,11 +261,6 @@ class SignedGather:
             out = tuple(zero if r is None else tuple(c * a for a in data[r])
                         for r in self.rows)
         return Matrix(len(self.rows), other.cols, out)
-
-    def __add__(self, other: "SignedGather") -> "SignedGather":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("gathers with different patterns")
-        return SignedGather(self.c + other.c, self.rows, self.cols)
 
     def is_zero(self) -> bool:
         return not self.c or self.rows.count(None) == len(self.rows)
@@ -301,7 +298,7 @@ def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
             m.append([int(a * den) for a in row] if fracs else row)
             dens.append(den)
     else:
-        m = [[int(a) % p for a in row] for row in rows]
+        m = [list(map(ring.normalize, row)) for row in rows]
     nrows = len(m)
     pivots: list[int] = []
     scale = prev = 1  # over Q the pivots' product telescopes to the last, prev
@@ -781,7 +778,7 @@ class Transferred(Record):
 
 def perturb_transfer(
     blocks: Sequence[Contraction],
-    delta: Mapping[tuple[int, int], Mapping[int, Matrix | SignedGather]],
+    delta: Iterable[tuple[int, int, int, Matrix | SignedGather]],
     level_bound: int,
     shifts: Sequence[int],
 ) -> Transferred:
@@ -791,12 +788,13 @@ def perturb_transfer(
     is degree ``d - shifts[b]`` of the contraction ``blocks[b]``, so one
     contraction serves every level it is placed at, without a copy.
     Degrees below, in delta and in the result, are those of the sum.
-    ``delta[(tgt, src)][d]`` maps the ambient of block ``src`` in degree d
-    to the ambient of block ``tgt`` in degree d-1. A block is a ``Matrix``
-    or a ``SignedGather`` and is read only through ``@`` and
-    ``is_zero()``. Delta must strictly lower a finite filtration so that
-    the series p∘delta∘(-h∘delta)^j∘i stops after at most
-    ``level_bound`` terms; otherwise NonNilpotent is raised.
+    Delta is a flat list: an entry ``(d, src, tgt, block)`` maps the
+    ambient of block ``src`` in degree d to the ambient of block ``tgt``
+    in degree d-1, and entries that repeat a ``(d, src, tgt)`` add. A
+    block is a ``Matrix`` or a ``SignedGather`` and is read only through
+    ``@`` and ``is_zero()``. Delta must strictly lower a finite
+    filtration so that the series p∘delta∘(-h∘delta)^j∘i stops after at
+    most ``level_bound`` terms; otherwise NonNilpotent is raised.
     The sign of h comes from the convention 1 - i∘p = d∘h + h∘d of
     ``Contraction``. The series is followed block by block, starting only
     at the blocks that delta leaves in degree d: each term maps the small
@@ -811,10 +809,9 @@ def perturb_transfer(
     """
     # leaving[d][s]: the nonzero delta blocks (tgt, matrix) out of block s in degree d
     leaving: dict[int, dict[int, list[tuple[int, Matrix | SignedGather]]]] = {}
-    for (ti, si), per_degree in delta.items():
-        for d, m in per_degree.items():
-            if not m.is_zero():
-                leaving.setdefault(d, {}).setdefault(si, []).append((ti, m))
+    for d, si, ti, m in delta:
+        if not m.is_zero():
+            leaving.setdefault(d, {}).setdefault(si, []).append((ti, m))
 
     def add(into, key, m):
         into[key] = into[key] + m if key in into else m

@@ -458,6 +458,40 @@ def koszul(P):
     return make_twist_complex(0, [[-t] * len(level) for t, level in enumerate(subsets)], diffs)
 
 
+def paths_by_enumeration(P, Y):
+    """Monomial paths between supports, followed one path at a time.
+
+    Summand j of level t, a twist O(k), is supported on the points of kP,
+    or of the interior of kP for k < 0, found by ``lattice_points_by_box``.
+    Every path of monomial entries from a support triple (t, j, m) down to
+    another support triple is followed on its own, with no memo of the
+    counts below a triple. Returns the number of such paths and the number
+    of triples on at least one of them, every support included.
+    """
+    supports = {(t, j, m) for t, j, k in Y.summands()
+                for m in lattice_points_by_box(P, k, interior=k < 0)}
+    on_path = set(supports)
+    count = 0
+
+    def follow(path):
+        nonlocal count
+        t, j, m = path[-1]
+        for (i, src), terms in Y.diff_map(t).items():
+            if src != j:
+                continue
+            for _, u in terms:
+                path.append((t - 1, i, tuple(a + b for a, b in zip(m, u))))
+                if path[-1] in supports:
+                    count += 1
+                    on_path.update(path)
+                follow(path)
+                path.pop()
+
+    for tr in supports:
+        follow([tr])
+    return count, len(on_path)
+
+
 def les_two_level_homology(P, Y, ring):
     """Homology of a two-level twist complex via the connecting map.
 

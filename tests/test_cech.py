@@ -55,6 +55,7 @@ from helpers import (
     koszul,
     lattice_points_by_box,
     les_two_level_homology,
+    paths_by_enumeration,
     random_free_complex,
     random_twist_complex,
     random_two_level_complex,
@@ -495,17 +496,21 @@ def test_zero_monomial_cone_splits_by_multidegree(monkeypatch):
 
     monkeypatch.setattr(cech_mod, "perturb_transfer", keeping)
     ctx = CechContext(P)
+    # the transfer reads one column per block, in block order
+    block_multidegrees = []
+    column = ctx.column_complex
+    monkeypatch.setattr(ctx, "column_complex",
+                        lambda k, m: block_multidegrees.append(m) or column(k, m))
     Y = cone({0: {(0, 0): [(1, (0, 0, 0))]}}, line_bundle(1), line_bundle(2))
     res = ctx.cech_homology(Y, ZZ)
     ones, twos = ctx.support_table(1).multidegrees, ctx.support_table(2).multidegrees
     assert res.homology == H({3: (len(twos) - len(ones), ())})
-    # blocks come in sorted (level, summand, multidegree) order
-    active = sorted([(1, 0, m) for m in ones] + [(0, 0, m) for m in twos])
-    assert res.active_multidegrees == len(active)
+    active = [(1, 0, m) for m in ones] + [(0, 0, m) for m in twos]
+    assert res.active_multidegrees == len(active) == len(block_multidegrees)
     (out,) = transfers
     assert len(out.components) == len(ones)
     for bs in out.linked:
-        assert len(bs) == 2 and len({active[b][2] for b in bs}) == 1
+        assert len(bs) == 2 and len({block_multidegrees[b] for b in bs}) == 1
     assert out.unlinked == {3: len(twos) - len(ones)}
 
 
@@ -534,7 +539,7 @@ def test_delta_blocks_are_gathers_not_dense_grids(monkeypatch):
     Y = cone({0: {(0, 0): terms}}, line_bundle(0), line_bundle(2))
     res = CechContext(P).cech_homology(Y, ZZ)
     (delta,) = deltas
-    blocks = [G for per_degree in delta.values() for G in per_degree.values()]
+    blocks = [G for _, _, _, G in delta]
     assert blocks and all(isinstance(G, SignedGather) for G in blocks)
     assert "column_complex" in callers and "cech_homology" not in callers
     assert res.homology == les_two_level_homology(P, Y, ZZ)
@@ -654,6 +659,22 @@ def test_vertex_koszul_without_its_top_level(name):
     expected = H({N - 1: (len(lattice_points_by_box(P, N, interior=True)), ())})
     for ring in (ZZ, GF(2)):
         assert cech_homology(P, top_dropped, ring).homology == expected, ring.label
+
+
+@pytest.mark.parametrize("name", ["interval", "simplex2", "square"])
+def test_transfer_paths_match_path_enumeration(name):
+    # the transfer counts paths by one walk with the counts of each
+    # triple's targets; the oracle follows every path on its own
+    P = SAMPLES[name]
+    rng = random.Random(1007)
+    complexes = [koszul(P)]
+    complexes += [random_twist_complex(P, rng) for _ in range(8)]
+    complexes += [random_two_level_complex(P, rng) for _ in range(8)]
+    for Y in complexes:
+        res = cech_homology(P, Y)
+        assert (res.transfer_paths, res.active_multidegrees) == paths_by_enumeration(P, Y), Y
+    assert paths_by_enumeration(P, koszul(P)) == {
+        "interval": (2, 4), "simplex2": (6, 8), "square": (92, 40)}[name]
 
 
 def test_zero_dimensional_polytope_line_bundles():
