@@ -10,16 +10,18 @@ level and call that reaches the mask shares them, the transfer reading a
 column placed at level t through a degree offset of t rather than a
 copy. The support of each twist k, the lattice points of kP for k >= 0
 and the interior points of kP for k < 0, is enumerated once per context
-and kept for every later call. Line-bundle homology is found by scanning
-a verified bounding box of columns, taking homology once per face
-pattern per call; general twist complexes are handled by contracting the
-columns onto their homology and transferring the monomial differentials
-through the homotopies. One walk per call from the supports finds the
-columns on monomial paths between supports, counts the paths and builds
-the monomial differential, each block a signed gather, face f of one
-column to face f of the next, applied without a matrix product. The
-transferred complex is taken apart into the components its nonzero
-entries link, and only those are eliminated.
+and kept for every later call, with the column at each of its points.
+Line-bundle homology is found by scanning a verified bounding box of
+columns, taking homology once per face pattern per call; general twist
+complexes are handled by contracting the columns onto their homology and
+transferring the monomial differentials through the homotopies. One walk
+per call from the supports finds the columns on monomial paths between
+supports, counts the paths and builds the monomial differential, each
+block a signed gather, face f of one column to face f of the next,
+applied without a matrix product. Which rows a block gathers depends
+only on the masks of its two columns, so each context works it out once
+per pair of masks. The transferred complex is taken apart into the
+components its nonzero entries link, and only those are eliminated.
 Columns, contractions and the transfer are integral: the paper builds
 its complexes over Z and a coefficient ring R enters by base change, so
 R is applied only in the homology of the small transferred complex.
@@ -76,29 +78,28 @@ class ColumnComplex(Record):
     """The multidegree slices of the Čech complex of O(k) with one facet
     mask: a complex of rank-0/1 face contributions in Čech degrees 0..n.
 
-    A context holds one per mask reached. Its contraction is computed over
-    Z the first time it is read and kept with it, and so are the rows of
-    its faces, from which the transfer's delta blocks gather.
+    A context holds one per mask reached, and ``mask`` records it. Its
+    contraction is computed over Z the first time it is read and kept
+    with it.
     """
 
     complex: FreeChainComplex
     faces: tuple[tuple[int, ...], ...]  # active face indices per Čech degree
+    mask: int  # bit i set iff facet i's inequality holds
 
     @cached_property
     def contraction(self) -> Contraction:
         return contraction(self.complex)
 
-    @cached_property
-    def positions(self) -> tuple[dict[int, int], ...]:
-        """Row of each active face, per Čech degree."""
-        return tuple({f: r for r, f in enumerate(fs)} for fs in self.faces)
-
 
 class SupportTable(Record):
-    """Homological degree and multidegrees carrying the homology of O(k)."""
+    """Homological degree and multidegrees carrying the homology of O(k),
+    with the column of O(k) at each multidegree, in the same order: the
+    table is built once per twist, and so are its columns."""
 
     degree: int
     multidegrees: tuple[tuple[int, ...], ...]
+    columns: tuple[ColumnComplex, ...]
 
 
 class CechResult(Record):
@@ -117,9 +118,10 @@ def scan_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
 
 class CechContext:
     """Per-polytope caches: face lattice, incidence signs, Ehrhart data,
-    the support table of every twist asked so far, and the column of every
+    the support table of every twist asked so far, the column of every
     facet mask reached so far, with the column's contraction once it has
-    been used. Nothing is evicted: like the module's context cache, a
+    been used, and the delta gathers of every pair of masks a transfer
+    has joined. Nothing is evicted: like the module's context cache, a
     context keeps what it has enumerated for as long as it lives."""
 
     def __init__(self, P: LatticePolytope):
@@ -136,6 +138,7 @@ class CechContext:
             sum(1 << i for i in f.tight_facets) for f in self.lattice.faces)
         self._columns: dict[int, ColumnComplex] = {}  # by facet mask
         self._supports: dict[int, SupportTable] = {}  # by twist
+        self._gathers: dict[tuple[int, int], tuple] = {}  # by (source, target) mask
 
     def column_complex(self, k: int, m: Sequence[int]) -> ColumnComplex:
         """Faces whose cone k*F + T_F contains m, with incidence differentials.
@@ -167,7 +170,7 @@ class CechContext:
                 else:
                     diffs[s] = Matrix.zeros(0, len(cols))
             col = self._columns[mask] = ColumnComplex(
-                FreeChainComplex.from_dicts(ranks, diffs), faces)
+                FreeChainComplex.from_dicts(ranks, diffs), faces, mask)
         return col
 
     def support_table(self, k: int) -> SupportTable:
@@ -181,8 +184,23 @@ class CechContext:
         table = self._supports.get(k)
         if table is None:
             pts = lattice_points(self.polytope, k, interior=k < 0)
-            table = self._supports[k] = SupportTable(self.polytope.dim if k >= 0 else 0, pts)
+            table = self._supports[k] = SupportTable(
+                self.polytope.dim if k >= 0 else 0, pts,
+                tuple(self.column_complex(k, m) for m in pts))
         return table
+
+    def _gathers_between(self, src: ColumnComplex, tgt: ColumnComplex) -> tuple:
+        """The delta pattern from column ``src`` to column ``tgt``: one
+        ``(s, rows, width)`` per Čech degree s where both have faces, with
+        ``rows[r]`` the row of tgt's r-th face among src's ``width`` faces,
+        or None. Built once per pair of masks and kept."""
+        key = (src.mask, tgt.mask)
+        out = self._gathers.get(key)
+        if out is None:
+            out = self._gathers[key] = tuple(
+                (s, tuple(map({f: r for r, f in enumerate(fs)}.get, ft)), len(fs))
+                for s, (fs, ft) in enumerate(zip(src.faces, tgt.faces)) if fs and ft)
+        return out
 
     def line_bundle_cohomology(self, k: int, ring: CoefficientRing = ZZ) -> CechResult:
         """Homology of the Čech complex of O(k) by exhaustive column scan.
@@ -222,15 +240,18 @@ class CechContext:
     def cech_homology(self, Y: TwistComplex, ring: CoefficientRing = ZZ) -> CechResult:
         """Homology of the Čech complex of a twist complex by homotopy transfer.
 
-        Steps: (1) supports of every summand; (2) one iterative depth-first
-        walk from the support (level, summand, multidegree) triples down
-        the monomial edges: a triple finishes after its targets and counts
-        its paths down to a support from theirs; if it is a support or
-        has such a path it becomes the next block, its column is read and
+        Steps: (1) supports of every summand, with their columns, from the
+        support tables; (2) one iterative depth-first walk from the
+        support (level, summand, multidegree) triples down the monomial
+        edges: a triple finishes after its targets and counts its paths
+        down to a support from theirs; if it is a support or has such a
+        path it becomes the next block, its column is read (built by
+        ``column_complex`` only for a triple that is not a support) and
         its delta entries, one per edge and Čech degree, go to the targets
         that are blocks already. Each delta block is a ``SignedGather``:
         the coefficient times the (-1)^s column sign times the partial
-        identity from the source's faces to the same faces of the target;
+        identity from the source's faces to the same faces of the target,
+        whose rows the context keeps per pair of column masks;
         (3) contract the columns, each mask once per context; (4) transfer
         the monomial differentials through the homotopies, the contraction
         of a column at level t read t degrees up; (5) take homology of the
@@ -243,9 +264,11 @@ class CechContext:
         TorsionObstruction for every ring.
         """
         validate(Y, self.polytope)
-        support_triples = {(t, j, m) for t, j, k in Y.summands()
-                           for m in self.support_table(k).multidegrees}
-        if not support_triples:
+        supports: dict[tuple, ColumnComplex] = {}  # the column of each support triple
+        for t, j, k in Y.summands():
+            table = self.support_table(k)
+            supports.update(((t, j, m), col) for m, col in zip(table.multidegrees, table.columns))
+        if not supports:
             return CechResult(HomologyResult.zero(), 0, 0)
 
         diff_entries: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
@@ -264,7 +287,7 @@ class CechContext:
         block_of: dict[tuple, int] = {}
         cols: list[ColumnComplex] = []
         delta: list[tuple[int, int, int, SignedGather]] = []
-        stack = [[tr, None] for tr in support_triples]
+        stack = [[tr, None] for tr in supports]
         while stack:
             frame = stack[-1]
             tr, out = frame
@@ -278,10 +301,12 @@ class CechContext:
                 stack.extend([tgt, None] for tgt, _ in out if tgt not in paths)
                 continue
             stack.pop()
-            paths[tr] = n = sum(paths[tgt] + (tgt in support_triples) for tgt, _ in out)
-            if not n and tr not in support_triples:
-                continue
-            src = self.column_complex(Y.level(t)[j], m)
+            paths[tr] = n = sum(paths[tgt] + (tgt in supports) for tgt, _ in out)
+            src = supports.get(tr)
+            if src is None:
+                if not n:
+                    continue
+                src = self.column_complex(Y.level(t)[j], m)
             b = block_of[tr] = len(cols)
             cols.append(src)
             # each delta block sends face f of the source column to face f
@@ -291,17 +316,14 @@ class CechContext:
                 tgt_idx = block_of.get(tgt)
                 if tgt_idx is None:
                     continue
-                for s, tgt_faces in enumerate(cols[tgt_idx].faces):
-                    if src.faces[s] and tgt_faces:
-                        delta.append((t + s, b, tgt_idx, SignedGather(
-                            -c if s % 2 else c, [src.positions[s].get(f) for f in tgt_faces],
-                            len(src.faces[s]))))
+                for s, rows, width in self._gathers_between(src, cols[tgt_idx]):
+                    delta.append((t + s, b, tgt_idx, SignedGather(-c if s % 2 else c, rows, width)))
 
         transferred = perturb_transfer([col.contraction for col in cols], delta,
                                        Y.hi - Y.lo + 1, [t for t, _, _ in block_of])
         hom = HomologyResult.direct_sum_of(
             (complex_homology(c, ring) for c in transferred.components), transferred.unlinked)
-        return CechResult(hom, len(cols), sum(paths[tr] for tr in support_triples))
+        return CechResult(hom, len(cols), sum(paths[tr] for tr in supports))
 
     def euler_characteristic(self, Y: TwistComplex) -> int:
         """Alternating sum over levels of the signed point counts (-1)^n E(k)."""

@@ -44,12 +44,16 @@ On top of these:
   transferred complex over any ring is that of the perturbed complex.
 
 All entries are Python ints or Fractions; there is no floating point.
+A ``Matrix`` product adds up, for each row, the rows of the right factor
+that the row's nonzero entries pick, so it costs the nonzeros of the
+left factor, not its size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .record import Record
@@ -186,13 +190,33 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {list(map(list, self.data))})"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row i of the product is the sum of the rows of ``other`` that the
+        nonzero entries of row i pick, each times its entry: the work is
+        the nonzeros of ``self`` times the width of ``other``. A row whose
+        only nonzero entry is 1 shares the picked row of ``other``."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = list(zip(*other.data)) if other.data else []
+        zero = (0,) * other.cols
         out = []
         for row in self.data:
-            out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                       if ot else (0,) * other.cols)
+            acc = None
+            for a, b in zip(row, other.data):
+                if not a:
+                    continue
+                if acc is None:
+                    if a == 1:
+                        acc = b
+                    elif a == -1:
+                        acc = tuple(map(neg, b))
+                    else:
+                        acc = tuple([a * x for x in b])
+                elif a == 1:
+                    acc = tuple(map(add, acc, b))
+                elif a == -1:
+                    acc = tuple(map(sub, acc, b))
+                else:
+                    acc = tuple([x + a * y for x, y in zip(acc, b)])
+            out.append(zero if acc is None else acc)
         return Matrix(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -813,7 +837,7 @@ def perturb_transfer(
         if not m.is_zero():
             leaving.setdefault(d, {}).setdefault(si, []).append((ti, m))
 
-    def add(into, key, m):
+    def accumulate(into, key, m):
         into[key] = into[key] + m if key in into else m
 
     # acc[(d, t, s)]: small part of block s in degree d -> small part of block t
@@ -829,12 +853,12 @@ def perturb_transfer(
             y: dict[tuple[int, int], Matrix] = {}
             for (t, s), m in x.items():
                 for ti, dm in out_of.get(t, ()):
-                    add(y, (ti, s), dm @ m)
+                    accumulate(y, (ti, s), dm @ m)
             x = {}
             for (t, s), m in y.items():
                 e = d - 1 - shifts[t]
                 if blocks[t].small.rank(e):
-                    add(acc, (d, t, s), blocks[t].project_at(e) @ m)
+                    accumulate(acc, (d, t, s), blocks[t].project_at(e) @ m)
                 h = -(blocks[t].homotopy_at(e) @ m)
                 if not h.is_zero():
                     x[(t, s)] = h

@@ -8,6 +8,8 @@ from polycech import cech as cech_mod
 from polycech import polytope as polytope_mod
 from polycech.cech import (
     CechContext,
+    ColumnComplex,
+    SupportTable,
     SupportEscapesBox,
     cech_homology,
     column_complex,
@@ -487,31 +489,69 @@ def test_zero_monomial_cone_splits_by_multidegree(monkeypatch):
     # O(1) -> O(2) by u = 0 on the cube links the column of each point of P
     # to the column at the same multidegree, and nothing else
     P = SAMPLES["cube"]
-    transfers = []
+    calls = []  # (blocks, result) of each transfer
     transfer = cech_mod.perturb_transfer
 
-    def keeping(*args):
-        transfers.append(transfer(*args))
-        return transfers[-1]
+    def keeping(blocks, *rest):
+        calls.append((blocks, transfer(blocks, *rest)))
+        return calls[-1][1]
 
     monkeypatch.setattr(cech_mod, "perturb_transfer", keeping)
     ctx = CechContext(P)
-    # the transfer reads one column per block, in block order
-    block_multidegrees = []
-    column = ctx.column_complex
-    monkeypatch.setattr(ctx, "column_complex",
-                        lambda k, m: block_multidegrees.append(m) or column(k, m))
+    # every block is a support here, and its column comes from a support
+    # table: give each support multidegree its own copy of its column, so
+    # that the contraction of a block names the block's multidegree
+    multidegree_of = {}
+    tables = {}
+    table_of = ctx.support_table
+
+    def tagged(k):
+        if k not in tables:
+            table = table_of(k)
+            cols = tuple(ColumnComplex(c.complex, c.faces, c.mask) for c in table.columns)
+            multidegree_of.update((id(c.contraction), m) for m, c in zip(table.multidegrees, cols))
+            tables[k] = SupportTable(table.degree, table.multidegrees, cols)
+        return tables[k]
+
+    monkeypatch.setattr(ctx, "support_table", tagged)
     Y = cone({0: {(0, 0): [(1, (0, 0, 0))]}}, line_bundle(1), line_bundle(2))
     res = ctx.cech_homology(Y, ZZ)
     ones, twos = ctx.support_table(1).multidegrees, ctx.support_table(2).multidegrees
     assert res.homology == H({3: (len(twos) - len(ones), ())})
+    ((blocks, out),) = calls
+    block_multidegrees = [multidegree_of[id(b)] for b in blocks]
     active = [(1, 0, m) for m in ones] + [(0, 0, m) for m in twos]
     assert res.active_multidegrees == len(active) == len(block_multidegrees)
-    (out,) = transfers
     assert len(out.components) == len(ones)
     for bs in out.linked:
         assert len(bs) == 2 and len({block_multidegrees[b] for b in bs}) == 1
     assert out.unlinked == {3: len(twos) - len(ones)}
+
+
+def test_support_columns_are_the_context_columns_and_kept_state_is_sound():
+    # a support table holds the context's own column at each multidegree,
+    # for twists below, at and above 0
+    P = SAMPLES["square"]
+    ctx = CechContext(P)
+    for k in (-3, -1, 0, 1, 2):
+        table = ctx.support_table(k)
+        assert len(table.columns) == len(table.multidegrees)
+        assert bool(table.multidegrees) == (k != -1)  # O(-1) has no interior points
+        for m, col in zip(table.multidegrees, table.columns):
+            assert col is ctx.column_complex(k, m), (k, m)
+    # the columns, supports and delta patterns a context keeps from one
+    # complex answer a second complex as a fresh context does
+    rng = random.Random(4242)
+    K = koszul(P)
+    terms = [(rng.choice([-2, -1, 1, 2]), u) for u in rng.sample(lattice_points(P, 2), 3)]
+    complexes = [K, twist(K, 1), cone({0: {(0, 0): terms}}, line_bundle(0), line_bundle(2))]
+    for ring in (ZZ, GF(2)):
+        fresh = [CechContext(P).cech_homology(Y, ring) for Y in complexes]
+        for a, first in enumerate(complexes):
+            for b, second in enumerate(complexes):
+                warm = CechContext(P)
+                warm.cech_homology(first, ring)
+                assert warm.cech_homology(second, ring) == fresh[b], (ring.label, a, b)
 
 
 def test_delta_blocks_are_gathers_not_dense_grids(monkeypatch):

@@ -91,6 +91,43 @@ def test_snf_deterministic():
     assert first == second
 
 
+def product_by_triple_loop(A, B):
+    return [[sum(A[i, k] * B[k, j] for k in range(A.cols)) for j in range(B.cols)]
+            for i in range(A.rows)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_product_against_triple_loop(seed):
+    # the row-sparse product against the textbook sum: int and Fraction
+    # entries, units and other values, zero rows, and empty shapes
+    rng = random.Random(seed)
+
+    def entry(fractions):
+        a = rng.choice([0, 0, 0, 1, -1, 1, -1, 2, -3, 7])
+        return Fraction(a, rng.randint(1, 3)) if fractions and rng.random() < 0.4 else a
+
+    def matrix(r, c):
+        fractions = rng.random() < 0.4
+        rows = [[entry(fractions) for _ in range(c)] for _ in range(r)]
+        for row in rng.sample(rows, rng.randint(0, r)) if rng.random() < 0.3 else ():
+            row[:] = [0] * c
+        return Matrix(r, c, tuple(map(tuple, rows)))
+
+    for _ in range(200):
+        r, n, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        A, B = matrix(r, n), matrix(n, c)
+        got = A @ B
+        assert (got.rows, got.cols) == (r, c)
+        assert [list(row) for row in got.data] == product_by_triple_loop(A, B), (A, B)
+        assert all(len(row) == c for row in got.data)
+    for r, n, c in ((0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)):
+        assert matrix(r, n) @ matrix(n, c) == Matrix.zeros(r, c)
+    with pytest.raises(ValueError):
+        Matrix.identity(2) @ Matrix.zeros(3, 2)
+    with pytest.raises(ValueError):
+        Matrix.zeros(0, 1) @ Matrix.zeros(0, 1)
+
+
 def test_ring_parsing_and_units():
     assert CoefficientRing.parse("Z") == ZZ
     assert CoefficientRing.parse("Q") == QQ
