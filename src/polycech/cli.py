@@ -3,7 +3,8 @@
 Reads polytope and complex documents in JSON, runs the requested
 computation, and prints canonical JSON (sorted keys, compact separators)
 on standard output. Exit codes: 0 success, 1 verification failure,
-2 input error (reported as a single-line JSON object).
+2 input error (reported as a single-line JSON object), a malformed
+command line included.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import json
 import sys
 from math import prod
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NoReturn, Sequence
 
 from . import cech
 from .exact_linalg import CoefficientRing, FreeChainComplex, HomologyResult, Matrix, ZZ
@@ -54,6 +55,14 @@ class InputError(Exception):
         self.message = message
         self.location = location
         super().__init__(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an InputError instead of exiting;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError("bad_args", message, "<args>")
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -350,7 +359,7 @@ def verify_suite(P: LatticePolytope, kmax: int) -> list[dict]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polycech",
         description="Exact Čech homology of line-bundle twists on lattice polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)

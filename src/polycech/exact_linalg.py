@@ -15,10 +15,14 @@ elimination in the package goes through two routines:
   the diagonal and a deterministic pivoting rule (entry of minimal
   nonzero absolute value, ties broken by (row, col)).
   ``smith_normal_form``, ``invariant_factors`` and ``contraction`` are
-  built on it. The torsion of a direct sum of homology groups is that
-  Smith form's chain for the diagonal matrix of the parts' factors, but
-  ``direct_sum_of`` builds it by gcd/lcm folding, near-linear in the
-  number of factors.
+  built on it. ``invariant_factors`` keeps no transforms, and there a
+  unit pivot takes no column operations: once the row operations have
+  cleared its column, they would change only the pivot's own row, which
+  the loop never reads again but for its diagonal entry, so the
+  diagonal comes out the same up to sign. The torsion of a direct sum
+  of homology groups is that Smith form's chain for the diagonal matrix
+  of the parts' factors, but ``direct_sum_of`` builds it by gcd/lcm
+  folding, near-linear in the number of factors.
 
 On top of these:
 
@@ -243,7 +247,21 @@ class Matrix:
         return all(a == 0 for row in self.data for a in row)
 
     def is_zero_mod(self, ring: CoefficientRing) -> bool:
-        return all(ring.normalize(a) == 0 for row in self.data for a in row)
+        """Whether every entry vanishes in ``ring``. Ints are tested as they
+        are (mod p over F_p); other entries go through ``ring.normalize``,
+        in the same order, so a Fraction it rejects still raises."""
+        p, norm = ring.p, ring.normalize
+        for row in self.data:
+            if p is None and not any(row):  # zero ints and zero Fractions alike
+                continue
+            for a in row:
+                if type(a) is not int:
+                    a = norm(a)
+                elif p is not None:
+                    a %= p
+                if a:
+                    return False
+        return True
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix(len(row_idx), len(col_idx),
@@ -382,15 +400,20 @@ def _diagonalize(A: Matrix, track: bool = True):
     The pivot is an entry of minimal nonzero absolute value, ties broken
     by (row, col); rows and columns are reduced by nearest quotients until
     the pivot divides the rest of its row and column, a row sum repairs a
-    pivot that fails to divide the remaining block, and rows are negated
-    at the end so the diagonal is non-negative. Everything is over Z:
-    other rings enter only through ``complex_homology``.
+    pivot that fails to divide the remaining block, and with ``track``
+    rows are negated at the end so the diagonal is non-negative.
+    Everything is over Z: other rings enter only through
+    ``complex_homology``.
 
-    Returns (U, Uinv, D, V, Vinv) with U*Uinv = I and V*Vinv = I; without
-    ``track`` the transforms are not kept and come back as None.
+    Returns (U, Uinv, D, V, Vinv) with U*Uinv = I and V*Vinv = I. Without
+    ``track`` only the rows of D come back, as lists: their diagonal, up
+    to sign, is that of the Smith form, while the rows of unit pivots
+    keep entries right of the diagonal (the column operations that would
+    clear them are skipped).
     """
     r, c = A.rows, A.cols
-    D = [[ZZ.normalize(a) for a in row] for row in A.data]
+    norm = ZZ.normalize
+    D = [[a if type(a) is int else norm(a) for a in row] for row in A.data]
 
     def eye(k):
         return [[int(i == j) for j in range(k)] for i in range(k)]
@@ -457,27 +480,31 @@ def _diagonalize(A: Matrix, track: bool = True):
                 row_op(i, t, _nearest_quotient(D[i][t], piv))
                 if D[i][t]:
                     dirty = True
-        for j in range(t + 1, c):
-            if D[t][j]:
-                col_op(j, t, _nearest_quotient(D[t][j], piv))
+        unit = piv == 1 or piv == -1
+        if track or not unit:
+            # after the row operations a column operation by a unit pivot
+            # changes only row t, which nothing below reads off the diagonal
+            for j in range(t + 1, c):
                 if D[t][j]:
-                    dirty = True
+                    col_op(j, t, _nearest_quotient(D[t][j], piv))
+                    if D[t][j]:
+                        dirty = True
         if dirty:
             continue
-        if abs(piv) != 1:
+        if not unit:
             bad = next((i for i in range(t + 1, r) for j in range(t + 1, c)
                         if D[i][j] % piv), None)
             if bad is not None:
                 row_op(t, bad, -1)
                 continue
         t += 1
+    if not track:
+        return D
     for i in range(n):
         if D[i][i] < 0:
-            for X in (D, U, UiT) if track else (D,):
+            for X in (D, U, UiT):
                 X[i] = [-x for x in X[i]]
     wrap = Matrix.from_rows
-    if not track:
-        return None, None, wrap(D), None, None
     return wrap(U), wrap(UiT).transpose(), wrap(D), wrap(VT).transpose(), wrap(Vi)
 
 
@@ -495,8 +522,8 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 def invariant_factors(A: Matrix) -> list[int]:
     """Nonzero diagonal of the Smith form (no transform bookkeeping)."""
-    D = _diagonalize(A, track=False)[2]
-    return [D[i, i] for i in range(min(D.rows, D.cols)) if D[i, i]]
+    D = _diagonalize(A, track=False)
+    return [abs(D[i][i]) for i in range(min(A.rows, A.cols)) if D[i][i]]
 
 
 class FreeChainComplex(Record):
@@ -661,27 +688,36 @@ def complex_homology(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Homolog
     adjacent differentials; over a field, ranks come from exact row
     reduction. Raises InvalidComplex when d∘d != 0 over the ring.
     """
-    for d in range(C.lo + 2, C.hi + 1):
-        if not (C.diff(d - 1) @ C.diff(d)).is_zero_mod(ring):
+    diffs = C.diffs
+    for i in range(1, len(diffs)):
+        if not (diffs[i - 1] @ diffs[i]).is_zero_mod(ring):
+            d = C.lo + i + 1
             raise InvalidComplex(f"d∘d != 0 between degrees {d} and {d - 2}")
-    rank_of: dict[int, int] = {}
-    torsion_of: dict[int, tuple[int, ...]] = {}
-    for d in range(C.lo + 1, C.hi + 1):
-        m = C.diff(d)
-        if ring.is_field:
-            rank_of[d] = field_rank(m, ring) if m.rows and m.cols else 0
-            torsion_of[d] = ()
+    field = ring.is_field
+    # image[i] is the rank of diffs[i - 1], the differential out of degree
+    # lo + i, and torsion[i] the factors of diffs[i], into it; zero past the ends
+    image, torsion = [0], []
+    for m in diffs:
+        if not (m.rows and m.cols):
+            image.append(0)
+            torsion.append(())
+        elif field:
+            image.append(field_rank(m, ring))
+            torsion.append(())
         else:
-            factors = invariant_factors(m) if m.rows and m.cols else []
-            rank_of[d] = len(factors)
-            torsion_of[d] = tuple(f for f in factors if f > 1)
-    data = {}
-    for d in C.degrees():
-        free = C.rank(d) - rank_of.get(d, 0) - rank_of.get(d + 1, 0)
+            factors = invariant_factors(m)
+            image.append(len(factors))
+            torsion.append(tuple(f for f in factors if f > 1))
+    image.append(0)
+    torsion.append(())
+    groups = []
+    for d, n, r_out, r_in, t in zip(C.degrees(), C.ranks, image, image[1:], torsion):
+        free = n - r_out - r_in
         if free < 0:
             raise InvalidComplex(f"negative rank at degree {d}; differentials inconsistent")
-        data[d] = (free, torsion_of.get(d + 1, ()))
-    return HomologyResult.from_dict(data)
+        if free or t:
+            groups.append((d, free, t))
+    return HomologyResult(tuple(groups))
 
 
 class Contraction(Record):
@@ -859,9 +895,9 @@ def perturb_transfer(
                 e = d - 1 - shifts[t]
                 if blocks[t].small.rank(e):
                     accumulate(acc, (d, t, s), blocks[t].project_at(e) @ m)
-                h = -(blocks[t].homotopy_at(e) @ m)
-                if not h.is_zero():
-                    x[(t, s)] = h
+                h = blocks[t].homotopy_at(e) @ m
+                if not h.is_zero():  # most are zero: negate only the rest
+                    x[(t, s)] = -h
             j += 1
     links = {key: m for key, m in acc.items() if not m.is_zero()}
 

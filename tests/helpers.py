@@ -9,7 +9,9 @@ longer uses: facets from every dim-subset of the vertices, faces from
 every subset of the facets, lattice points from the whole bounding box.
 Their ranks, nullspaces and solutions come from a plain Fraction
 Gauss-Jordan kept here, not from the library's fraction-free
-``row_echelon``, which is itself tested against it. The torsion of a
+``row_echelon``, which is itself tested against it. The torsion of the
+two-level oracle comes from a textbook Smith loop kept beside it, not
+from the library's ``invariant_factors``. The torsion of a
 direct sum is merged here prime by prime, after factoring by trial
 division, where the library folds each factor into the chain by gcd
 and lcm; the trial division limits this oracle to small factors. The
@@ -26,7 +28,6 @@ from polycech.exact_linalg import (
     FreeChainComplex,
     HomologyResult,
     contraction,
-    invariant_factors,
 )
 from polycech.polytope import facets_from_vertices, lattice_points, standard_simplex
 from polycech.sheaf_complexes import direct_sum, line_bundle, make_twist_complex
@@ -91,6 +92,46 @@ def gauss_jordan(rows, p=None):
                 m[i] = row if p is None else [a % p for a in row]
         pivots.append(j)
     return m, pivots, scale if p is None else scale % p
+
+
+def smith_invariant_factors(rows):
+    """Nonzero invariant factors of an integer matrix, ascending, by the
+    textbook Smith loop on a list copy.
+
+    The pivot is the first entry of least nonzero absolute value; floor
+    division leaves remainders smaller than it in its column and row, and
+    the step repeats until both are clear. A pivot that does not divide
+    the rest of the block gets the offending row added to its own.
+    """
+    A = [list(row) for row in rows]
+    m, n = len(A), len(A[0]) if A else 0
+    factors = []
+    t = 0
+    while t < min(m, n):
+        entries = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        A[t], A[pi] = A[pi], A[t]
+        for row in A:
+            row[t], row[pj] = row[pj], row[t]
+        p = A[t][t]
+        for i in range(t + 1, m):
+            q = A[i][t] // p
+            A[i] = [a - q * b for a, b in zip(A[i], A[t])]
+        for j in range(t + 1, n):
+            q = A[t][j] // p
+            for row in A:
+                row[j] -= q * row[t]
+        if any(A[i][t] for i in range(t + 1, m)) or any(A[t][j] for j in range(t + 1, n)):
+            continue
+        bad = next((i for i in range(t + 1, m) if any(A[i][j] % p for j in range(t + 1, n))), None)
+        if bad is not None:
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+            continue
+        factors.append(abs(p))
+        t += 1
+    return factors
 
 
 def rank_by_elimination(rows, p=None):
@@ -559,7 +600,7 @@ def les_two_level_homology(P, Y, ring):
             return nrows, ncols, 0, ()
         if ring.is_field:
             return nrows, ncols, rank_by_elimination(grid.data, ring.p), ()
-        facs = invariant_factors(grid)
+        facs = smith_invariant_factors(grid.data)
         return nrows, ncols, len(facs), tuple(f for f in facs if f > 1)
 
     data = {}

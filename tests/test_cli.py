@@ -298,6 +298,19 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
         assert out.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "d2.json", "--kmax", "x"],
+    ["frobnicate", "d2.json"],
+    ["cohomology", "d2.json"],
+])
+def test_malformed_arguments_exit_2(docs, args, capsys):
+    args = [docs.get(a, a) for a in args]
+    code, out = run(args, capsys)
+    assert code == 2 and out.count("\n") == 1
+    err = json.loads(out)
+    assert err["code"] == "bad_args" and err["location"] == "<args>" and err["message"]
+
+
 def test_invalid_complex_document_exit_2(docs, tmp_path, capsys):
     bad = tmp_path / "badcx.json"
     bad.write_text(json.dumps({

@@ -39,6 +39,7 @@ from helpers import (
     rank_by_elimination,
     random_twist_complex,
     sample_polytopes,
+    smith_invariant_factors,
 )
 
 
@@ -650,24 +651,49 @@ def test_homology_result_shift_and_euler():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_kernel_against_sympy(seed):
-    # an oracle outside the package, beside the plain Gauss-Jordan of tests/helpers.py
+    # an oracle outside the package, beside the plain Gauss-Jordan and Smith
+    # loop of tests/helpers.py, which it also checks
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors as sympy_factors
     from sympy.polys.matrices import DomainMatrix
 
     rng = random.Random(1000 + seed)
-    for _ in range(25):
+
+    def dense():
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         spread = rng.choice([1, 3, 9])
-        rows = [[rng.randint(-spread, spread) for _ in range(c)] for _ in range(r)]
+        return [[rng.randint(-spread, spread) for _ in range(c)] for _ in range(r)]
+
+    def sparse_units():
+        # the first unit is at (0, 0) and a nonzero sits to its right, in
+        # the pivot row whose column operations the untracked path skips
+        r, c = rng.randint(2, 12), rng.randint(2, 12)
+        density = rng.choice([0.2, 0.4])
+        rows = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+        rows[0][0], rows[0][rng.randrange(1, c)] = 1, rng.choice((-1, 1))
+        return rows
+
+    def no_units():
+        # pivots of 2 beside entries of 3 need the row-sum repair
+        r, c = rng.randint(2, 6), rng.randint(2, 6)
+        return [[rng.choice((0, 0, 2, -2, 3, -3, 4, 6, -9)) for _ in range(c)] for _ in range(r)]
+
+    cases = [[[2, 0], [0, 3]], [[0, 4, 0], [6, 0, 0], [0, 0, 10]]]
+    cases += [make() for make in (dense, sparse_units, no_units) for _ in range(25)]
+    for rows in cases:
         A, S = Matrix.from_rows(rows), sympy.Matrix(rows)
         expected = [int(f) for f in sympy_factors(S, domain=sympy.ZZ) if f]
         assert invariant_factors(A) == expected
+        assert smith_invariant_factors(rows) == expected
+        U, D, V = smith_normal_form(A)
+        assert U @ A @ V == D
+        assert [d for d in diag_of(D) if d] == expected
         assert field_rank(A, QQ) == S.rank()
         for p in (2, 3, 5):
             dm = DomainMatrix.from_Matrix(S).convert_to(sympy.GF(p))
             assert field_rank(A, GF(p)) == dm.rank()
-        if r == c:
+        if A.rows == A.cols:
             det = A.det()
             assert type(det) is int and det == int(S.det())
 
