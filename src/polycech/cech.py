@@ -11,10 +11,14 @@ column placed at level t through a degree offset of t rather than a
 copy. The support of each twist k, the lattice points of kP for k >= 0
 and the interior points of kP for k < 0, is enumerated once per context
 and kept for every later call, with the column at each of its points.
-Line-bundle homology is found by scanning a verified bounding box of
-columns, taking homology once per face pattern per call; general twist
-complexes are handled by contracting the columns onto their homology and
-transferring the monomial differentials through the homotopies. One walk
+Line-bundle homology is found by scanning a verified bounding box one
+line at a time along the last coordinate: on a line each facet's
+inequality holds on a half-line, so the mask changes at most once per
+facet, and the scan visits runs of equal mask, reading each mask's
+column and homology once per call instead of one column per
+multidegree. General twist complexes are handled by contracting the
+columns onto their homology and transferring the monomial differentials
+through the homotopies. One walk
 per call from the supports finds the columns on monomial paths between
 supports, counts the paths and builds the monomial differential, each
 block a signed gather, face f of one column to face f of the next,
@@ -24,7 +28,8 @@ per pair of masks. The transferred complex is taken apart into the
 components its nonzero entries link, and only those are eliminated.
 Columns, contractions and the transfer are integral: the paper builds
 its complexes over Z and a coefficient ring R enters by base change, so
-R is applied only in the homology of the small transferred complex.
+R is applied only in the homology of the small transferred complex, and
+one transfer serves every ring.
 Euler characteristics, acyclicity windows and the unimodular splitting
 matrix are derived on top.
 """
@@ -32,9 +37,9 @@ matrix are derived on top.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 from operator import add, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact_linalg import (
     ZZ,
@@ -44,6 +49,7 @@ from .exact_linalg import (
     HomologyResult,
     Matrix,
     SignedGather,
+    Transferred,
     complex_homology,
     contraction,
     perturb_transfer,
@@ -108,6 +114,26 @@ class CechResult(Record):
     transfer_paths: int
 
 
+class CechTransfer(Record):
+    """A twist complex's Čech complex transferred over Z, with the count of
+    its blocks and of its transfer paths. A coefficient ring enters only
+    in ``homology``, which is exact because tensoring preserves the
+    homotopy equivalence of free Z-complexes, so one transfer serves
+    every ring."""
+
+    transferred: Transferred
+    active_multidegrees: int
+    transfer_paths: int
+
+    def homology(self, ring: CoefficientRing = ZZ) -> HomologyResult:
+        """Homology of the transferred complex over ``ring``: one linked
+        component at a time, the columns no transferred entry links counted
+        by their ranks, and the torsion merged once."""
+        t = self.transferred
+        return HomologyResult.direct_sum_of(
+            (complex_homology(c, ring) for c in t.components), t.unlinked)
+
+
 def scan_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
     """The multidegrees a line-bundle scan of O(k) visits: the bounding box
     of kP widened by one bounding box of P on every side. It reads the
@@ -146,32 +172,85 @@ class CechContext:
         A face is active iff every facet tight at it satisfies
         <a_i, m> >= k*b_i, so the column depends only on the mask of facets
         whose inequality holds at m. The column is built once per mask and
-        returned to every twist and multidegree that reaches it. Activity is
-        upward closed, so the selected rows and columns form a genuine
-        subcomplex of the full face boundary.
+        returned to every twist and multidegree that reaches it.
         """
         mask = 0
         for i, (normal, offset) in enumerate(self.polytope.facets):
             if sum(map(mul, normal, m)) >= k * offset:
                 mask |= 1 << i
+        return self._column_of(mask)
+
+    def _column_of(self, mask: int) -> ColumnComplex:
+        """The column of a facet mask, built and kept on first use. Activity
+        is upward closed, so the selected rows and columns form a genuine
+        subcomplex of the full face boundary."""
         col = self._columns.get(mask)
-        if col is None:
-            faces = tuple(
-                tuple(f for f in by_s if not self._face_masks[f] & ~mask)
-                for by_s in self._faces_by_cech_degree
-            )
-            ranks = {s: len(fs) for s, fs in enumerate(faces)}
-            diffs = {}
-            for s in range(1, len(faces)):
-                rows, cols = faces[s - 1], faces[s]
-                if rows:
-                    diffs[s] = Matrix.from_rows(
-                        [[self.incidence.sign(cf, rf) for cf in cols] for rf in rows])
-                else:
-                    diffs[s] = Matrix.zeros(0, len(cols))
-            col = self._columns[mask] = ColumnComplex(
-                FreeChainComplex.from_dicts(ranks, diffs), faces, mask)
+        if col is not None:
+            return col
+        faces = tuple(
+            tuple(f for f in by_s if not self._face_masks[f] & ~mask)
+            for by_s in self._faces_by_cech_degree
+        )
+        ranks = {s: len(fs) for s, fs in enumerate(faces)}
+        diffs = {}
+        for s in range(1, len(faces)):
+            rows, cols = faces[s - 1], faces[s]
+            if rows:
+                diffs[s] = Matrix.from_rows(
+                    [[self.incidence.sign(cf, rf) for cf in cols] for rf in rows])
+            else:
+                diffs[s] = Matrix.zeros(0, len(cols))
+        col = self._columns[mask] = ColumnComplex(
+            FreeChainComplex.from_dicts(ranks, diffs), faces, mask)
         return col
+
+    def mask_runs(self, k: int,
+                  box: Sequence[tuple[int, int]]) -> Iterator[tuple[tuple, int, int]]:
+        """The facet masks of O(k) over ``box``, one line at a time along
+        the last coordinate: ``(m, length, mask)`` for each run of equal
+        mask, m its first multidegree, in product order.
+
+        On the line through a prefix m', facet i holds where
+        a_i[-1]*x >= r = k*b_i - <a_i[:-1], m'>: from ceil(r/a) up for
+        a > 0, up to floor(r/a) for a < 0, everywhere or nowhere for a = 0.
+        So each facet flips the mask at most once along a line, and a line
+        of the box costs one inequality per facet, not one per multidegree.
+        A 0-dimensional box is the one multidegree ().
+        """
+        if not box:
+            yield (), 1, self.column_complex(k, ()).mask
+            return
+        *heads, (lo, hi) = box
+        facets = [(1 << i, normal[:-1], normal[-1], k * offset)
+                  for i, (normal, offset) in enumerate(self.polytope.facets)]
+        for prefix in product(*(range(a, b + 1) for a, b in heads)):
+            mask = 0
+            flips = []  # (x, bit): the bit flips from x on
+            for bit, head, a, kb in facets:
+                r = kb - sum(map(mul, head, prefix))
+                if a > 0:
+                    x = -(-r // a)  # first x where the facet holds
+                    if x <= lo:
+                        mask |= bit
+                    elif x <= hi:
+                        flips.append((x, bit))
+                elif a < 0:
+                    x = r // a + 1  # first x where it fails
+                    if x > lo:
+                        mask |= bit
+                        if x <= hi:
+                            flips.append((x, bit))
+                elif r <= 0:
+                    mask |= bit
+            start = lo
+            if flips:
+                flips.sort()
+                for x, bit in flips:
+                    if x > start:
+                        yield prefix + (start,), x - start, mask
+                        start = x
+                    mask ^= bit
+            yield prefix + (start,), hi - start + 1, mask
 
     def support_table(self, k: int) -> SupportTable:
         """Multidegrees carrying homology: kP for k >= 0, interior of kP else.
@@ -205,40 +284,50 @@ class CechContext:
     def line_bundle_cohomology(self, k: int, ring: CoefficientRing = ZZ) -> CechResult:
         """Homology of the Čech complex of O(k) by exhaustive column scan.
 
-        Every multidegree in the widened bounding box of kP is checked.
-        Columns sharing a face pattern share one homology computation over
-        Z per call; every multidegree whose pattern carries homology is
-        still tested against the box boundary, and raises SupportEscapesBox
-        there. The scan must reproduce the closed form (rank = point count
-        of kP, in degree n for k >= 0, degree 0 for k < 0). That form has
-        no torsion, so by universal coefficients the result is the same
-        for every ``ring``, and the Z result is returned for all of them.
+        Every multidegree in the widened bounding box of kP is covered, one
+        run of equal facet mask at a time (``mask_runs``). Columns sharing
+        a mask share one homology computation over Z per call; a run whose
+        mask carries homology is tested against the box boundary at its two
+        ends, and raises SupportEscapesBox at the first boundary multidegree
+        in product order. The scan must reproduce the closed form (rank =
+        point count of kP, in degree n for k >= 0, degree 0 for k < 0). That
+        form has no torsion, so by universal coefficients the result is the
+        same for every ``ring``, and the Z result is returned for all of them.
         """
         box = scan_box(self.polytope, k)
-        nonzero = []
-        by_pattern: dict[tuple, HomologyResult] = {}
-        for m in product(*(range(lo, hi + 1) for lo, hi in box)):
-            col = self.column_complex(k, m)
-            h = by_pattern.get(col.faces)
+        by_mask: dict[int, HomologyResult] = {}
+        count: dict[int, int] = {}  # multidegrees per mask carrying homology
+        for m, length, mask in self.mask_runs(k, box):
+            h = by_mask.get(mask)
             if h is None:
-                h = by_pattern[col.faces] = complex_homology(col.complex)
+                h = by_mask[mask] = complex_homology(self._column_of(mask).complex)
             if h.is_zero():
                 continue
-            if any(x == lo or x == hi for x, (lo, hi) in zip(m, box)):
-                raise SupportEscapesBox(
-                    f"twist {k}: column at {m} on the scan boundary has homology")
-            nonzero.append(h)
-        total = HomologyResult.direct_sum_of(nonzero)
+            ends = (m, m[:-1] + (m[-1] + length - 1,)) if length > 1 else (m,)
+            for end in ends:
+                if any(x == lo or x == hi for x, (lo, hi) in zip(end, box)):
+                    raise SupportEscapesBox(
+                        f"twist {k}: column at {end} on the scan boundary has homology")
+            count[mask] = count.get(mask, 0) + length
+        total = HomologyResult.direct_sum_of(
+            chain.from_iterable(repeat(by_mask[mask], c) for mask, c in count.items()))
         support = self.support_table(k)
         expected = HomologyResult.from_dict(
             {support.degree: (len(support.multidegrees), ())})
         if total != expected:
             raise AssertionError(
                 f"scan of twist {k} found {total.as_dict()}, closed form says {expected.as_dict()}")
-        return CechResult(total, len(nonzero), 0)
+        return CechResult(total, sum(count.values()), 0)
 
     def cech_homology(self, Y: TwistComplex, ring: CoefficientRing = ZZ) -> CechResult:
-        """Homology of the Čech complex of a twist complex by homotopy transfer.
+        """Homology of the Čech complex of a twist complex by homotopy
+        transfer: ``transfer(Y)``, then its homology over ``ring``."""
+        t = self.transfer(Y)
+        return CechResult(t.homology(ring), t.active_multidegrees, t.transfer_paths)
+
+    def transfer(self, Y: TwistComplex) -> CechTransfer:
+        """The Čech complex of a twist complex transferred onto the small
+        parts of its columns, over Z; no ring enters.
 
         Steps: (1) supports of every summand, with their columns, from the
         support tables; (2) one iterative depth-first walk from the
@@ -254,14 +343,10 @@ class CechContext:
         whose rows the context keeps per pair of column masks;
         (3) contract the columns, each mask once per context; (4) transfer
         the monomial differentials through the homotopies, the contraction
-        of a column at level t read t degrees up; (5) take homology of the
-        small complex one linked component at a time, count the columns no
-        transferred entry links by their ranks, and add it all up with the
-        torsion merged once.
-        Steps (3) and (4) are over Z; ``ring`` enters only in (5), which is
-        exact because tensoring preserves the homotopy equivalence of free
-        Z-complexes. Integral torsion in a column raises
-        TorsionObstruction for every ring.
+        of a column at level t read t degrees up. Integral torsion in a
+        column raises TorsionObstruction. ``CechTransfer.homology`` takes
+        the last step over any ring; the transfer is not kept, so a caller
+        that needs several rings keeps it.
         """
         validate(Y, self.polytope)
         supports: dict[tuple, ColumnComplex] = {}  # the column of each support triple
@@ -269,7 +354,7 @@ class CechContext:
             table = self.support_table(k)
             supports.update(((t, j, m), col) for m, col in zip(table.multidegrees, table.columns))
         if not supports:
-            return CechResult(HomologyResult.zero(), 0, 0)
+            return CechTransfer(Transferred({}, (), ()), 0, 0)
 
         diff_entries: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
         for t in range(Y.lo + 1, Y.hi + 1):
@@ -321,9 +406,7 @@ class CechContext:
 
         transferred = perturb_transfer([col.contraction for col in cols], delta,
                                        Y.hi - Y.lo + 1, [t for t, _, _ in block_of])
-        hom = HomologyResult.direct_sum_of(
-            (complex_homology(c, ring) for c in transferred.components), transferred.unlinked)
-        return CechResult(hom, len(cols), sum(paths[tr] for tr in supports))
+        return CechTransfer(transferred, len(cols), sum(paths[tr] for tr in supports))
 
     def euler_characteristic(self, Y: TwistComplex) -> int:
         """Alternating sum over levels of the signed point counts (-1)^n E(k)."""

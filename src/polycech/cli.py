@@ -57,12 +57,21 @@ class InputError(Exception):
         super().__init__(message)
 
 
+class _HelpShown(Exception):
+    """argparse has printed the usage for -h or --help."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as an InputError instead of exiting;
-    the subcommand parsers are of this class too."""
+    """Reports a malformed command line as an InputError, and -h or --help
+    as _HelpShown, instead of exiting; the subcommand parsers are of this
+    class too."""
 
     def error(self, message: str) -> NoReturn:
         raise InputError("bad_args", message, "<args>")
+
+    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+        # error() never gets here, so only the help action does
+        raise _HelpShown
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -458,6 +467,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         payload, code = run(argv)
+    except _HelpShown:
+        return 0
     except InputError as exc:
         print(canonical_dumps(
             {"code": exc.code, "message": exc.message, "location": exc.location}))

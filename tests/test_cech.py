@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from itertools import product
 
@@ -581,7 +582,7 @@ def test_delta_blocks_are_gathers_not_dense_grids(monkeypatch):
     (delta,) = deltas
     blocks = [G for _, _, _, G in delta]
     assert blocks and all(isinstance(G, SignedGather) for G in blocks)
-    assert "column_complex" in callers and "cech_homology" not in callers
+    assert "_column_of" in callers and "cech_homology" not in callers
     assert res.homology == les_two_level_homology(P, Y, ZZ)
 
 
@@ -590,15 +591,49 @@ def test_support_escapes_box_fires_on_a_narrow_box(name, monkeypatch):
     # kP's own bounding box puts columns carrying homology on the boundary.
     # Widened on the low side only, the first column with a given pattern is
     # inside the box and a later one with the same pattern is on its edge.
+    # Widened everywhere but at the top of the last coordinate, the first
+    # offending run of equal mask starts inside the box and ends on its
+    # high edge. The error names the multidegree a scan of one multidegree
+    # at a time meets first: in product order, on the boundary, with homology.
     P = SAMPLES[name]
     k = 2
     tight = [(k * min(v[c] for v in P.vertices), k * max(v[c] for v in P.vertices))
              for c in range(P.dim)]
-    for box in (tight, [(lo - 1, hi) for lo, hi in tight]):
+    high_edge = [(lo - 1, hi + 1) for lo, hi in tight[:-1]] + [(tight[-1][0] - 1, tight[-1][1])]
+    for box in (tight, [(lo - 1, hi) for lo, hi in tight], high_edge):
         ctx = CechContext(P)
+        first = next(m for m in product(*(range(lo, hi + 1) for lo, hi in box))
+                     if any(x in (lo, hi) for x, (lo, hi) in zip(m, box))
+                     and not complex_homology(ctx.column_complex(k, m).complex).is_zero())
+        if box is high_edge:
+            assert first[-1] == box[-1][1] and ctx.column_complex(k, first[:-1] + (
+                first[-1] - 1,)).mask == ctx.column_complex(k, first).mask
         monkeypatch.setattr(cech_mod, "scan_box", lambda P, twist, box=box: box)
-        with pytest.raises(SupportEscapesBox):
+        with pytest.raises(SupportEscapesBox, match=re.escape(f"column at {first} on")):
             ctx.line_bundle_cohomology(k, ZZ)
+
+
+SKEW_TRIANGLE = facets_from_vertices(2, [(0, 0), (2, 1), (2, -1)])
+
+
+@pytest.mark.parametrize("name", [*SAMPLES, "octahedron", "pyramid", "hexagon", "skew", "point"])
+def test_mask_runs_match_the_columns_in_product_order(name):
+    # the line sweep, run by run, against column_complex at every
+    # multidegree of the scan box; the skew triangle's normals have last
+    # coordinates +-2, so its thresholds are not whole divisions
+    P = {**SAMPLES, "octahedron": OCTAHEDRON, "pyramid": PYRAMID,
+         "hexagon": KOSZUL_SHAPES["hexagon"], "skew": SKEW_TRIANGLE,
+         "point": standard_simplex(0)}[name]
+    ctx = CechContext(P)
+    for k in range(-(P.dim + 2), 4):
+        box = cech_mod.scan_box(P, k)
+        swept = []
+        for m, length, mask in ctx.mask_runs(k, box):
+            assert length >= 1
+            swept += [(m[:-1] + (m[-1] + i,) if m else m, mask) for i in range(length)]
+        expected = [(m, ctx.column_complex(k, m).mask)
+                    for m in product(*(range(lo, hi + 1) for lo, hi in box))]
+        assert swept == expected, (name, k)
 
 
 def test_column_faces_match_cone_membership():
@@ -679,13 +714,15 @@ def test_koszul_twists_stay_acyclic():
 @pytest.mark.parametrize("name", ["triangle", "square", "hexagon"])
 def test_vertex_koszul_complexes_are_acyclic(name):
     # N + 1 levels: the series runs through homotopy paths of every length
-    # up to N, each delta block a signed gather
+    # up to N, each delta block a signed gather; one transfer per twist
+    # serves every ring
     P = KOSZUL_SHAPES[name]
     K = koszul(P)
     validate(K, P)
     for j in range(-1, 3):
+        transferred = cech_mod.context(P).transfer(twist(K, j))
         for ring in (ZZ, QQ, GF(2), GF(3)):
-            assert cech_homology(P, twist(K, j), ring).homology.is_zero(), (j, ring.label)
+            assert transferred.homology(ring).is_zero(), (j, ring.label)
 
 
 @pytest.mark.parametrize("name", ["triangle", "square", "hexagon"])

@@ -311,6 +311,22 @@ def test_malformed_arguments_exit_2(docs, args, capsys):
     assert err["code"] == "bad_args" and err["location"] == "<args>" and err["message"]
 
 
+@pytest.mark.parametrize("args", [
+    ["-h"],
+    ["--help"],
+    ["cohomology", "--help"],
+    ["cech", "-h"],
+    ["verify", "d2.json", "--help"],
+])
+def test_help_returns_0_after_the_usage(docs, args, capsys):
+    # argparse would exit the process; main returns to its caller instead
+    args = [docs.get(a, a) for a in args]
+    code, out = run(args, capsys)
+    assert code == 0
+    assert out.startswith("usage: polycech")
+    assert not any(line.startswith("{") for line in out.splitlines())  # no JSON payload
+
+
 def test_invalid_complex_document_exit_2(docs, tmp_path, capsys):
     bad = tmp_path / "badcx.json"
     bad.write_text(json.dumps({
