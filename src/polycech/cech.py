@@ -1,45 +1,32 @@
 """Čech complexes of twist complexes and their homology.
 
-The Čech complex of a diagram over the face lattice splits, one lattice
-multidegree at a time, into finite "column" complexes indexed by the
-faces whose shifted tangent cone contains the multidegree. A column is
-determined by its facet mask, the set of facets whose inequality holds at
-the multidegree. Each context builds the column of a mask once, and
-computes its contraction once, on first use; every twist, multidegree,
-level and call that reaches the mask shares them, the transfer reading a
-column placed at level t through a degree offset of t rather than a
-copy. The support of each twist k, the lattice points of kP for k >= 0
-and the interior points of kP for k < 0, is enumerated once per context
-and kept for every later call, with the column at each of its points.
-Line-bundle homology is found by scanning a verified bounding box one
-line at a time along the last coordinate: on a line each facet's
-inequality holds on a half-line, so the mask changes at most once per
-facet, and the scan visits runs of equal mask, reading each mask's
-column and homology once per call instead of one column per
-multidegree. General twist complexes are handled by contracting the
-columns onto their homology and transferring the monomial differentials
-through the homotopies. One walk
-per call from the supports finds the columns on monomial paths between
-supports, counts the paths and builds the monomial differential, each
-block a signed gather, face f of one column to face f of the next,
-applied without a matrix product. Which rows a block gathers depends
-only on the masks of its two columns, so each context works it out once
-per pair of masks. The transferred complex is taken apart into the
-components its nonzero entries link, and only those are eliminated.
-Columns, contractions and the transfer are integral: the paper builds
-its complexes over Z and a coefficient ring R enters by base change, so
-R is applied only in the homology of the small transferred complex, and
-one transfer serves every ring.
-Euler characteristics, acyclicity windows and the unimodular splitting
-matrix are derived on top.
+For a lattice polytope P and a twist complex Y, a bounded complex of sums
+of O(k) with monomial differentials, this module computes:
+
+* ``cech_homology``: the homology of the Čech complex of Y over Z, Q or
+  F_p. ``transfer`` moves the complex over Z onto the homology of its
+  columns, and the ring enters only in the homology of the result;
+* ``line_bundle_cohomology``: the same for one O(k), by a scan of a box
+  around kP, checked against the closed form and the box boundary;
+* ``constant_diagram_cech``: the homology of a constant diagram C, the
+  full face complex tensored with C, checked against C shifted by n;
+* Euler characteristics, acyclicity windows and the splitting matrix.
+
+The Čech complex splits by lattice multidegree m into columns: the faces
+F whose cone kF + T_F contains m. A column depends only on the mask of
+facets whose inequality holds at m. A ``CechContext`` keeps, for as long
+as it lives: the face lattice, incidence signs and Ehrhart data of P; the
+column of every mask reached, with its contraction once read; the support
+table of every twist asked, with its columns; and the delta gathers of
+every pair of masks a transfer has joined.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import add, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exact_linalg import (
     ZZ,
@@ -60,6 +47,7 @@ from .polytope import (
     bounding_box,
     ehrhart_polynomial,
     face_lattice,
+    facet_runs,
     lattice_points,
     np_index,
     standard_simplex,
@@ -204,54 +192,6 @@ class CechContext:
             FreeChainComplex.from_dicts(ranks, diffs), faces, mask)
         return col
 
-    def mask_runs(self, k: int,
-                  box: Sequence[tuple[int, int]]) -> Iterator[tuple[tuple, int, int]]:
-        """The facet masks of O(k) over ``box``, one line at a time along
-        the last coordinate: ``(m, length, mask)`` for each run of equal
-        mask, m its first multidegree, in product order.
-
-        On the line through a prefix m', facet i holds where
-        a_i[-1]*x >= r = k*b_i - <a_i[:-1], m'>: from ceil(r/a) up for
-        a > 0, up to floor(r/a) for a < 0, everywhere or nowhere for a = 0.
-        So each facet flips the mask at most once along a line, and a line
-        of the box costs one inequality per facet, not one per multidegree.
-        A 0-dimensional box is the one multidegree ().
-        """
-        if not box:
-            yield (), 1, self.column_complex(k, ()).mask
-            return
-        *heads, (lo, hi) = box
-        facets = [(1 << i, normal[:-1], normal[-1], k * offset)
-                  for i, (normal, offset) in enumerate(self.polytope.facets)]
-        for prefix in product(*(range(a, b + 1) for a, b in heads)):
-            mask = 0
-            flips = []  # (x, bit): the bit flips from x on
-            for bit, head, a, kb in facets:
-                r = kb - sum(map(mul, head, prefix))
-                if a > 0:
-                    x = -(-r // a)  # first x where the facet holds
-                    if x <= lo:
-                        mask |= bit
-                    elif x <= hi:
-                        flips.append((x, bit))
-                elif a < 0:
-                    x = r // a + 1  # first x where it fails
-                    if x > lo:
-                        mask |= bit
-                        if x <= hi:
-                            flips.append((x, bit))
-                elif r <= 0:
-                    mask |= bit
-            start = lo
-            if flips:
-                flips.sort()
-                for x, bit in flips:
-                    if x > start:
-                        yield prefix + (start,), x - start, mask
-                        start = x
-                    mask ^= bit
-            yield prefix + (start,), hi - start + 1, mask
-
     def support_table(self, k: int) -> SupportTable:
         """Multidegrees carrying homology: kP for k >= 0, interior of kP else.
 
@@ -285,7 +225,7 @@ class CechContext:
         """Homology of the Čech complex of O(k) by exhaustive column scan.
 
         Every multidegree in the widened bounding box of kP is covered, one
-        run of equal facet mask at a time (``mask_runs``). Columns sharing
+        run of equal facet mask at a time (``facet_runs``). Columns sharing
         a mask share one homology computation over Z per call; a run whose
         mask carries homology is tested against the box boundary at its two
         ends, and raises SupportEscapesBox at the first boundary multidegree
@@ -297,7 +237,8 @@ class CechContext:
         box = scan_box(self.polytope, k)
         by_mask: dict[int, HomologyResult] = {}
         count: dict[int, int] = {}  # multidegrees per mask carrying homology
-        for m, length, mask in self.mask_runs(k, box):
+        facets = [(a, k * b) for a, b in self.polytope.facets]  # <a, m> >= k*b
+        for m, length, mask in facet_runs(facets, box):
             h = by_mask.get(mask)
             if h is None:
                 h = by_mask[mask] = complex_homology(self._column_of(mask).complex)
@@ -464,60 +405,16 @@ class CechContext:
 
     def constant_diagram_cech(self, C: FreeChainComplex,
                               ring: CoefficientRing = ZZ) -> CechResult:
-        """Čech homology of the constant diagram with value C, built directly.
+        """Čech homology of the constant diagram with value C.
 
-        Each total degree g stacks blocks (faces of dim n-s) x C_{g-s};
-        horizontal maps carry incidence signs, vertical maps carry the
-        differential of C with the sign (-1)^s. The result must equal the
-        homology of C shifted up by n, torsion included.
+        Its Čech complex is the column of the full facet mask, every face
+        with its incidence signs, tensored with C, so C's differential
+        carries the sign (-1)^s in Čech degree s. The result must equal
+        the homology of C shifted up by n, torsion included.
         """
-        n = self.polytope.dim
-        if C.hi < C.lo or C.total_rank() == 0:
-            return CechResult(HomologyResult.zero(), 0, 0)
-        faces_by_s = self._faces_by_cech_degree
-
-        def layout(g: int):
-            blocks = []
-            off = 0
-            for s in range(n + 1):
-                t = g - s
-                rk = C.rank(t)
-                if rk:
-                    blocks.append((s, t, off, len(faces_by_s[s]), rk))
-                    off += len(faces_by_s[s]) * rk
-            return blocks, off
-
-        lo_g, hi_g = C.lo, C.hi + n
-        layouts = {g: layout(g) for g in range(lo_g, hi_g + 1)}
-        ranks = {g: tot for g, (_, tot) in layouts.items()}
-        diffs = {}
-        for g in range(lo_g + 1, hi_g + 1):
-            src_blocks, src_tot = layouts[g]
-            tgt_blocks, tgt_tot = layouts[g - 1]
-            tgt_pos = {(s, t): (off, nf, rk) for s, t, off, nf, rk in tgt_blocks}
-            grid = [[0] * src_tot for _ in range(tgt_tot)]
-            for s, t, off, nf, rk in src_blocks:
-                if (s - 1, t) in tgt_pos:
-                    toff, tnf, trk = tgt_pos[(s - 1, t)]
-                    for ci, f_src in enumerate(faces_by_s[s]):
-                        for ri, f_tgt in enumerate(faces_by_s[s - 1]):
-                            sg = self.incidence.sign(f_src, f_tgt)
-                            if sg:
-                                for e in range(rk):
-                                    grid[toff + ri * trk + e][off + ci * rk + e] = sg
-                if (s, t - 1) in tgt_pos:
-                    toff, tnf, trk = tgt_pos[(s, t - 1)]
-                    m = C.diff(t)
-                    sign = -1 if s % 2 else 1
-                    for fi in range(nf):
-                        for i in range(m.rows):
-                            for jj in range(m.cols):
-                                if m[i, jj]:
-                                    grid[toff + fi * trk + i][off + fi * rk + jj] = sign * m[i, jj]
-            diffs[g] = Matrix.from_rows(grid) if tgt_tot else Matrix.zeros(0, src_tot)
-        total = FreeChainComplex.from_dicts(ranks, diffs)
-        hom = complex_homology(total, ring)
-        expected = complex_homology(C, ring).shifted(n)
+        faces = self._column_of((1 << len(self.polytope.facets)) - 1).complex
+        hom = complex_homology(faces.tensor(C), ring)
+        expected = complex_homology(C, ring).shifted(self.polytope.dim)
         if hom != expected:
             raise AssertionError(
                 f"constant diagram gave {hom.as_dict()}, expected shifted {expected.as_dict()}")

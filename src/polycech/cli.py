@@ -23,6 +23,7 @@ from .polytope import (
     EhrhartPolynomial,
     LatticePolytope,
     NotFullDimensional,
+    TooLarge,
     bounding_box,
     ehrhart_polynomial,
     face_lattice,
@@ -202,9 +203,9 @@ def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
+    except OSError:  # missing, a directory, unreadable
         raise InputError("missing_file", f"cannot open {path}", path)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
         raise InputError("bad_json", str(exc), path)
 
 
@@ -411,9 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> tuple[Any, int]:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     P = _load_polytope(args.polytope)
+    try:
+        return _run_command(args, P)
+    except TooLarge as exc:
+        raise InputError("too_large", str(exc), args.polytope)
+
+
+def _run_command(args: argparse.Namespace, P: LatticePolytope) -> tuple[Any, int]:
     if args.command == "faces":
         return cmd_faces(P), 0
     # every other command may interpolate the Ehrhart polynomial, directly

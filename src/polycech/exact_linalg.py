@@ -30,6 +30,8 @@ On top of these:
   complex, reporting free ranks and invariant factors over Z and ranks
   over Q or F_p. The Čech pipeline applies its coefficient ring here
   and nowhere else.
+* ``FreeChainComplex.tensor`` is the tensor product of two complexes,
+  d(a⊗b) = da⊗b + (-1)^|a| a⊗db, assembled block by block.
 * ``contraction`` produces explicit (include, project, homotopy) data
   over Z retracting a complex onto its homology, read off one
   diagonalising change of basis per differential.
@@ -56,6 +58,7 @@ left factor, not its size.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm, prod
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
@@ -585,6 +588,38 @@ class FreeChainComplex(Record):
     def total_rank(self) -> int:
         return sum(self.ranks)
 
+    def tensor(self, other: "FreeChainComplex") -> "FreeChainComplex":
+        """The tensor product, with d(a⊗b) = da⊗b + (-1)^|a| a⊗db.
+
+        Degree g stacks the blocks self_s ⊗ other_{g-s} in ascending s; in
+        its block, a⊗b sits at (index of a) * rank(other_{g-s}) + index of b.
+        """
+        if self.hi < self.lo or other.hi < other.lo:
+            return FreeChainComplex.empty()
+        lo, hi = self.lo + other.lo, self.hi + other.hi
+        ranks = dict.fromkeys(range(lo, hi + 1), 0)
+        start = {}  # (g, s): first index of the block self_s ⊗ other_{g-s}
+        for g, s in product(ranks, self.degrees()):
+            start[g, s] = ranks[g]
+            ranks[g] += self.rank(s) * other.rank(g - s)
+        diffs = {}
+        for g in range(lo + 1, hi + 1):
+            grid = [[0] * ranks[g] for _ in range(ranks[g - 1])]
+            for s in self.degrees():
+                t, col = g - s, start[g, s]
+                terms = []  # (first row, X, Y): the block X ⊗ Y out of self_s ⊗ other_t
+                if s > self.lo:
+                    terms.append((start[g - 1, s - 1], self.diff(s), Matrix.identity(other.rank(t))))
+                if other.lo < t <= other.hi:
+                    sign = Matrix.identity(self.rank(s)).scale(-1 if s % 2 else 1)
+                    terms.append((start[g - 1, s], sign, other.diff(t)))
+                for row, X, Y in terms:
+                    for i, j, k, m in product(range(X.rows), range(X.cols),
+                                              range(Y.rows), range(Y.cols)):
+                        grid[row + i * Y.rows + k][col + j * Y.cols + m] = X[i, j] * Y[k, m]
+            diffs[g] = Matrix(ranks[g - 1], ranks[g], tuple(map(tuple, grid)))
+        return FreeChainComplex.from_dicts(ranks, diffs)
+
 
 def _insert_factor(runs: list[list[int]], f: int) -> None:
     """Add Z/f to an ascending invariant-factor chain kept as [value, count] runs.
@@ -860,7 +895,10 @@ def perturb_transfer(
     at the blocks that delta leaves in degree d: each term maps the small
     part of a source block into the ambients of the blocks that delta
     reaches from where the previous term ended, and no other block is
-    visited. The result stays block-sparse: a union-find over the nonzero
+    visited. The homotopy is applied only at blocks that delta leaves in
+    degree d, since no later term reads it elsewhere; a cycle of delta
+    blocks still raises NonNilpotent, as each block on it has an edge
+    leaving it. The result stays block-sparse: a union-find over the nonzero
     entries splits it into components, and each component is assembled
     over its own blocks and checked to square to zero. Blocks and delta
     are integral, and so is the result; the direct sum of its parts is
@@ -895,6 +933,8 @@ def perturb_transfer(
                 e = d - 1 - shifts[t]
                 if blocks[t].small.rank(e):
                     accumulate(acc, (d, t, s), blocks[t].project_at(e) @ m)
+                if t not in out_of:  # the next term reads h only through delta out of t
+                    continue
                 h = blocks[t].homotopy_at(e) @ m
                 if not h.is_zero():  # most are zero: negate only the rest
                     x[(t, s)] = -h

@@ -2,10 +2,11 @@
 
 Facet enumeration from integral vertices by double description, the face
 lattice as the intersection closure of the facets' vertex sets, with
-joins, tangent-cone membership tests, lattice point enumeration in
-dilates one last-coordinate interval at a time, the Ehrhart polynomial,
-whose coefficients are read off ``row_echelon`` of the Vandermonde system
-of the point counts, and the count of its integral roots.
+joins, tangent-cone membership tests, ``facet_runs``, the line sweep of a
+box that lattice point enumeration and the line-bundle scan share, the
+Ehrhart polynomial, whose coefficients are read off ``row_echelon`` of the
+Vandermonde system of the point counts, and the count of its integral
+roots.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import row_echelon
 from .record import Record
@@ -34,6 +36,15 @@ class InterpolationInconsistent(Exception):
 
 class CharacterizationMismatch(Exception):
     """Internal guard: the two descriptions of the root count disagree."""
+
+
+class TooLarge(Exception):
+    """The work a computation would take passes its budget."""
+
+
+# most faces times facets the closure in ``face_lattice`` will reach: it
+# intersects every face it finds with every facet
+FACE_LATTICE_BUDGET = 1_000_000
 
 
 class LatticePolytope(Record):
@@ -234,6 +245,8 @@ def face_lattice(P: LatticePolytope) -> FaceLattice:
     sets under intersection, starting from the full vertex set (Kaibel and
     Pfetsch, 2002). A face is tight on the facets whose vertex set
     contains its own; its dimension is the affine rank of its vertices.
+    Raises TooLarge once the faces found times the facets pass
+    ``FACE_LATTICE_BUDGET``.
     """
     facet_vertices = [
         frozenset(vi for vi, v in enumerate(P.vertices) if _dot(a, v) == b)
@@ -249,6 +262,10 @@ def face_lattice(P: LatticePolytope) -> FaceLattice:
             if sub and sub not in seen:
                 seen.add(sub)
                 todo.append(sub)
+                if len(seen) * len(facet_vertices) > FACE_LATTICE_BUDGET:
+                    raise TooLarge(f"the face lattice reaches {len(seen)} faces times "
+                                   f"{len(facet_vertices)} facets, more than the budget "
+                                   f"of {FACE_LATTICE_BUDGET}")
     records = []
     for vs in seen:
         fdim = _affine_rank([P.vertices[i] for i in sorted(vs)])
@@ -290,14 +307,57 @@ def bounding_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
     return box
 
 
+def facet_runs(constraints: Sequence[tuple[Sequence[int], int]],
+               box: Sequence[tuple[int, int]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Runs of equal mask over ``box``, one line at a time along the last
+    coordinate: ``(m, length, mask)`` per run, m its first point, in
+    product order. Bit i of the mask is set where constraint i = (a, c)
+    holds, <a, m> >= c. On the line through a prefix m' that is where
+    a[-1]*x >= c - <a[:-1], m'>, a half-line, everywhere or nowhere, so
+    each constraint flips the mask at most once along a line. A
+    0-dimensional box is the one point ().
+    """
+    if not box:
+        yield (), 1, sum(1 << i for i, (_, c) in enumerate(constraints) if c <= 0)
+        return
+    *heads, (lo, hi) = box
+    rows = [(1 << i, a[:-1], a[-1], c) for i, (a, c) in enumerate(constraints)]
+    for prefix in product(*(range(a, b + 1) for a, b in heads)):
+        mask = 0
+        flips = []  # (x, bit): the bit flips from x on
+        for bit, head, a, c in rows:
+            r = c - sum(map(mul, head, prefix))
+            if a > 0:
+                x = -(-r // a)  # first x where the constraint holds
+                if x <= lo:
+                    mask |= bit
+                elif x <= hi:
+                    flips.append((x, bit))
+            elif a < 0:
+                x = r // a + 1  # first x where it fails
+                if x > lo:
+                    mask |= bit
+                    if x <= hi:
+                        flips.append((x, bit))
+            elif r <= 0:
+                mask |= bit
+        start = lo
+        if flips:
+            flips.sort()
+            for x, bit in flips:
+                if x > start:
+                    yield prefix + (start,), x - start, mask
+                    start = x
+                mask ^= bit
+        yield prefix + (start,), hi - start + 1, mask
+
+
 def lattice_points(P: LatticePolytope, k: int, interior: bool = False) -> tuple[tuple[int, ...], ...]:
-    """Integral points of the dilate kP, or of its interior, in lexicographic order.
+    """Integral points of the dilate kP, or of its interior, in lexicographic order:
+    the runs of ``facet_runs`` over its bounding box on which every facet holds.
 
     Boundary-inclusive counting needs k >= 0; interior counting accepts
-    any k, with the inequalities reversed for negative dilations. Every
-    prefix of the first dim-1 coordinates in the bounding box gets the
-    interval of its last coordinate from the facet inequalities, by exact
-    floor and ceiling division.
+    any k, with the inequalities reversed for negative dilations.
     """
     if not interior and k < 0:
         raise ValueError("boundary-inclusive counting needs k >= 0")
@@ -307,21 +367,9 @@ def lattice_points(P: LatticePolytope, k: int, interior: bool = False) -> tuple[
     sign = 1 if k >= 0 else -1
     rows = [(tuple(sign * x for x in a), sign * k * b + (1 if interior else 0))
             for a, b in P.facets]
-    *head, (lo_box, hi_box) = bounding_box(P, k)
-    points = []
-    for prefix in product(*(range(lo, hi + 1) for lo, hi in head)):
-        lo, hi = lo_box, hi_box
-        for a, c in rows:
-            rest, last = c - _dot(a, prefix), a[-1]
-            if last > 0:
-                lo = max(lo, -(-rest // last))
-            elif last < 0:
-                hi = min(hi, rest // last)
-            elif rest > 0:
-                break
-        else:
-            points.extend(prefix + (x,) for x in range(lo, hi + 1))
-    return tuple(points)
+    every = (1 << len(rows)) - 1
+    return tuple(m[:-1] + (x,) for m, length, mask in facet_runs(rows, bounding_box(P, k))
+                 if mask == every for x in range(m[-1], m[-1] + length))
 
 
 class EhrhartPolynomial(Record):

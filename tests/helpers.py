@@ -16,7 +16,9 @@ direct sum is merged here prime by prime, after factoring by trial
 division, where the library folds each factor into the chain by gcd
 and lcm; the trial division limits this oracle to small factors. The
 Ehrhart coefficients are summed here from the Lagrange basis, where the
-library solves the Vandermonde system with ``row_echelon``.
+library solves the Vandermonde system with ``row_echelon``. The homology
+of a tensor product is read off the Künneth formula from the homology of
+each factor, where the library eliminates the assembled product.
 """
 
 from fractions import Fraction
@@ -191,6 +193,39 @@ def merge_torsion_by_primes(lists):
         chain.append(f)
     chain.reverse()
     return tuple(chain)
+
+
+def kunneth_homology(A, B, ring):
+    """Homology of the tensor product A ⊗ B over ``ring`` by the Künneth
+    formula, from the homology of each factor alone.
+
+    Each factor's homology comes from the Smith loop here over Z, and from
+    ranks by the plain Gauss-Jordan over a field. Free parts multiply;
+    Z ⊗ Z/b is Z/b; Z/a ⊗ Z/b and Tor(Z/a, Z/b) are both Z/gcd(a, b),
+    and the Tor terms enter one degree up. The torsion of each degree is
+    merged prime by prime.
+    """
+    def homology(C):
+        out = {}
+        for d in C.degrees():
+            rows_out, rows_in = C.diff(d).data, C.diff(d + 1).data
+            if ring.kind == "Z":
+                f_out, f_in = smith_invariant_factors(rows_out), smith_invariant_factors(rows_in)
+                out[d] = (C.rank(d) - len(f_out) - len(f_in), [f for f in f_in if f > 1])
+            else:
+                out[d] = (C.rank(d) - rank_by_elimination(rows_out, ring.p)
+                          - rank_by_elimination(rows_in, ring.p), [])
+        return out
+
+    free, torsion = {}, {}
+    for i, (fa, ta) in homology(A).items():
+        for j, (fb, tb) in homology(B).items():
+            free[i + j] = free.get(i + j, 0) + fa * fb
+            tor = [gcd(a, b) for a in ta for b in tb]
+            torsion.setdefault(i + j, []).extend(ta * fb + tb * fa + tor)
+            torsion.setdefault(i + j + 1, []).extend(tor)
+    return HomologyResult.from_dict({d: (free.get(d, 0), merge_torsion_by_primes([t]))
+                                     for d, t in torsion.items()})
 
 
 def interpolate_by_lagrange(nodes):

@@ -39,6 +39,7 @@ from polycech.polytope import (
     EhrhartPolynomial,
     cone_membership,
     ehrhart_polynomial,
+    facet_runs,
     facets_from_vertices,
     lattice_points,
     standard_simplex,
@@ -383,6 +384,17 @@ def test_constant_diagram_random_matches_shifted_homology():
             assert got == complex_homology(C, ZZ).shifted(P.dim)
 
 
+def test_constant_diagram_guard_fires_on_a_wrong_face_complex():
+    # the route reads the full-mask column; put the column of the empty
+    # mask, the top face alone, in its place and the shift by n fails
+    ctx = CechContext(SAMPLES["square"])
+    unit = FreeChainComplex.from_dicts({0: 1}, {})
+    assert ctx.constant_diagram_cech(unit).homology == H({2: (1, ())})
+    ctx._columns[(1 << len(ctx.polytope.facets)) - 1] = ctx._column_of(0)
+    with pytest.raises(AssertionError, match="constant diagram gave"):
+        ctx.constant_diagram_cech(unit)
+
+
 def test_con_vs_bundle_examples():
     unit = FreeChainComplex.from_dicts({0: 1}, {})
     C2 = FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[2]])})
@@ -628,7 +640,8 @@ def test_mask_runs_match_the_columns_in_product_order(name):
     for k in range(-(P.dim + 2), 4):
         box = cech_mod.scan_box(P, k)
         swept = []
-        for m, length, mask in ctx.mask_runs(k, box):
+        facets = [(a, k * b) for a, b in P.facets]
+        for m, length, mask in facet_runs(facets, box):
             assert length >= 1
             swept += [(m[:-1] + (m[-1] + i,) if m else m, mask) for i in range(length)]
         expected = [(m, ctx.column_complex(k, m).mask)

@@ -221,6 +221,27 @@ def test_ehrhart_box_budget_on_the_square(docs, capsys, monkeypatch, tmp_path):
                 assert code == 0, args
 
 
+def test_face_lattice_over_budget_exit_2(capsys, monkeypatch, tmp_path):
+    # the cube has 27 faces and 6 facets; a fresh context cache makes
+    # `cohomology` build its face lattice here
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(polytope_document(SAMPLES["cube"])))
+    monkeypatch.setattr(polytope_mod, "FACE_LATTICE_BUDGET", 27 * 6 - 1)
+    monkeypatch.setattr(cech_mod, "_context_cache", {})
+    for args in (["faces", str(cube)], ["cohomology", str(cube), "--twist", "1"]):
+        code, out = run(args, capsys)
+        doc = json.loads(out)
+        assert code == 2 and (doc["code"], doc["location"]) == ("too_large", str(cube)), args
+        assert out.count("\n") == 1
+    # the 12-cross-polytope: 531 440 faces and 4096 facets at the default budget
+    monkeypatch.undo()
+    cross = tmp_path / "cross12.json"
+    cross.write_text(json.dumps({"dim": 12, "vertices": [
+        [s * (i == j) for j in range(12)] for i in range(12) for s in (1, -1)]}))
+    code, out = run(["faces", str(cross)], capsys)
+    assert code == 2 and json.loads(out)["code"] == "too_large"
+
+
 def test_faces_output(docs, capsys):
     code, out = run(["faces", docs["d2.json"]], capsys)
     assert code == 0
@@ -296,6 +317,21 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
         code, out = run(["np", str(path)], capsys)
         assert code == 2 and json.loads(out)["code"] == expected
         assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("write,expected", [
+    (lambda path: path.write_text("[" * 10 ** 5 + "]" * 10 ** 5), "bad_json"),
+    (lambda path: path.write_bytes(b'{"dim": 1, "vertices": [[0], [1]]}\xff'), "bad_json"),
+    (lambda path: path.mkdir(), "missing_file"),
+], ids=["nested", "not_utf8", "directory"])
+def test_unreadable_input_exit_2(docs, write, expected, tmp_path, capsys):
+    path = tmp_path / "unreadable.json"
+    write(path)
+    for args in (["faces", str(path)], ["cech", docs["d2.json"], str(path)]):
+        code, out = run(args, capsys)
+        assert code == 2 and out.count("\n") == 1, args
+        doc = json.loads(out)
+        assert (doc["code"], doc["location"]) == (expected, str(path)), args
 
 
 @pytest.mark.parametrize("args", [

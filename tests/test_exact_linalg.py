@@ -2,7 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -34,6 +34,7 @@ from polycech.sheaf_complexes import TwistComplex
 from helpers import (
     gauss_jordan,
     koszul,
+    kunneth_homology,
     merge_torsion_by_primes,
     random_free_complex,
     rank_by_elimination,
@@ -261,6 +262,28 @@ def test_universal_coefficients(p):
                         + sum(1 for t in hz.torsion(d) if t % p == 0)
                         + sum(1 for t in hz.torsion(d - 1) if t % p == 0))
             assert hp.free_rank(d) == expected
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=lambda r: r.label)
+def test_tensor_product_against_kunneth(ring):
+    rng = random.Random(20100730)
+    tor_terms = 0
+    for _ in range(40):
+        A, B = random_free_complex(rng), random_free_complex(rng)
+        AB = A.tensor(B)
+        assert (AB.lo, AB.hi) == (A.lo + B.lo, A.hi + B.hi)
+        assert AB.total_rank() == A.total_rank() * B.total_rank()
+        assert complex_homology(AB, ring) == kunneth_homology(A, B, ring)
+        ta, tb = (sum((h.torsion(d) for d in h.degrees()), ())
+                  for h in (complex_homology(A), complex_homology(B)))
+        tor_terms += any(gcd(a, b) > 1 for a in ta for b in tb)
+    assert tor_terms  # the seeded pairs exercise Tor(Z/a, Z/b) != 0
+
+
+def test_tensor_with_an_empty_complex_is_empty():
+    A = FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[2]])})
+    assert A.tensor(FreeChainComplex.empty()) == FreeChainComplex.empty()
+    assert FreeChainComplex.empty().tensor(A) == FreeChainComplex.empty()
 
 
 def test_contraction_elementary_acyclic():

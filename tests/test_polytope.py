@@ -12,6 +12,7 @@ from polycech.polytope import (
     InterpolationInconsistent,
     LatticePolytope,
     NotFullDimensional,
+    TooLarge,
     cone_membership,
     ehrhart_polynomial,
     face_lattice,
@@ -142,6 +143,16 @@ def test_vertex_cone_intersection_reproduces_dilate():
             for m in product(range(-2, 2 * 2 + 2), repeat=P.dim):
                 in_all = all(cone_membership(P, F, k, m) for F in vertex_faces)
                 assert in_all == (m in pts), (name, k, m)
+
+
+def test_face_lattice_refuses_over_its_budget(monkeypatch):
+    # the cube has 27 faces and 6 facets
+    P = SAMPLES["cube"]
+    monkeypatch.setattr(polytope_mod, "FACE_LATTICE_BUDGET", 27 * 6)
+    assert len(face_lattice(P).faces) == 27
+    monkeypatch.setattr(polytope_mod, "FACE_LATTICE_BUDGET", 27 * 6 - 1)
+    with pytest.raises(TooLarge, match="27 faces times 6 facets"):
+        face_lattice(P)
 
 
 def test_lattice_point_examples():
@@ -281,7 +292,12 @@ def _differential_cases():
     return [(name, dim, _lattice_image(rng, verts)) for name, dim, verts in cases]
 
 
-DIFFERENTIAL_CASES = _differential_cases()
+# the skew triangle's normals have last coordinates +-2, so the line
+# sweep's thresholds in ``lattice_points`` are not whole divisions
+DIFFERENTIAL_CASES = _differential_cases() + [
+    ("skew", 2, [(0, 0), (2, 1), (2, -1)]),
+    ("octahedron", 3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]),
+]
 
 
 @pytest.mark.parametrize("name,dim,verts", DIFFERENTIAL_CASES,
@@ -304,7 +320,7 @@ def test_combinatorics_against_exhaustive_oracles(name, dim, verts):
         assert L.join(f, g) == smallest
     # the box oracle visits every point of the box; keep it to small boxes
     spans = [max(v[c] for v in verts) - min(v[c] for v in verts) for c in range(dim)]
-    for k in (-2, -1, 0, 1, 2):
+    for k in range(-3, 4):
         box = 1
         for span in spans:
             box *= abs(k) * span + 1
