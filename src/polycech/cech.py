@@ -17,7 +17,7 @@ F whose cone kF + T_F contains m. A column depends only on the mask of
 facets whose inequality holds at m. A ``CechContext`` keeps, for as long
 as it lives: the face lattice, incidence signs and Ehrhart data of P; the
 column of every mask reached, with its contraction once read; the support
-table of every twist asked, with its columns; and the delta gathers of
+table of every twist asked, with its column; and the delta gathers of
 every pair of masks a transfer has joined.
 """
 
@@ -88,12 +88,12 @@ class ColumnComplex(Record):
 
 class SupportTable(Record):
     """Homological degree and multidegrees carrying the homology of O(k),
-    with the column of O(k) at each multidegree, in the same order: the
-    table is built once per twist, and so are its columns."""
+    built once per twist, with the one column of O(k) at all of them: every
+    facet holds on kP for k >= 0, and none strictly inside it for k < 0."""
 
     degree: int
     multidegrees: tuple[tuple[int, ...], ...]
-    columns: tuple[ColumnComplex, ...]
+    column: ColumnComplex
 
 
 class CechResult(Record):
@@ -202,10 +202,10 @@ class CechContext:
         """
         table = self._supports.get(k)
         if table is None:
-            pts = lattice_points(self.polytope, k, interior=k < 0)
+            mask = (1 << len(self.polytope.facets)) - 1 if k >= 0 else 0
             table = self._supports[k] = SupportTable(
-                self.polytope.dim if k >= 0 else 0, pts,
-                tuple(self.column_complex(k, m) for m in pts))
+                self.polytope.dim if k >= 0 else 0,
+                lattice_points(self.polytope, k, interior=k < 0), self._column_of(mask))
         return table
 
     def _gathers_between(self, src: ColumnComplex, tgt: ColumnComplex) -> tuple:
@@ -270,8 +270,8 @@ class CechContext:
         """The Čech complex of a twist complex transferred onto the small
         parts of its columns, over Z; no ring enters.
 
-        Steps: (1) supports of every summand, with their columns, from the
-        support tables; (2) one iterative depth-first walk from the
+        Steps: (1) supports of every summand, with the column of its twist,
+        from the support tables; (2) one iterative depth-first walk from the
         support (level, summand, multidegree) triples down the monomial
         edges: a triple finishes after its targets and counts its paths
         down to a support from theirs; if it is a support or has such a
@@ -293,7 +293,7 @@ class CechContext:
         supports: dict[tuple, ColumnComplex] = {}  # the column of each support triple
         for t, j, k in Y.summands():
             table = self.support_table(k)
-            supports.update(((t, j, m), col) for m, col in zip(table.multidegrees, table.columns))
+            supports.update(dict.fromkeys(((t, j, m) for m in table.multidegrees), table.column))
         if not supports:
             return CechTransfer(Transferred({}, (), ()), 0, 0)
 

@@ -460,9 +460,11 @@ def _run_command(args: argparse.Namespace, P: LatticePolytope) -> tuple[Any, int
     if args.command == "verify":
         if args.kmax < 0:
             raise InputError("bad_kmax", f"kmax {args.kmax} is negative", "--kmax")
-        # the scans of twists -kmax..kmax are no larger than that of kmax
-        _refuse_over(POINTS_BUDGET, prod(hi - lo + 1 for lo, hi in cech.scan_box(P, args.kmax)),
-                     f"the scan box of twist {args.kmax} holds {{}} multidegrees", "--kmax")
+        # 2*kmax + 1 scans, of twists -kmax..kmax, none larger than that of kmax
+        box = prod(hi - lo + 1 for lo, hi in cech.scan_box(P, args.kmax))
+        _refuse_over(POINTS_BUDGET, (2 * args.kmax + 1) * box,
+                     f"the scans of twists -{args.kmax}..{args.kmax} visit {{}} multidegrees",
+                     "--kmax")
         report = verify_suite(P, args.kmax)
         ok = all(item["pass"] for item in report)
         return {"ok": ok, "results": report}, 0 if ok else 1

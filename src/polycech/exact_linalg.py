@@ -3,19 +3,20 @@
 This module contains the arithmetic kernel used everywhere else. All
 elimination in the package goes through two routines:
 
-* ``row_echelon`` is Gauss-Jordan reduction over Q or F_p; ranks,
-  determinants, affine bases, simplicial cone rays, face bases and the
-  Ehrhart coefficients are read off its result. Over Q it is
-  fraction-free (Bareiss): rows are cleared of denominators and the
-  elimination runs in integers with exact division by the previous
-  pivot, so it returns integer rows d*R with their common denominator d
-  and builds no Fraction matrix.
+* ``row_echelon`` is fraction-free Gauss-Jordan reduction over Q
+  (Bareiss); determinants, affine bases, simplicial cone rays, face
+  bases and the Ehrhart coefficients are read off its result. Rows are
+  cleared of denominators and the elimination runs in integers with
+  exact division by the previous pivot, so it returns integer rows d*R
+  with their common denominator d and builds no Fraction matrix.
 * ``_diagonalize`` brings an integer matrix to its Smith form
   D = U*A*V with the inverse transforms tracked, a divisibility chain on
   the diagonal and a deterministic pivoting rule (entry of minimal
   nonzero absolute value, ties broken by (row, col)).
   ``smith_normal_form``, ``invariant_factors`` and ``contraction`` are
-  built on it. ``invariant_factors`` keeps no transforms, and there a
+  built on it, and so is ``field_rank``: by universal coefficients the
+  rank over Q counts the nonzero invariant factors, over F_p those that
+  p does not divide. ``invariant_factors`` keeps no transforms, and there a
   unit pivot takes no column operations: once the row operations have
   cleared its column, they would change only the pivot's own row, which
   the loop never reads again but for its diagonal entry, so the
@@ -28,8 +29,8 @@ On top of these:
 
 * ``complex_homology`` evaluates the homology of a bounded free chain
   complex, reporting free ranks and invariant factors over Z and ranks
-  over Q or F_p. The Čech pipeline applies its coefficient ring here
-  and nowhere else.
+  over Q or F_p, all from the integer Smith diagonal. The Čech pipeline
+  applies its coefficient ring here and nowhere else.
 * ``FreeChainComplex.tensor`` is the tensor product of two complexes,
   d(a⊗b) = da⊗b + (-1)^|a| a⊗db, assembled block by block.
 * ``contraction`` produces explicit (include, project, homotopy) data
@@ -311,42 +312,35 @@ class SignedGather:
         return not self.c or self.rows.count(None) == len(self.rows)
 
 
-def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
-    """Reduced row echelon form over Q or F_p by Gauss-Jordan elimination.
+def row_echelon(rows: Sequence[Sequence]):
+    """Reduced row echelon form over Q by fraction-free Gauss-Jordan elimination.
 
     The pivot of each column is its first nonzero entry at or below the
     current rank. Returns (m, pivots, scale, d): the eliminated rows m are
-    d times the reduced matrix R (over F_p, d = 1 and m is R, in ints mod
-    p), ``pivots`` is the pivot column of each nonzero row of R, and
-    ``scale`` the product of the pivots met times the sign of the row
-    swaps, which is the determinant of a square matrix of full rank.
+    d times the reduced matrix R, ``pivots`` is the pivot column of each
+    nonzero row of R, and ``scale`` the product of the pivots met times
+    the sign of the row swaps, which is the determinant of a square
+    matrix of full rank.
 
-    Over Q the elimination is fraction-free (Bareiss, 1968). Each row is
-    multiplied by the common denominator of its entries, and each step
-    replaces every other row a by (x*a - c*b) / d, where b is the pivot
-    row, x its pivot, c the row's entry in the pivot column and d the
-    previous pivot. The division is exact: every entry stays an integer
-    minor of the cleared matrix, and after the last step the pivot rows
-    are d times the rows of R, so m holds ints and R is Fraction(a, d).
-    ``scale`` is the sign of the swaps times d over the denominators of
-    the rows that ended up as pivot rows.
+    The elimination is Bareiss's (1968). Each row is multiplied by the
+    common denominator of its entries, and each step replaces every other
+    row a by (x*a - c*b) / d, where b is the pivot row, x its pivot, c the
+    row's entry in the pivot column and d the previous pivot. The division
+    is exact: every entry stays an integer minor of the cleared matrix,
+    and after the last step the pivot rows are d times the rows of R, so m
+    holds ints and R is Fraction(a, d). ``scale`` is the sign of the swaps
+    times d over the denominators of the rows that ended up as pivot rows.
     """
-    if not ring.is_field:
-        raise ValueError(f"row echelon form needs a field, not {ring.label}")
-    p = ring.p
-    if p is None:
-        m, dens = [], []
-        for row in rows:
-            row = [a if type(a) is int else Fraction(a) for a in row]
-            fracs = [a.denominator for a in row if type(a) is not int]
-            den = lcm(*fracs)
-            m.append([int(a * den) for a in row] if fracs else row)
-            dens.append(den)
-    else:
-        m = [list(map(ring.normalize, row)) for row in rows]
+    m, dens = [], []
+    for row in rows:
+        row = [a if type(a) is int else Fraction(a) for a in row]
+        fracs = [a.denominator for a in row if type(a) is not int]
+        den = lcm(*fracs)
+        m.append([int(a * den) for a in row] if fracs else row)
+        dens.append(den)
     nrows = len(m)
     pivots: list[int] = []
-    scale = prev = 1  # over Q the pivots' product telescopes to the last, prev
+    sign = prev = 1  # the pivots' product telescopes to the last, prev
     for j in range(len(m[0]) if m else 0):
         r = len(pivots)
         if r == nrows:
@@ -356,36 +350,36 @@ def row_echelon(rows: Sequence[Sequence], ring: CoefficientRing = QQ):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            if p is None:
-                dens[r], dens[piv] = dens[piv], dens[r]
-            scale = -scale
-        x = m[r][j]
-        if p is None:
-            top = m[r]
-            for i in range(nrows):
-                c = m[i][j]
-                if i == r or not c and x == prev:
-                    continue
-                m[i] = [(x * a - c * b) // prev for a, b in zip(m[i], top)]
-            prev = x
-        else:
-            scale *= x
-            inv = pow(x, -1, p)
-            top = m[r] = [inv * a % p for a in m[r]]
-            for i in range(nrows):
-                c = m[i][j]
-                if c and i != r:
-                    m[i] = [(a - c * b) % p for a, b in zip(m[i], top)]
+            dens[r], dens[piv] = dens[piv], dens[r]
+            sign = -sign
+        x, top = m[r][j], m[r]
+        for i in range(nrows):
+            c = m[i][j]
+            if i == r or not c and x == prev:
+                continue
+            m[i] = [(x * a - c * b) // prev for a, b in zip(m[i], top)]
+        prev = x
         pivots.append(j)
-    if p is not None:
-        return m, pivots, scale % p, 1
-    scale = Fraction(scale * prev, prod(dens[:len(pivots)])) if pivots else 1
+    scale = Fraction(sign * prev, prod(dens[:len(pivots)])) if pivots else 1
     return m, pivots, scale, prev
 
 
 def field_rank(A: Matrix, ring: CoefficientRing) -> int:
-    """Rank of A over the given field (Q or F_p) by exact elimination."""
-    return len(row_echelon(A.data, ring)[1])
+    """Rank of A over Q or F_p, read off the integer Smith diagonal: by
+    universal coefficients, the count of nonzero invariant factors over Q
+    and of those that p does not divide over F_p. Entries that are not ints
+    are made integral first: over F_p by ``ring.normalize`` (a/b is a*b^-1,
+    and a denominator that p divides raises ValueError), over Q by their
+    common denominator."""
+    if not ring.is_field:
+        raise ValueError(f"field rank needs a field, not {ring.label}")
+    p = ring.p
+    if not all(type(a) is int for row in A.data for a in row):
+        den = lcm(*(Fraction(a).denominator for row in A.data for a in row))
+        norm = ring.normalize if p else (lambda a: int(a * den))
+        A = Matrix.from_rows([map(norm, row) for row in A.data])
+    factors = invariant_factors(A)
+    return len(factors) if p is None else sum(1 for f in factors if f % p)
 
 
 def _nearest_quotient(a: int, b: int) -> int:
@@ -719,9 +713,10 @@ class HomologyResult(Record):
 def complex_homology(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> HomologyResult:
     """Homology of a bounded free complex over Z, Q or F_p.
 
-    Over Z the free rank and invariant factors come from Smith forms of the
-    adjacent differentials; over a field, ranks come from exact row
-    reduction. Raises InvalidComplex when d∘d != 0 over the ring.
+    The free rank and invariant factors come from Smith forms of the
+    adjacent differentials over Z; over a field, ``field_rank`` reads the
+    ranks off the same diagonal. Raises InvalidComplex when d∘d != 0 over
+    the ring.
     """
     diffs = C.diffs
     for i in range(1, len(diffs)):

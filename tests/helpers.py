@@ -9,7 +9,8 @@ longer uses: facets from every dim-subset of the vertices, faces from
 every subset of the facets, lattice points from the whole bounding box.
 Their ranks, nullspaces and solutions come from a plain Fraction
 Gauss-Jordan kept here, not from the library's fraction-free
-``row_echelon``, which is itself tested against it. The torsion of the
+``row_echelon``, which is itself tested against it; its mod-p path gives
+the ranks over F_p that the library reads off the Smith diagonal. The torsion of the
 two-level oracle comes from a textbook Smith loop kept beside it, not
 from the library's ``invariant_factors``. The torsion of a
 direct sum is merged here prime by prime, after factoring by trial
@@ -57,10 +58,12 @@ def gauss_jordan(rows, p=None):
 
     Every entry is a Fraction (an int mod p) throughout: the textbook
     elimination, independent of the library's fraction-free kernel, with
-    the same conventions as ``polycech.exact_linalg.row_echelon``. The
-    pivot of each column is its first nonzero entry at or below the
+    the same conventions as ``polycech.exact_linalg.row_echelon`` over Q.
+    The pivot of each column is its first nonzero entry at or below the
     current rank; returns (R, pivots, scale) with ``scale`` the product
-    of the pivots met times the sign of the row swaps.
+    of the pivots met times the sign of the row swaps. The mod-p path
+    serves only ``rank_by_elimination``, the oracle for ranks over F_p,
+    which the library reads off the integer Smith diagonal instead.
     """
     if p is None:
         m = [[Fraction(a) for a in row] for row in rows]

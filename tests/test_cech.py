@@ -9,8 +9,6 @@ from polycech import cech as cech_mod
 from polycech import polytope as polytope_mod
 from polycech.cech import (
     CechContext,
-    ColumnComplex,
-    SupportTable,
     SupportEscapesBox,
     cech_homology,
     column_complex,
@@ -502,56 +500,48 @@ def test_zero_monomial_cone_splits_by_multidegree(monkeypatch):
     # O(1) -> O(2) by u = 0 on the cube links the column of each point of P
     # to the column at the same multidegree, and nothing else
     P = SAMPLES["cube"]
-    calls = []  # (blocks, result) of each transfer
+    calls = []  # (blocks, delta, shifts, result) of each transfer
     transfer = cech_mod.perturb_transfer
 
-    def keeping(blocks, *rest):
-        calls.append((blocks, transfer(blocks, *rest)))
-        return calls[-1][1]
+    def keeping(blocks, delta, level_bound, shifts):
+        calls.append((blocks, delta, shifts, transfer(blocks, delta, level_bound, shifts)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(cech_mod, "perturb_transfer", keeping)
     ctx = CechContext(P)
-    # every block is a support here, and its column comes from a support
-    # table: give each support multidegree its own copy of its column, so
-    # that the contraction of a block names the block's multidegree
-    multidegree_of = {}
-    tables = {}
-    table_of = ctx.support_table
-
-    def tagged(k):
-        if k not in tables:
-            table = table_of(k)
-            cols = tuple(ColumnComplex(c.complex, c.faces, c.mask) for c in table.columns)
-            multidegree_of.update((id(c.contraction), m) for m, c in zip(table.multidegrees, cols))
-            tables[k] = SupportTable(table.degree, table.multidegrees, cols)
-        return tables[k]
-
-    monkeypatch.setattr(ctx, "support_table", tagged)
     Y = cone({0: {(0, 0): [(1, (0, 0, 0))]}}, line_bundle(1), line_bundle(2))
     res = ctx.cech_homology(Y, ZZ)
     ones, twos = ctx.support_table(1).multidegrees, ctx.support_table(2).multidegrees
     assert res.homology == H({3: (len(twos) - len(ones), ())})
-    ((blocks, out),) = calls
-    block_multidegrees = [multidegree_of[id(b)] for b in blocks]
-    active = [(1, 0, m) for m in ones] + [(0, 0, m) for m in twos]
-    assert res.active_multidegrees == len(active) == len(block_multidegrees)
+    ((blocks, delta, shifts, out),) = calls
+    # every block is a support, and the supports of one twist share a column
+    assert sorted(shifts) == [0] * len(twos) + [1] * len(ones)
+    assert res.active_multidegrees == len(blocks) == len(ones) + len(twos)
+    assert {id(b) for b in blocks} == {id(ctx.support_table(k).column.contraction) for k in (1, 2)}
+    # delta sends each block of O(1) to one block of O(2), its own
+    target = {}
+    for _, src, tgt, _ in delta:
+        assert (shifts[src], shifts[tgt]) == (1, 0)
+        assert target.setdefault(src, tgt) == tgt
+    assert len(target) == len(set(target.values())) == len(ones)
     assert len(out.components) == len(ones)
-    for bs in out.linked:
-        assert len(bs) == 2 and len({block_multidegrees[b] for b in bs}) == 1
+    assert sorted(sorted(bs) for bs in out.linked) == sorted(sorted(e) for e in target.items())
     assert out.unlinked == {3: len(twos) - len(ones)}
 
 
 def test_support_columns_are_the_context_columns_and_kept_state_is_sound():
-    # a support table holds the context's own column at each multidegree,
-    # for twists below, at and above 0
+    # the one column of a support table is the context's own column at
+    # each of its multidegrees, for twists below, at and above 0
+    for name, P in SAMPLES.items():
+        ctx = CechContext(P)
+        for k in range(-P.dim - 3, 4):
+            table = ctx.support_table(k)
+            for m in table.multidegrees:
+                assert ctx.column_complex(k, m) is table.column, (name, k, m)
     P = SAMPLES["square"]
     ctx = CechContext(P)
     for k in (-3, -1, 0, 1, 2):
-        table = ctx.support_table(k)
-        assert len(table.columns) == len(table.multidegrees)
-        assert bool(table.multidegrees) == (k != -1)  # O(-1) has no interior points
-        for m, col in zip(table.multidegrees, table.columns):
-            assert col is ctx.column_complex(k, m), (k, m)
+        assert bool(ctx.support_table(k).multidegrees) == (k != -1)  # O(-1): no interior points
     # the columns, supports and delta patterns a context keeps from one
     # complex answer a second complex as a fresh context does
     rng = random.Random(4242)

@@ -140,19 +140,26 @@ def test_cech_supports_over_budget_exit_2(docs, capsys, monkeypatch, tmp_path):
 def test_scan_box_over_budget_exit_2(docs, capsys, monkeypatch):
     default = cli_mod.POINTS_BUDGET
     monkeypatch.setattr(cli_mod, "POINTS_BUDGET", 16)
-    # the square's scan box at twist k holds (|k| + 3)^2 multidegrees
+    # the square's scan box at twist k holds (|k| + 3)^2 multidegrees, and
+    # verify scans 2*kmax + 1 twists: 3 * 16 multidegrees at kmax 1
     for args, ok in [(["cohomology", "--twist", "1"], True),
                      (["cohomology", "--twist", "-1", "--ring", "Q"], True),
                      (["cohomology", "--twist", "2"], False),
                      (["cohomology", "--twist", "-2", "--ring", "Fp:3"], False),
-                     (["verify", "--kmax", "1"], True),
-                     (["verify", "--kmax", "2"], False)]:
+                     (["verify", "--kmax", "0"], True),
+                     (["verify", "--kmax", "1"], False)]:
         code, out = run([args[0], docs["sq.json"]] + args[1:], capsys)
         if ok:
             assert code == 0, args
         else:
             assert code == 2 and json.loads(out)["code"] == "too_large", args
             assert out.count("\n") == 1
+    # the interval's box at twist 40 holds 43 multidegrees, its 81 scans 3483
+    monkeypatch.setattr(cli_mod, "POINTS_BUDGET", 2000)
+    code, out = run(["verify", docs["iv.json"], "--kmax", "40"], capsys)
+    doc = json.loads(out)
+    assert code == 2 and (doc["code"], doc["location"]) == ("too_large", "--kmax")
+    assert "3483" in doc["message"]
     # refused before any scan: about 10^10 multidegrees at the default budget
     monkeypatch.setattr(cli_mod, "POINTS_BUDGET", default)
     for args in (["cohomology", docs["d2.json"], "--twist", "100000"],
