@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from math import prod
 from typing import Any, Mapping, NoReturn, Sequence
@@ -121,10 +122,11 @@ def polytope_document(P: LatticePolytope) -> dict:
 def _parse_coeff(c: Any, location: str) -> int:
     if _is_int(c):
         return c
-    if isinstance(c, str):
+    # ASCII digits only: int() would also read "1_0", padding and other scripts' digits
+    if isinstance(c, str) and re.fullmatch(r"-?[0-9]+", c):
         try:
             return int(c)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             pass
     raise InputError("bad_coefficient", f"coefficient {c!r} is not an integer", location)
 
@@ -413,9 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str]) -> tuple[Any, int]:
     args = build_parser().parse_args(argv)
-    P = _load_polytope(args.polytope)
     try:
-        return _run_command(args, P)
+        return _run_command(args, _load_polytope(args.polytope))
     except TooLarge as exc:
         raise InputError("too_large", str(exc), args.polytope)
 

@@ -4,8 +4,8 @@ This module contains the arithmetic kernel used everywhere else. All
 elimination in the package goes through two routines:
 
 * ``row_echelon`` is fraction-free Gauss-Jordan reduction over Q
-  (Bareiss); determinants, affine bases, simplicial cone rays, face
-  bases and the Ehrhart coefficients are read off its result. Rows are
+  (Bareiss); determinants, affine bases, simplicial cone rays and the
+  Ehrhart coefficients are read off its result. Rows are
   cleared of denominators and the elimination runs in integers with
   exact division by the previous pivot, so it returns integer rows d*R
   with their common denominator d and builds no Fraction matrix.
@@ -58,6 +58,7 @@ left factor, not its size.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -113,10 +114,12 @@ class CoefficientRing(Record):
 
     @staticmethod
     def parse(text: str) -> "CoefficientRing":
-        """Parse "Z", "Q" or "Fp:<p>" as used by the command line."""
+        """Parse "Z", "Q" or "Fp:<p>" as used by the command line, p in
+        ASCII digits only (``int`` would also read "1_1", padding and
+        other scripts' digits)."""
         if text in ("Z", "Q"):
             return CoefficientRing(text)
-        if text.startswith("Fp:"):
+        if re.fullmatch(r"Fp:-?[0-9]+", text):
             return CoefficientRing("Fp", int(text[3:]))
         raise ValueError(f"unknown ring {text!r}")
 

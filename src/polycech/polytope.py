@@ -1,7 +1,8 @@
 """Lattice polytopes with exact arithmetic.
 
 Facet enumeration from integral vertices by double description, the face
-lattice as the intersection closure of the facets' vertex sets, with
+lattice as the intersection closure of the facets' vertex sets, its
+dimensions and codimension-one pairs read off the lattice itself, with
 joins, tangent-cone membership tests, ``facet_runs``, the line sweep of a
 box that lattice point enumeration and the line-bundle scan share, the
 Ehrhart polynomial, whose coefficients are read off ``row_echelon`` of the
@@ -12,7 +13,6 @@ roots.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import mul
@@ -42,8 +42,9 @@ class TooLarge(Exception):
     """The work a computation would take passes its budget."""
 
 
-# most faces times facets the closure in ``face_lattice`` will reach: it
-# intersects every face it finds with every facet
+# most faces times facets the closure in ``face_lattice`` will reach (it
+# intersects every face it finds with every facet), and most held rays the
+# adjacency tests of ``_hull_rays`` will scan
 FACE_LATTICE_BUDGET = 1_000_000
 
 
@@ -70,10 +71,6 @@ def _affine_basis(points: Sequence[Sequence[int]]) -> list[int]:
     return [0] + [j + 1 for j in row_echelon(cols)[1]]
 
 
-def _affine_rank(points: Sequence[Sequence[int]]) -> int:
-    return len(_affine_basis(points)) - 1
-
-
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     g = 0
     for x in vec:
@@ -96,7 +93,9 @@ def _hull_rays(lifted: Sequence[tuple[int, ...]],
     ray p on the positive side and n on the negative side give the new
     ray <p, w>*n - <n, w>*p exactly when they are adjacent: no third ray
     is tight on every point both are tight on. Each ray is returned with
-    its mask, which at the end covers every point it is tight on.
+    its mask, which at the end covers every point it is tight on. Each
+    adjacency test scans every held ray; raises TooLarge once the scans
+    pass ``FACE_LATTICE_BUDGET``.
     """
     d = len(lifted[0])
     rows = [list(lifted[i]) + [int(r == c) for c in range(d)] for r, i in enumerate(basis)]
@@ -105,6 +104,7 @@ def _hull_rays(lifted: Sequence[tuple[int, ...]],
     rays = [(_primitive([sign * m[r][d + j] for r in range(d)]),
              sum(1 << b for b in basis if b != i)) for j, i in enumerate(basis)]
     rest = sorted(set(range(len(lifted))) - set(basis))
+    scans = 0
     for t in rest:
         w, bit = lifted[t], 1 << t
         vals = [_dot(ray, w) for ray, _ in rays]
@@ -119,6 +119,10 @@ def _hull_rays(lifted: Sequence[tuple[int, ...]],
                 # two rays spanning a 2-face are both tight on at least d-2 points
                 if bin(common).count("1") < d - 2:
                     continue
+                scans += len(masks)
+                if scans > FACE_LATTICE_BUDGET:
+                    raise TooLarge(f"the facet enumeration's adjacency tests scan {scans} "
+                                   f"rays, more than the budget of {FACE_LATTICE_BUDGET}")
                 if sum(1 for z in masks if z & common == common) != 2:
                     continue
                 nxt.append((_primitive([sp * b - sn * a for a, b in zip(rp, rn)]), common | bit))
@@ -135,8 +139,9 @@ def facets_from_vertices(dim: int, vertices: Sequence[Sequence[int]]) -> Lattice
     the normals, because <a, v> = b at an integral vertex makes gcd(a)
     divide b.
 
-    Raises DuplicateVertex or NotFullDimensional on bad input, and
-    ValueError when some input point is not a vertex of the hull.
+    Raises DuplicateVertex or NotFullDimensional on bad input,
+    ValueError when some input point is not a vertex of the hull, and
+    TooLarge when the double description passes its budget.
     """
     verts = [tuple(int(x) for x in v) for v in vertices]
     if any(len(v) != dim for v in verts):
@@ -186,14 +191,18 @@ class Face(Record):
 class FaceLattice:
     """All nonempty faces of a polytope, ordered by inclusion of vertex sets.
 
-    ``facet_vertices[i]`` is the vertex set of facet i.
+    ``facet_vertices[i]`` is the vertex set of facet i, and
+    ``codim_one[g]`` holds the faces of dimension dim G - 1 in face g, by
+    index.
     """
 
     def __init__(self, polytope: LatticePolytope, faces: Sequence[Face],
-                 facet_vertices: Sequence[frozenset[int]]):
+                 facet_vertices: Sequence[frozenset[int]],
+                 codim_one: Sequence[Sequence[Face]]):
         self.polytope = polytope
         self.faces = tuple(faces)
         self.facet_vertices = tuple(facet_vertices)
+        self.codim_one = tuple(tuple(below) for below in codim_one)
         self.by_dim: dict[int, tuple[Face, ...]] = {}
         for d in range(polytope.dim + 1):
             self.by_dim[d] = tuple(f for f in self.faces if f.dim == d)
@@ -205,26 +214,6 @@ class FaceLattice:
 
     def face_with_vertices(self, vertex_set: Iterable[int]) -> Face:
         return self._by_vertex_set[frozenset(vertex_set)]
-
-    @cached_property
-    def codim_one(self) -> tuple[tuple[Face, ...], ...]:
-        """``codim_one[g]``: the faces of dimension dim G - 1 in face g, by index.
-
-        A facet F of G lies in a facet of P that G does not lie in, and
-        G meets that facet exactly in F; so these are the intersections
-        G ∩ facet_i of dimension dim G - 1 over the facets i not tight at G.
-        """
-        out = []
-        for g in self.faces:
-            below = set()
-            for i, verts in enumerate(self.facet_vertices):
-                common = g.vertex_set & verts
-                if i not in g.tight_facets and common:
-                    f = self.face_with_vertices(common)
-                    if f.dim == g.dim - 1:
-                        below.add(f.index)
-            out.append(tuple(self.faces[j] for j in sorted(below)))
-        return tuple(out)
 
     def contains(self, inner: Face, outer: Face) -> bool:
         return inner.vertex_set <= outer.vertex_set
@@ -243,10 +232,15 @@ def face_lattice(P: LatticePolytope) -> FaceLattice:
     Every face is the intersection of the vertex sets of the facets
     containing it, so the faces are the closure of the facets' vertex
     sets under intersection, starting from the full vertex set (Kaibel and
-    Pfetsch, 2002). A face is tight on the facets whose vertex set
-    contains its own; its dimension is the affine rank of its vertices.
-    Raises TooLarge once the faces found times the facets pass
-    ``FACE_LATTICE_BUDGET``.
+    Pfetsch, 2002). Dimensions come from the lattice alone, with no
+    elimination: one pass over the faces by ascending vertex count meets
+    each face G with every facet's vertex set. G is tight on the facets
+    whose meet is G itself; the smaller nonempty meets are faces below G,
+    among them every facet of G, since a facet of G lies in a facet of P
+    that G does not. The face lattice is graded, so dim G is one more
+    than the largest dimension below it (0 for a vertex), and the meets
+    of dimension dim G - 1 are ``codim_one[g]``. Raises TooLarge once
+    the faces found times the facets pass ``FACE_LATTICE_BUDGET``.
     """
     facet_vertices = [
         frozenset(vi for vi, v in enumerate(P.vertices) if _dot(a, v) == b)
@@ -266,15 +260,30 @@ def face_lattice(P: LatticePolytope) -> FaceLattice:
                     raise TooLarge(f"the face lattice reaches {len(seen)} faces times "
                                    f"{len(facet_vertices)} facets, more than the budget "
                                    f"of {FACE_LATTICE_BUDGET}")
-    records = []
-    for vs in seen:
-        fdim = _affine_rank([P.vertices[i] for i in sorted(vs)])
-        tight = frozenset(i for i, fv in enumerate(facet_vertices) if vs <= fv)
-        records.append((fdim, tuple(sorted(vs)), tight))
-    records.sort(key=lambda rec: (rec[0], rec[1]))
-    faces = [Face(index=i, dim=fdim, vertex_set=frozenset(vs), tight_facets=tight)
-             for i, (fdim, vs, tight) in enumerate(records)]
-    lattice = FaceLattice(P, faces, facet_vertices)
+    order = sorted(seen, key=len)
+    position = {vs: p for p, vs in enumerate(order)}
+    dims: list[int] = []
+    tights, belows = [], []
+    for vs in order:
+        tight, below = [], set()
+        for i, fv in enumerate(facet_vertices):
+            common = vs & fv
+            if common == vs:
+                tight.append(i)
+            elif common:
+                below.add(position[common])
+        dims.append(1 + max((dims[q] for q in below), default=-1))
+        tights.append(frozenset(tight))
+        belows.append([q for q in below if dims[q] == dims[-1] - 1])
+    # faces by (dim, sorted vertices); index[p] is the index of order[p]
+    ranked = sorted(range(len(order)), key=lambda p: (dims[p], sorted(order[p])))
+    index = [0] * len(order)
+    for i, p in enumerate(ranked):
+        index[p] = i
+    faces = [Face(index=i, dim=dims[p], vertex_set=order[p], tight_facets=tights[p])
+             for i, p in enumerate(ranked)]
+    codim_one = [[faces[j] for j in sorted(index[q] for q in belows[p])] for p in ranked]
+    lattice = FaceLattice(P, faces, facet_vertices, codim_one)
     if len(lattice.by_dim[P.dim]) != 1:
         raise AssertionError("face lattice must contain exactly one top face")
     return lattice

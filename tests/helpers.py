@@ -19,7 +19,10 @@ and lcm; the trial division limits this oracle to small factors. The
 Ehrhart coefficients are summed here from the Lagrange basis, where the
 library solves the Vandermonde system with ``row_echelon``. The homology
 of a tensor product is read off the Künneth formula from the homology of
-each factor, where the library eliminates the assembled product.
+each factor, where the library eliminates the assembled product. The
+incidence signs are solved for here in coordinates, face by face, where
+the library propagates them through the face lattice; the two agree up
+to one sign per face, which ``equal_up_to_face_signs`` decides.
 """
 
 from fractions import Fraction
@@ -445,6 +448,39 @@ def incidence_signs_by_coordinates(lattice, reverse=False):
             assert len(coord_pivots) == e, "singular comparison"
             numbers.append(((inner.index, outer.index), 1 if det > 0 else -1))
     return tuple(sorted(numbers))
+
+
+def equal_up_to_face_signs(a, b):
+    """Whether two sign systems, sorted ((inner, outer), sign) tuples, sign
+    the same pairs and agree up to one sign e per face: a = e_F e_G b on
+    every pair F < G.
+
+    Walks the graph of the pairs, each edge labelled a*b, fixing e = +1
+    at the first face of each component and e_G = e_F * a*b along every
+    edge met; the systems agree exactly when no edge contradicts it.
+    """
+    a, b = dict(a), dict(b)
+    if a.keys() != b.keys():
+        return False
+    edges = {}
+    for (f, g), s in a.items():
+        edges.setdefault(f, []).append((g, s * b[(f, g)]))
+        edges.setdefault(g, []).append((f, s * b[(f, g)]))
+    e = {}
+    for start in edges:
+        if start in e:
+            continue
+        e[start] = 1
+        todo = [start]
+        while todo:
+            f = todo.pop()
+            for g, t in edges[f]:
+                if g not in e:
+                    e[g] = e[f] * t
+                    todo.append(g)
+                elif e[g] != e[f] * t:
+                    return False
+    return True
 
 
 def random_free_complex(rng, max_blocks=3, degree_span=3, entry_bound=3):

@@ -240,13 +240,17 @@ def test_face_lattice_over_budget_exit_2(capsys, monkeypatch, tmp_path):
         doc = json.loads(out)
         assert code == 2 and (doc["code"], doc["location"]) == ("too_large", str(cube)), args
         assert out.count("\n") == 1
-    # the 12-cross-polytope: 531 440 faces and 4096 facets at the default budget
+    # the 12-cross-polytope: 531 440 faces and 4096 facets at the default
+    # budget; the 16- and 20-cross-polytopes are refused while their facets
+    # are enumerated, at the polytope's path too
     monkeypatch.undo()
-    cross = tmp_path / "cross12.json"
-    cross.write_text(json.dumps({"dim": 12, "vertices": [
-        [s * (i == j) for j in range(12)] for i in range(12) for s in (1, -1)]}))
-    code, out = run(["faces", str(cross)], capsys)
-    assert code == 2 and json.loads(out)["code"] == "too_large"
+    for n in (12, 16, 20):
+        cross = tmp_path / f"cross{n}.json"
+        cross.write_text(json.dumps({"dim": n, "vertices": [
+            [s * (i == j) for j in range(n)] for i in range(n) for s in (1, -1)]}))
+        code, out = run(["faces", str(cross)], capsys)
+        doc = json.loads(out)
+        assert code == 2 and (doc["code"], doc["location"]) == ("too_large", str(cross)), n
 
 
 def test_faces_output(docs, capsys):
@@ -307,8 +311,10 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
     assert code == 2 and json.loads(out)["code"] == "bad_json"
     code, out = run(["ehrhart", str(docs["d2.json"]) + ".missing"], capsys)
     assert code == 2 and json.loads(out)["code"] == "missing_file"
-    # a composite modulus, and a prime too large to test by trial division
-    for ring in ("Fp:4", "Fp:2305843009213693951"):
+    # a composite modulus, a prime too large to test by trial division, and
+    # moduli that are not plain ASCII digits (int() reads all but the last)
+    for ring in ("Fp:4", "Fp:2305843009213693951", "Fp:1_1", "Fp: 3", "Fp:+3",
+                 "Fp:\u0663", "Fp:"):
         code, out = run(["cohomology", docs["d2.json"], "--twist", "1", "--ring", ring], capsys)
         assert code == 2 and json.loads(out)["code"] == "bad_ring"
     # a negative twist bound would leave the closed-form check with no twist
@@ -396,6 +402,12 @@ def test_invalid_complex_document_exit_2(docs, tmp_path, capsys):
             {**entry, "terms": [{**term, "u": [False]}]}]}]}, "bad_monomial"),
         ({**base, "differentials": [{**block, "entries": [
             {**entry, "terms": [{**term, "c": True}]}]}]}, "bad_coefficient"),
+    ] + [
+        # not plain ASCII digits (int() reads the first four), or more
+        # digits than int() converts
+        ({**base, "differentials": [{**block, "entries": [
+            {**entry, "terms": [{**term, "c": c}]}]}]}, "bad_coefficient")
+        for c in ("1_0", " 3 ", "\u0663", "+1", "", "-", "9" * 5000)
     ]:
         bad.write_text(json.dumps(doc))
         code, out = run(["cech", docs["iv.json"], str(bad)], capsys)

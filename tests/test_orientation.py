@@ -3,18 +3,17 @@ from itertools import product
 
 import pytest
 
-from polycech import orientation
+from polycech import exact_linalg, polytope
 from polycech.cech import CechContext, constant_diagram_cech
 from polycech.exact_linalg import ZZ, FreeChainComplex, GF, Matrix
 from polycech.orientation import (
-    DegenerateBasis,
     IncidenceSystem,
     _check_boundary_squares_to_zero,
     incidence_numbers,
 )
 from polycech.polytope import FaceLattice, face_lattice, facets_from_vertices
 
-from helpers import incidence_signs_by_coordinates, sample_polytopes
+from helpers import equal_up_to_face_signs, incidence_signs_by_coordinates, sample_polytopes
 
 SAMPLES = sample_polytopes()
 
@@ -38,11 +37,15 @@ def _unimodular_image(rng, verts):
     return out
 
 
+def _cross(n):
+    return [tuple(s * (c == i) for c in range(n)) for i in range(n) for s in (1, -1)]
+
+
 def _oracle_cases():
     cases = [(name, P) for name, P in sorted(SAMPLES.items())]
     shapes = {
         "cube": list(product((0, 1), repeat=3)),
-        "octahedron": [tuple(s * (c == i) for c in range(3)) for i in range(3) for s in (1, -1)],
+        "octahedron": _cross(3),
         "prism": [v + (z,) for v in ((0, 0), (1, 0), (0, 1)) for z in (0, 1)],
         "cube4": list(product((0, 1), repeat=4)),
     }
@@ -51,6 +54,9 @@ def _oracle_cases():
         for i in range(3):
             image = _unimodular_image(rng, verts)
             cases.append((f"{name}-{i}", facets_from_vertices(len(verts[0]), image)))
+    for name, verts in (("cube5", list(product((0, 1), repeat=5))),
+                        ("cross4", _cross(4)), ("cross5", _cross(5))):
+        cases.append((name, facets_from_vertices(len(verts[0]), verts)))
     return cases
 
 
@@ -60,36 +66,65 @@ ORACLE_CASES = _oracle_cases()
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("name,P", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_incidence_numbers_match_rational_oracle(name, P, reverse):
+    # the lattice's signs match the geometric ones up to one sign per face
     L = face_lattice(P)
-    assert incidence_numbers(L, reverse).numbers == incidence_signs_by_coordinates(L, reverse)
+    assert equal_up_to_face_signs(incidence_numbers(L, reverse).numbers,
+                                  incidence_signs_by_coordinates(L, reverse))
 
 
-def _patch_basis(monkeypatch, L, coords, vector):
-    """Make the oriented basis of the face with vertices ``coords`` the one ``vector``."""
-    face = L.face_with_vertices(L.polytope.vertices.index(v) for v in coords)
-    true_basis = orientation._oriented_basis
-
-    def patched(lattice, f, reverse):
-        basis, minor_coords, sign = true_basis(lattice, f, reverse)
-        return ([vector] if f == face else basis), minor_coords, sign
-
-    monkeypatch.setattr(orientation, "_oriented_basis", patched)
+@pytest.mark.parametrize("name", ["square", "cube"])
+def test_one_flipped_sign_is_not_equivalent(name):
+    # every pair lies on a diamond, so flipping any one sign breaks it
+    L = face_lattice(SAMPLES[name])
+    numbers = incidence_numbers(L).numbers
+    for k, (pair, sign) in enumerate(numbers):
+        flipped = numbers[:k] + ((pair, -sign),) + numbers[k + 1:]
+        assert not equal_up_to_face_signs(flipped, numbers), pair
 
 
-def test_span_guard_fires_when_a_basis_vector_leaves_its_face(monkeypatch):
-    L = face_lattice(SAMPLES["cube"])
-    # the edge from the origin along x, tilted out of the facets z = 0 and y = 0
-    _patch_basis(monkeypatch, L, [(0, 0, 0), (1, 0, 0)], (1, 0, 1))
-    with pytest.raises(DegenerateBasis, match="leaves the span"):
-        incidence_numbers(L)
+def _corrupted(L, face, below):
+    """``L`` with ``codim_one`` of the face with vertex set ``face`` set to
+    the faces with vertex sets ``below``."""
+    codim_one = list(L.codim_one)
+    codim_one[L.face_with_vertices(face).index] = [L.face_with_vertices(vs) for vs in below]
+    return FaceLattice(L.polytope, L.faces, L.facet_vertices, codim_one)
 
 
-def test_singular_comparison_guard_fires(monkeypatch):
+def test_ridge_guard_fires_when_a_facet_is_missing():
     L = face_lattice(SAMPLES["square"])
-    # the bottom edge pointed along the outward direction it has in the square
-    _patch_basis(monkeypatch, L, [(0, 0), (1, 0)], (0, 1))
-    with pytest.raises(DegenerateBasis, match="singular comparison"):
-        incidence_numbers(L)
+    # the square without one of its edges: two vertices lie in one edge only
+    top = L.top()
+    edges = [f.vertex_set for f in L.codim_one[top.index]]
+    with pytest.raises(AssertionError, match="other than two facets"):
+        incidence_numbers(_corrupted(L, top.vertex_set, edges[1:]))
+
+
+def test_unsigned_guard_fires_when_the_facets_fall_apart():
+    L = face_lattice(SAMPLES["cube"])
+    # the face z = 0 given the edges of both squares z = 0 and z = 1: every
+    # vertex lies in two of them, but no ridge joins the two squares
+    verts = L.polytope.vertices
+    bottom = frozenset(i for i, v in enumerate(verts) if v[2] == 0)
+    top = frozenset(i for i, v in enumerate(verts) if v[2] == 1)
+    edges = [f.vertex_set for f in L.by_dim[1] if f.vertex_set <= bottom or f.vertex_set <= top]
+    assert len(edges) == 8
+    with pytest.raises(AssertionError, match="left unsigned"):
+        incidence_numbers(_corrupted(L, bottom, edges))
+
+
+@pytest.mark.parametrize("name", ["square", "cube", "simplex3"])
+def test_face_lattice_and_signs_need_no_elimination(name, monkeypatch):
+    P = facets_from_vertices(SAMPLES[name].dim, SAMPLES[name].vertices)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination called")
+
+    for module in (polytope, exact_linalg):
+        monkeypatch.setattr(module, "row_echelon", refuse)
+    monkeypatch.setattr(Matrix, "det", refuse)
+    L = face_lattice(P)
+    incidence_numbers(L)
+    incidence_numbers(L, reverse=True)
 
 
 def test_interval_endpoint_signs_are_opposite():
@@ -163,13 +198,15 @@ def test_cellular_homology_of_constant_diagram(name):
     assert h.as_dict() == {P.dim: (1, ())}
 
 
-@pytest.mark.parametrize("name", ["interval", "simplex2", "square"])
+@pytest.mark.parametrize("name", ["interval", "simplex2", "square", "cube"])
 def test_orientation_choice_does_not_change_homology(name):
     P = SAMPLES[name]
     normal = CechContext(P)
     # the other orientation, set before the context builds any column
     reversed_ctx = CechContext(P)
     reversed_ctx.incidence = incidence_numbers(reversed_ctx.lattice, reverse=True)
+    # the two orientations differ, on every edge at least
+    assert reversed_ctx.incidence.numbers != normal.incidence.numbers
     for k in range(-3, 4):
         a = normal.line_bundle_cohomology(k, ZZ).homology
         b = reversed_ctx.line_bundle_cohomology(k, ZZ).homology

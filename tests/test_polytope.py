@@ -155,6 +155,27 @@ def test_face_lattice_refuses_over_its_budget(monkeypatch):
         face_lattice(P)
 
 
+def _cross(n):
+    return [[s * (i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+
+
+def test_double_description_refuses_over_its_budget(monkeypatch):
+    # each adjacency test scans every held ray; the cube's scans total 28
+    verts = SAMPLES["cube"].vertices
+    monkeypatch.setattr(polytope_mod, "FACE_LATTICE_BUDGET", 28)
+    assert facets_from_vertices(3, verts) == SAMPLES["cube"]
+    monkeypatch.setattr(polytope_mod, "FACE_LATTICE_BUDGET", 27)
+    with pytest.raises(TooLarge, match="adjacency tests scan 28 rays"):
+        facets_from_vertices(3, verts)
+    monkeypatch.undo()
+    # at the default budget the 10-cross-polytope keeps its 2^10 facets, and
+    # the 16- and 20-cross-polytopes are refused before their face lattice
+    assert len(facets_from_vertices(10, _cross(10)).facets) == 1024
+    for n in (16, 20):
+        with pytest.raises(TooLarge, match="adjacency tests"):
+            facets_from_vertices(n, _cross(n))
+
+
 def test_lattice_point_examples():
     P = SAMPLES["simplex2"]
     assert len(lattice_points(P, 2)) == 6
