@@ -420,11 +420,14 @@ class CechContext:
                 f"constant diagram gave {hom.as_dict()}, expected shifted {expected.as_dict()}")
         return CechResult(hom, 0, 0)
 
-    def con_vs_bundle_check(self, C: FreeChainComplex, ring: CoefficientRing = ZZ) -> bool:
-        """Constant-diagram route vs O(0) tensor route: degreewise agreement."""
+    def con_vs_bundle_check(self, C: FreeChainComplex, ring: CoefficientRing = ZZ) -> None:
+        """Constant-diagram route vs O(0) tensor route: raises AssertionError
+        naming both homologies unless they agree degreewise."""
         direct = self.constant_diagram_cech(C, ring).homology
         tensored = self.cech_homology(bundle_tensor(0, C, self.polytope.dim), ring).homology
-        return direct == tensored
+        if direct != tensored:
+            raise AssertionError(f"constant diagram gave {direct.as_dict()}, "
+                                 f"O(0) tensor C gave {tensored.as_dict()}")
 
 
 _context_cache: dict[LatticePolytope, CechContext] = {}
@@ -476,13 +479,15 @@ def constant_diagram_cech(P: LatticePolytope, C: FreeChainComplex,
 
 
 def con_vs_bundle_check(P: LatticePolytope, C: FreeChainComplex,
-                        ring: CoefficientRing = ZZ) -> bool:
-    return context(P).con_vs_bundle_check(C, ring)
+                        ring: CoefficientRing = ZZ) -> None:
+    context(P).con_vs_bundle_check(C, ring)
 
 
-def simplex_cone_check(n: int, k: int, ring: CoefficientRing = ZZ) -> bool:
+def simplex_cone_check(n: int, k: int, ring: CoefficientRing = ZZ) -> None:
     """Cone of the basic inclusion O(k) -> O(k+1) on the standard n-simplex
-    against the (n-1)-simplex line bundle O(k+1), reindexed up by one."""
+    against the (n-1)-simplex line bundle O(k+1), reindexed up by one:
+    raises AssertionError naming both homologies unless they agree, and
+    ValueError unless 0 <= k < n."""
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     big = context(standard_simplex(n))
@@ -492,4 +497,6 @@ def simplex_cone_check(n: int, k: int, ring: CoefficientRing = ZZ) -> bool:
     Y = cone(f, line_bundle(k), line_bundle(k + 1))
     lhs = big.cech_homology(Y, ring).homology
     rhs = small.line_bundle_cohomology(k + 1, ring).homology.shifted(1)
-    return lhs == rhs
+    if lhs != rhs:
+        raise AssertionError(f"cone of O({k}) -> O({k + 1}) gave {lhs.as_dict()}, "
+                             f"shifted O({k + 1}) on the {n - 1}-simplex gave {rhs.as_dict()}")

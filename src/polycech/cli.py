@@ -108,8 +108,6 @@ def parse_polytope_document(obj: Any, location: str) -> LatticePolytope:
     if any(len(v) != dim for v in verts):
         raise InputError("bad_vertices", "vertex length does not match dim", location)
     try:
-        if dim == 0:
-            return standard_simplex(0)
         return facets_from_vertices(dim, verts)
     except (NotFullDimensional, DuplicateVertex, ValueError) as exc:
         raise InputError("bad_polytope", str(exc), location)
@@ -297,76 +295,57 @@ def cmd_splitting(P: LatticePolytope) -> dict:
 
 
 def verify_suite(P: LatticePolytope, kmax: int) -> list[dict]:
-    """Run the verification battery; one pass/fail record per item."""
+    """Run the verification battery, one record per item. Each item is a
+    call that raises on failure: it passes when the call raises nothing,
+    and otherwise its ``detail`` is "<Exception>: <message>"."""
     if kmax < 0:
         raise ValueError(f"kmax {kmax} is negative")
     ctx = cech.context(P)
     n = P.dim
-    items: list[dict] = []
-
-    def run(name: str, fn) -> None:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # any raised guard is a failure of the item
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        record = {"name": name, "pass": bool(ok)}
-        if not ok:
-            record["detail"] = detail
-        items.append(record)
 
     def reciprocity():
-        e = ctx.ehrhart
         for k in range(1, n + 2):
-            lhs = (-1) ** n * e(-k)
+            lhs = (-1) ** n * ctx.ehrhart(-k)
             rhs = len(lattice_points(P, k, interior=True))
             if lhs != rhs:
-                return False, f"k={k}: {lhs} != {rhs}"
-        return True, ""
-
-    def boundary_squares():
-        # building incidence signs checks all codimension-2 flags; the
-        # context did so for ctx.incidence, so only the reversal is left
-        incidence_numbers(ctx.lattice, reverse=True)
-        return True, ""
+                raise AssertionError(f"k={k}: {lhs} != {rhs}")
 
     def closed_form():
         # the scan raises AssertionError itself when it misses the closed form
         for k in range(-kmax, kmax + 1):
             ctx.line_bundle_cohomology(k, ZZ)
-        return True, ""
-
-    def window():
-        ctx.acyclicity_window()
-        return True, ""
 
     def con_vs_bundle():
-        samples = [
-            FreeChainComplex.from_dicts({0: 1}, {}),
-            FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[2]])}),
-            FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[1]])}),
-        ]
-        for idx, C in enumerate(samples):
-            if not ctx.con_vs_bundle_check(C, ZZ):
-                return False, f"sample {idx} disagrees"
-        return True, ""
+        for C in (FreeChainComplex.from_dicts({0: 1}, {}),
+                  FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[2]])}),
+                  FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[1]])})):
+            ctx.con_vs_bundle_check(C, ZZ)
 
-    def splitting():
-        ctx.splitting_matrix()
-        return True, ""
+    def cone_checks():
+        for k in range(n):
+            cech.simplex_cone_check(n, k, ZZ)
 
-    run("ehrhart_reciprocity", reciprocity)
-    run("incidence_boundary_squares_to_zero", boundary_squares)
-    run("line_bundle_closed_form", closed_form)
-    run("acyclicity_window", window)
-    run("constant_vs_twisted_unit", con_vs_bundle)
-    run("splitting_matrix_unimodular", splitting)
-    if P == standard_simplex(P.dim) and P.dim >= 1:
-        def cone_checks():
-            for k in range(P.dim):
-                if not cech.simplex_cone_check(P.dim, k, ZZ):
-                    return False, f"k={k}"
-            return True, ""
-        run("simplex_cone_identity", cone_checks)
+    checks = [
+        ("ehrhart_reciprocity", reciprocity),
+        # building incidence signs checks all codimension-2 flags; the
+        # context did so for ctx.incidence, so only the reversal is left
+        ("incidence_boundary_squares_to_zero",
+         lambda: incidence_numbers(ctx.lattice, reverse=True)),
+        ("line_bundle_closed_form", closed_form),
+        ("acyclicity_window", ctx.acyclicity_window),
+        ("constant_vs_twisted_unit", con_vs_bundle),
+        ("splitting_matrix_unimodular", ctx.splitting_matrix),
+    ]
+    if P == standard_simplex(n) and n >= 1:
+        checks.append(("simplex_cone_identity", cone_checks))
+    items: list[dict] = []
+    for name, check in checks:
+        try:
+            check()
+        except Exception as exc:  # any raised check is a failure of the item
+            items.append({"name": name, "pass": False, "detail": f"{type(exc).__name__}: {exc}"})
+        else:
+            items.append({"name": name, "pass": True})
     return items
 
 

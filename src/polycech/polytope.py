@@ -174,8 +174,6 @@ def standard_simplex(n: int) -> LatticePolytope:
     verts = [tuple(0 for _ in range(n))]
     for i in range(n):
         verts.append(tuple(1 if j == i else 0 for j in range(n)))
-    if n == 0:
-        return LatticePolytope(0, tuple(verts), ())
     return facets_from_vertices(n, verts)
 
 

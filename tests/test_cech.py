@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,7 +10,9 @@ from polycech import cech as cech_mod
 from polycech import polytope as polytope_mod
 from polycech.cech import (
     CechContext,
+    NotUnimodular,
     SupportEscapesBox,
+    WindowMismatch,
     cech_homology,
     column_complex,
     con_vs_bundle_check,
@@ -363,6 +366,43 @@ def test_splitting_matrices():
         assert abs(M.det()) == 1
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_window_guard_fires_on_a_wrong_root_count(shift):
+    # a fresh context, so the shared one keeps its root count
+    ctx = CechContext(D2)
+    ctx.np += shift
+    with pytest.raises(WindowMismatch, match=f"contradicts root count {2 + shift}"):
+        ctx.acyclicity_window()
+
+
+@pytest.mark.parametrize("twist,chi,message", [
+    (-1, 1, "entry (0, 1) above the diagonal is 1"),
+    (0, 2, "diagonal entry (0, 0) is 2, not 1"),
+], ids=["above_diagonal", "diagonal"])
+def test_splitting_guard_fires_on_a_wrong_euler_characteristic(twist, chi, message):
+    ctx = CechContext(D2)
+    real = ctx.euler_characteristic
+    ctx.euler_characteristic = lambda Y: chi if Y.level(0) == (twist,) else real(Y)
+    with pytest.raises(NotUnimodular, match=re.escape(message)):
+        ctx.splitting_matrix()
+
+
+def test_splitting_guard_fires_on_a_non_unit_determinant(monkeypatch):
+    # a lower triangular matrix with diagonal (-1)^n has determinant +-1,
+    # so no Euler characteristic reaches this raise; only the determinant can
+    ctx = CechContext(D2)
+    monkeypatch.setattr(Matrix, "det", lambda M: 2)
+    with pytest.raises(NotUnimodular, match="determinant 2 is not a unit"):
+        ctx.splitting_matrix()
+
+
+def test_euler_characteristic_guard_fires_on_a_fractional_count():
+    ctx = CechContext(D2)
+    ctx.ehrhart = lambda k: Fraction(1, 2)
+    with pytest.raises(AssertionError, match=re.escape("E(0) = 1/2 is not integral")):
+        ctx.euler_characteristic(line_bundle(0))
+
+
 def test_constant_diagram_examples():
     unit = FreeChainComplex.from_dicts({0: 1}, {})
     for n in (1, 2, 3):
@@ -398,15 +438,32 @@ def test_con_vs_bundle_examples():
     C2 = FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[2]])})
     acyclic = FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[1]])})
     for P in (D1, D2):
-        assert con_vs_bundle_check(P, unit)
-        assert con_vs_bundle_check(P, C2)
-        assert con_vs_bundle_check(P, acyclic)
+        con_vs_bundle_check(P, unit)
+        con_vs_bundle_check(P, C2)
+        con_vs_bundle_check(P, acyclic)
+
+
+def test_con_vs_bundle_check_raises_naming_both_routes(monkeypatch):
+    real = cech_mod.bundle_tensor
+    monkeypatch.setattr(cech_mod, "bundle_tensor", lambda k, C, dim: real(k + 1, C, dim))
+    unit = FreeChainComplex.from_dicts({0: 1}, {})
+    with pytest.raises(AssertionError, match=re.escape(
+            "constant diagram gave {1: (1, ())}, O(0) tensor C gave {1: (2, ())}")):
+        con_vs_bundle_check(D1, unit)
+
+
+def test_simplex_cone_check_raises_naming_both_sides(monkeypatch):
+    monkeypatch.setattr(cech_mod, "cone", lambda f, source, target: target)
+    with pytest.raises(AssertionError, match=re.escape(
+            "cone of O(0) -> O(1) gave {1: (2, ())}, "
+            "shifted O(1) on the 0-simplex gave {1: (1, ())}")):
+        simplex_cone_check(1, 0)
 
 
 @pytest.mark.parametrize("n,k", [(1, 0), (2, 0), (2, 1)])
 def test_simplex_cone_check_small(n, k):
-    assert simplex_cone_check(n, k, ZZ)
-    assert simplex_cone_check(n, k, GF(2))
+    simplex_cone_check(n, k, ZZ)
+    simplex_cone_check(n, k, GF(2))
 
 
 @pytest.mark.parametrize("n,k,rank", [(1, 0, 1), (2, 0, 2), (2, 1, 3)])

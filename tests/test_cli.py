@@ -301,6 +301,49 @@ def test_verify_passes(docs, capsys):
     assert "simplex_cone_identity" not in names
 
 
+def _one_interior_point_too_many(monkeypatch):
+    real = cli_mod.lattice_points
+    monkeypatch.setattr(cli_mod, "lattice_points", lambda P, k, interior=False:
+                        real(P, k, interior) + (((9, 9),) if interior else ()))
+
+
+def _tensor_with_o1(monkeypatch):
+    real = cech_mod.bundle_tensor
+    monkeypatch.setattr(cech_mod, "bundle_tensor", lambda k, C, dim: real(k + 1, C, dim))
+
+
+def _cone_as_its_target(monkeypatch):
+    monkeypatch.setattr(cech_mod, "cone", lambda f, source, target: target)
+
+
+def _chi_of_o0_is_2(monkeypatch):
+    real = cech_mod.CechContext.euler_characteristic
+    monkeypatch.setattr(cech_mod.CechContext, "euler_characteristic",
+                        lambda ctx, Y: 2 if Y.level(0) == (0,) else real(ctx, Y))
+
+
+@pytest.mark.parametrize("name,corrupt,detail", [
+    ("ehrhart_reciprocity", _one_interior_point_too_many, "AssertionError: k=1: 0 != 1"),
+    ("constant_vs_twisted_unit", _tensor_with_o1,
+     "AssertionError: constant diagram gave {2: (1, ())}, O(0) tensor C gave {2: (3, ())}"),
+    ("simplex_cone_identity", _cone_as_its_target,
+     "AssertionError: cone of O(0) -> O(1) gave {2: (3, ())}, "
+     "shifted O(1) on the 1-simplex gave {2: (2, ())}"),
+    ("splitting_matrix_unimodular", _chi_of_o0_is_2,
+     "NotUnimodular: diagonal entry (0, 0) is 2, not 1"),
+], ids=["reciprocity", "con_vs_bundle", "simplex_cone", "splitting"])
+def test_verify_reports_a_failed_check(docs, capsys, monkeypatch, name, corrupt, detail):
+    # each corruption reaches one item's input only; that item alone fails,
+    # with the exception it raised, and verify exits 1
+    corrupt(monkeypatch)
+    code, out = run(["verify", docs["d2.json"], "--kmax", "1"], capsys)
+    assert code == 1 and out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [item for item in payload["results"] if not item["pass"]] == [
+        {"name": name, "pass": False, "detail": detail}]
+
+
 def test_input_errors_exit_2(docs, tmp_path, capsys):
     code, out = run(["ehrhart", docs["badpoly.json"]], capsys)
     assert code == 2
@@ -320,16 +363,37 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
     # a negative twist bound would leave the closed-form check with no twist
     code, out = run(["verify", docs["d2.json"], "--kmax", "-3"], capsys)
     assert code == 2 and json.loads(out)["code"] == "bad_kmax"
-    # JSON booleans are not integers
+    # JSON booleans are not integers; then documents of the wrong shape, and
+    # points whose vertex list is not the one empty vector
     for name, doc, expected in [
         ("booldim.json", {"dim": True, "vertices": [[0], [1]]}, "bad_dim"),
         ("boolvert.json", {"dim": 1, "vertices": [[0], [True]]}, "bad_vertices"),
+        ("array.json", [[0], [1]], "bad_document"),
+        ("novertices.json", {"dim": 1}, "missing_key"),
+        ("extrakey.json", {"dim": 1, "vertices": [[0], [1]], "name": "iv"}, "unknown_key"),
+        ("shortvertex.json", {"dim": 2, "vertices": [[0, 0], [1], [0, 1]]}, "bad_vertices"),
+        ("novertex.json", {"dim": 0, "vertices": []}, "bad_polytope"),
+        ("threepoints.json", {"dim": 0, "vertices": [[], [], []]}, "bad_polytope"),
     ]:
         path = tmp_path / name
         path.write_text(json.dumps(doc))
-        code, out = run(["np", str(path)], capsys)
-        assert code == 2 and json.loads(out)["code"] == expected
-        assert out.count("\n") == 1
+        for command in ("faces", "np"):
+            code, out = run([command, str(path)], capsys)
+            assert code == 2 and json.loads(out)["code"] == expected, (name, command)
+            assert out.count("\n") == 1
+
+
+def test_point_document_is_the_standard_point(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"dim": 0, "vertices": [[]]}))
+    assert run(["faces", str(path)], capsys) == (
+        0, '{"f_vector":[1],"faces":[{"dim":0,"id":0,"tight_facets":[],"vertices":[0]}]}\n')
+    names = ("ehrhart_reciprocity", "incidence_boundary_squares_to_zero",
+             "line_bundle_closed_form", "acyclicity_window", "constant_vs_twisted_unit",
+             "splitting_matrix_unimodular")
+    assert run(["verify", str(path), "--kmax", "2"], capsys) == (
+        0, canonical_dumps({"ok": True, "results": [{"name": n, "pass": True} for n in names]})
+        + "\n")
 
 
 @pytest.mark.parametrize("write,expected", [
@@ -402,6 +466,12 @@ def test_invalid_complex_document_exit_2(docs, tmp_path, capsys):
             {**entry, "terms": [{**term, "u": [False]}]}]}]}, "bad_monomial"),
         ({**base, "differentials": [{**block, "entries": [
             {**entry, "terms": [{**term, "c": True}]}]}]}, "bad_coefficient"),
+    ] + [
+        # differentials that are not a list, a level listed twice, and an
+        # entry whose column is past its level
+        ({**base, "differentials": 5}, "bad_differentials"),
+        ({**base, "differentials": [block, block]}, "bad_differentials"),
+        ({**base, "differentials": [{**block, "entries": [{**entry, "col": 1}]}]}, "bad_entry"),
     ] + [
         # not plain ASCII digits (int() reads the first four), or more
         # digits than int() converts

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ from polycech.exact_linalg import (
     QQ,
     ZZ,
     CoefficientRing,
+    Contraction,
     FreeChainComplex,
     HomologyResult,
     InvalidComplex,
@@ -343,6 +345,30 @@ def test_contraction_of_interval_column_is_integral():
     ct.verify()
     assert ct.small.total_rank() == 0
     assert all(isinstance(x, int) for m in ct.homotopy for row in m.data for x in row)
+
+
+@pytest.mark.parametrize("field,degree,rows,message", [
+    ("project", 1, [[0, 2]], "p∘i != 1 at degree 1"),
+    ("homotopy", 0, [[2], [0]], "1 - i∘p != dh + hd at degree 0"),
+    ("homotopy", 1, [[0, 1]], "h∘i != 0 at degree 1"),
+    ("project", 1, [[1, 1]], "p∘h != 0 at degree 0"),
+    ("homotopy", 1, [[1, 0]], "h∘h != 0 at degree 0"),
+], ids=["pi", "homotopy", "hi", "ph", "hh"])
+def test_contraction_verify_fires_on_each_identity(field, degree, rows, message):
+    # Z <- Z^2 <- Z by [1 0] and 0: the first vector of degree 1 cancels
+    # degree 0, the second one and degree 2 carry the homology
+    C = FreeChainComplex.from_dicts({0: 1, 1: 2, 2: 1},
+                                    {1: Matrix.from_rows([[1, 0]]), 2: Matrix.zeros(2, 1)})
+    small = FreeChainComplex.from_dicts({0: 0, 1: 1, 2: 1}, {})
+    maps = {
+        "include": [Matrix.zeros(1, 0), Matrix.from_rows([[0], [1]]), Matrix.identity(1)],
+        "project": [Matrix.zeros(0, 1), Matrix.from_rows([[0, 1]]), Matrix.identity(1)],
+        "homotopy": [Matrix.from_rows([[1], [0]]), Matrix.zeros(1, 2), Matrix.zeros(0, 1)],
+    }
+    Contraction(C, small, *map(tuple, maps.values())).verify()
+    maps[field][degree] = Matrix.from_rows(rows)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        Contraction(C, small, *map(tuple, maps.values())).verify()
 
 
 def test_contraction_torsion_obstruction():

@@ -66,6 +66,11 @@ def test_degenerate_inputs():
         facets_from_vertices(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     with pytest.raises(ValueError):
         facets_from_vertices(2, [(0, 0), (2, 0), (0, 2), (1, 0)])
+    # in R^0 only the one empty vertex spans
+    with pytest.raises(NotFullDimensional):
+        facets_from_vertices(0, [])
+    with pytest.raises(DuplicateVertex):
+        facets_from_vertices(0, [(), (), ()])
 
 
 def test_face_counts():
@@ -272,6 +277,7 @@ def test_dilate_has_same_combinatorics():
 def test_zero_dimensional_point():
     pt = standard_simplex(0)
     assert pt.facets == ()
+    assert facets_from_vertices(0, [()]) == pt
     assert len(face_lattice(pt).faces) == 1
     e = ehrhart_polynomial(pt)
     assert e.coefficients == (Fraction(1),) and e.np == 0
@@ -397,6 +403,17 @@ def test_interpolation_guard_fires(monkeypatch):
 
     monkeypatch.setattr(polytope_mod, "lattice_points", one_extra_at_the_guard_node)
     with pytest.raises(InterpolationInconsistent):
+        ehrhart_polynomial(P)
+
+
+def test_root_guard_fires_on_non_contiguous_roots(monkeypatch):
+    # the counts 1, 6, 14 and the guard 25 interpolate E = (3x + 1)(x + 2)/2,
+    # which has the root -2 but not -1
+    P = SAMPLES["simplex2"]
+    counts = {0: 1, 1: 6, 2: 14, 3: 25}
+    monkeypatch.setattr(polytope_mod, "lattice_points",
+                        lambda Q, k, interior=False: ((0, 0),) * counts[k])
+    with pytest.raises(CharacterizationMismatch, match=r"integral roots \[-2\] are not contiguous"):
         ehrhart_polynomial(P)
 
 
