@@ -14,11 +14,12 @@ import json
 import re
 import sys
 from math import prod
-from typing import Any, Mapping, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NoReturn, Sequence
 
-from . import cech
-from .exact_linalg import CoefficientRing, FreeChainComplex, HomologyResult, Matrix, ZZ
-from .orientation import incidence_numbers
+# Only the polytope is imported here: ``faces``, ``ehrhart``, ``np`` and
+# ``points`` need nothing else, and each command is a fresh process that
+# compiles every module it imports when no bytecode cache is written. The
+# functions below import the rest where they use it.
 from .polytope import (
     DuplicateVertex,
     EhrhartPolynomial,
@@ -33,13 +34,10 @@ from .polytope import (
     np_index,
     standard_simplex,
 )
-from .sheaf_complexes import (
-    InvalidMonomial,
-    NonSquareZero,
-    TwistComplex,
-    make_twist_complex,
-    validate,
-)
+
+if TYPE_CHECKING:
+    from .exact_linalg import CoefficientRing, HomologyResult
+    from .sheaf_complexes import TwistComplex
 
 
 # most lattice points the `points` command will enumerate and print, most
@@ -174,6 +172,7 @@ def parse_complex_document(obj: Any, location: str) -> TwistComplex:
         if t in diffs:
             raise InputError("bad_differentials", f"level {t} listed twice", location)
         diffs[t] = entries
+    from .sheaf_complexes import make_twist_complex
     try:
         return make_twist_complex(min_level, levels, diffs)
     except ValueError as exc:
@@ -214,6 +213,7 @@ def _load_polytope(path: str) -> LatticePolytope:
 
 
 def _load_complex(path: str, P: LatticePolytope) -> TwistComplex:
+    from .sheaf_complexes import InvalidMonomial, NonSquareZero, validate
     Y = parse_complex_document(_load_json(path), path)
     try:
         validate(Y, P)
@@ -223,6 +223,7 @@ def _load_complex(path: str, P: LatticePolytope) -> TwistComplex:
 
 
 def _parse_ring(text: str) -> CoefficientRing:
+    from .exact_linalg import CoefficientRing
     try:
         return CoefficientRing.parse(text)
     except ValueError as exc:
@@ -285,6 +286,7 @@ def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
 
 
 def cmd_splitting(P: LatticePolytope) -> dict:
+    from . import cech
     M = cech.splitting_matrix(P)
     det = M.det()
     return {
@@ -298,6 +300,9 @@ def verify_suite(P: LatticePolytope, kmax: int) -> list[dict]:
     """Run the verification battery, one record per item. Each item is a
     call that raises on failure: it passes when the call raises nothing,
     and otherwise its ``detail`` is "<Exception>: <message>"."""
+    from . import cech
+    from .exact_linalg import ZZ, FreeChainComplex, Matrix
+    from .orientation import incidence_numbers
     if kmax < 0:
         raise ValueError(f"kmax {kmax} is negative")
     ctx = cech.context(P)
@@ -413,6 +418,7 @@ def _run_command(args: argparse.Namespace, P: LatticePolytope) -> tuple[Any, int
         return cmd_ehrhart(P), 0
     if args.command == "np":
         return {"np": np_index(P)}, 0
+    from . import cech
     if args.command == "cohomology":
         ring = _parse_ring(args.ring)
         _refuse_over(POINTS_BUDGET, prod(hi - lo + 1 for lo, hi in cech.scan_box(P, args.twist)),

@@ -3,12 +3,11 @@
 This module contains the arithmetic kernel used everywhere else. All
 elimination in the package goes through two routines:
 
-* ``row_echelon`` is fraction-free Gauss-Jordan reduction over Q
-  (Bareiss); determinants, affine bases, simplicial cone rays and the
-  Ehrhart coefficients are read off its result. Rows are
-  cleared of denominators and the elimination runs in integers with
-  exact division by the previous pivot, so it returns integer rows d*R
-  with their common denominator d and builds no Fraction matrix.
+* ``row_echelon``, fraction-free Gauss-Jordan reduction over Q
+  (Bareiss), lives in ``polytope``, next to the affine bases, cone rays
+  and Ehrhart coefficients read off it, so that the commands that need
+  only the polytope do not load this module; ``Matrix.det`` reads the
+  determinant off the same routine.
 * ``_diagonalize`` brings an integer matrix to its Smith form
   D = U*A*V with the inverse transforms tracked, a divisibility chain on
   the diagonal and a deterministic pivoting rule (entry of minimal
@@ -61,10 +60,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
+from .polytope import row_echelon
 from .record import Record
 
 
@@ -313,58 +313,6 @@ class SignedGather:
 
     def is_zero(self) -> bool:
         return not self.c or self.rows.count(None) == len(self.rows)
-
-
-def row_echelon(rows: Sequence[Sequence]):
-    """Reduced row echelon form over Q by fraction-free Gauss-Jordan elimination.
-
-    The pivot of each column is its first nonzero entry at or below the
-    current rank. Returns (m, pivots, scale, d): the eliminated rows m are
-    d times the reduced matrix R, ``pivots`` is the pivot column of each
-    nonzero row of R, and ``scale`` the product of the pivots met times
-    the sign of the row swaps, which is the determinant of a square
-    matrix of full rank.
-
-    The elimination is Bareiss's (1968). Each row is multiplied by the
-    common denominator of its entries, and each step replaces every other
-    row a by (x*a - c*b) / d, where b is the pivot row, x its pivot, c the
-    row's entry in the pivot column and d the previous pivot. The division
-    is exact: every entry stays an integer minor of the cleared matrix,
-    and after the last step the pivot rows are d times the rows of R, so m
-    holds ints and R is Fraction(a, d). ``scale`` is the sign of the swaps
-    times d over the denominators of the rows that ended up as pivot rows.
-    """
-    m, dens = [], []
-    for row in rows:
-        row = [a if type(a) is int else Fraction(a) for a in row]
-        fracs = [a.denominator for a in row if type(a) is not int]
-        den = lcm(*fracs)
-        m.append([int(a * den) for a in row] if fracs else row)
-        dens.append(den)
-    nrows = len(m)
-    pivots: list[int] = []
-    sign = prev = 1  # the pivots' product telescopes to the last, prev
-    for j in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][j]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            dens[r], dens[piv] = dens[piv], dens[r]
-            sign = -sign
-        x, top = m[r][j], m[r]
-        for i in range(nrows):
-            c = m[i][j]
-            if i == r or not c and x == prev:
-                continue
-            m[i] = [(x * a - c * b) // prev for a, b in zip(m[i], top)]
-        prev = x
-        pivots.append(j)
-    scale = Fraction(sign * prev, prod(dens[:len(pivots)])) if pivots else 1
-    return m, pivots, scale, prev
 
 
 def field_rank(A: Matrix, ring: CoefficientRing) -> int:

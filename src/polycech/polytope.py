@@ -8,17 +8,22 @@ box that lattice point enumeration and the line-bundle scan share, the
 Ehrhart polynomial, whose coefficients are read off ``row_echelon`` of the
 Vandermonde system of the point counts, and the count of its integral
 roots.
+
+``row_echelon``, the package's one fraction-free elimination over Q, is
+defined here rather than in ``exact_linalg`` (which imports it for
+``Matrix.det``): it depends on nothing else in the package, and the
+commands that need only the polytope then load only this module and
+``record``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .exact_linalg import row_echelon
 from .record import Record
 
 
@@ -62,6 +67,58 @@ class LatticePolytope(Record):
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
+
+
+def row_echelon(rows: Sequence[Sequence]):
+    """Reduced row echelon form over Q by fraction-free Gauss-Jordan elimination.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current rank. Returns (m, pivots, scale, d): the eliminated rows m are
+    d times the reduced matrix R, ``pivots`` is the pivot column of each
+    nonzero row of R, and ``scale`` the product of the pivots met times
+    the sign of the row swaps, which is the determinant of a square
+    matrix of full rank.
+
+    The elimination is Bareiss's (1968). Each row is multiplied by the
+    common denominator of its entries, and each step replaces every other
+    row a by (x*a - c*b) / d, where b is the pivot row, x its pivot, c the
+    row's entry in the pivot column and d the previous pivot. The division
+    is exact: every entry stays an integer minor of the cleared matrix,
+    and after the last step the pivot rows are d times the rows of R, so m
+    holds ints and R is Fraction(a, d). ``scale`` is the sign of the swaps
+    times d over the denominators of the rows that ended up as pivot rows.
+    """
+    m, dens = [], []
+    for row in rows:
+        row = [a if type(a) is int else Fraction(a) for a in row]
+        fracs = [a.denominator for a in row if type(a) is not int]
+        den = lcm(*fracs)
+        m.append([int(a * den) for a in row] if fracs else row)
+        dens.append(den)
+    nrows = len(m)
+    pivots: list[int] = []
+    sign = prev = 1  # the pivots' product telescopes to the last, prev
+    for j in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][j]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            dens[r], dens[piv] = dens[piv], dens[r]
+            sign = -sign
+        x, top = m[r][j], m[r]
+        for i in range(nrows):
+            c = m[i][j]
+            if i == r or not c and x == prev:
+                continue
+            m[i] = [(x * a - c * b) // prev for a, b in zip(m[i], top)]
+        prev = x
+        pivots.append(j)
+    scale = Fraction(sign * prev, prod(dens[:len(pivots)])) if pivots else 1
+    return m, pivots, scale, prev
 
 
 def _affine_basis(points: Sequence[Sequence[int]]) -> list[int]:

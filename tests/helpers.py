@@ -61,7 +61,7 @@ def gauss_jordan(rows, p=None):
 
     Every entry is a Fraction (an int mod p) throughout: the textbook
     elimination, independent of the library's fraction-free kernel, with
-    the same conventions as ``polycech.exact_linalg.row_echelon`` over Q.
+    the same conventions as ``polycech.polytope.row_echelon`` over Q.
     The pivot of each column is its first nonzero entry at or below the
     current rank; returns (R, pivots, scale) with ``scale`` the product
     of the pivots met times the sign of the row swaps. The mod-p path

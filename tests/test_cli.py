@@ -558,12 +558,30 @@ def test_module_entry_point(docs):
                                        "integral_roots": [-2, -1]}
 
 
-def test_cold_start_imports_neither_dataclasses_nor_inspect():
-    # every command is a fresh process and would pay for both imports;
-    # modules that site loaded before the first line do not count
+# what a cold ``import polycech.cli`` loads of the package; a command that
+# needs only the polytope loads none of the homology modules either
+POLYTOPE_ONLY = {"polycech", "polycech.cli", "polycech.polytope", "polycech.record"}
+HOMOLOGY_MODULES = {"polycech.cech", "polycech.exact_linalg", "polycech.orientation",
+                    "polycech.sheaf_complexes"}
+
+
+@pytest.mark.parametrize("argv", [[], ["faces"], ["ehrhart"], ["np"], ["points", "--dilate", "2"]],
+                         ids=["import", "faces", "ehrhart", "np", "points"])
+def test_cold_start_imports_neither_dataclasses_nor_inspect(docs, argv):
+    # every command is a fresh process, which compiles each module it imports
+    # when no bytecode cache is written; modules that site loaded before the
+    # first line do not count. The modules are counted, not timed.
+    if argv:
+        argv = [argv[0], docs["d2.json"], *argv[1:]]
     proc = child_python("-c", "import sys; before = set(sys.modules); import polycech.cli; "
-                              "print(*set(sys.modules) - before)")
+                              "code = polycech.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+                              "print(); print(*set(sys.modules) - before); sys.exit(code)",
+                        *argv)
     assert proc.returncode == 0, proc.stderr
-    new = set(proc.stdout.split())
-    assert "polycech.cli" in new
+    new = set(proc.stdout.splitlines()[-1].split())
+    loaded = {m for m in new if m.partition(".")[0] == "polycech"}
+    if argv:
+        assert not HOMOLOGY_MODULES & loaded
+    else:
+        assert loaded == POLYTOPE_ONLY
     assert not {"dataclasses", "inspect"} & new
