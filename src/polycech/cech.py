@@ -65,7 +65,7 @@ class WindowMismatch(Exception):
 
 
 class NotUnimodular(Exception):
-    """The splitting matrix failed triangularity or unimodularity."""
+    """The splitting matrix is not lower triangular with diagonal (-1)^n."""
 
 
 class ColumnComplex(Record):
@@ -386,8 +386,9 @@ class CechContext:
     def splitting_matrix(self) -> Matrix:
         """Euler characteristics chi(O(j - l)) for 0 <= j, l <= root count.
 
-        Must be lower triangular with diagonal (-1)^n and determinant of
-        absolute value 1; any failure raises NotUnimodular.
+        Must be lower triangular with diagonal (-1)^n, which makes its
+        determinant (-1)^(n * (root count + 1)), a unit over Z; an entry
+        off that pattern raises NotUnimodular.
         """
         npi = self.np
         M = Matrix.from_rows([[self.euler_characteristic(line_bundle(j - ell))
@@ -399,8 +400,6 @@ class CechContext:
                     raise NotUnimodular(f"entry ({j}, {ell}) above the diagonal is {M[j, ell]}")
                 if j == ell and M[j, ell] != sign_n:
                     raise NotUnimodular(f"diagonal entry ({j}, {j}) is {M[j, j]}, not {sign_n}")
-        if abs(M.det()) != 1:
-            raise NotUnimodular(f"determinant {M.det()} is not a unit")
         return M
 
     def constant_diagram_cech(self, C: FreeChainComplex,

@@ -288,7 +288,7 @@ def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
 def cmd_splitting(P: LatticePolytope) -> dict:
     from . import cech
     M = cech.splitting_matrix(P)
-    det = M.det()
+    det = prod(M[j, j] for j in range(M.rows))  # splitting_matrix checked M is triangular
     return {
         "matrix": [list(row) for row in M.data],
         "det": det,

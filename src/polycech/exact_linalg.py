@@ -6,8 +6,7 @@ elimination in the package goes through two routines:
 * ``row_echelon``, fraction-free Gauss-Jordan reduction over Q
   (Bareiss), lives in ``polytope``, next to the affine bases, cone rays
   and Ehrhart coefficients read off it, so that the commands that need
-  only the polytope do not load this module; ``Matrix.det`` reads the
-  determinant off the same routine.
+  only the polytope do not load this module.
 * ``_diagonalize`` brings an integer matrix to its Smith form
   D = U*A*V with the inverse transforms tracked, a divisibility chain on
   the diagonal and a deterministic pivoting rule (entry of minimal
@@ -21,8 +20,8 @@ elimination in the package goes through two routines:
   the loop never reads again but for its diagonal entry, so the
   diagonal comes out the same up to sign. The torsion of a direct sum
   of homology groups is that Smith form's chain for the diagonal matrix
-  of the parts' factors, but ``direct_sum_of`` builds it by gcd/lcm
-  folding, near-linear in the number of factors.
+  of the parts' factors, but ``direct_sum_of`` builds it by gcd and least
+  common multiple folding, near-linear in the number of factors.
 
 On top of these:
 
@@ -49,27 +48,28 @@ On top of these:
   homotopy equivalence of free Z-complexes, so the homology of the
   transferred complex over any ring is that of the perturbed complex.
 
-All entries are Python ints or Fractions; there is no floating point.
-A ``Matrix`` product adds up, for each row, the rows of the right factor
-that the row's nonzero entries pick, so it costs the nonzeros of the
-left factor, not its size.
+A chain complex holds Python ints only, which ``FreeChainComplex``
+checks once on construction; Q and F_p enter as coefficient rings of
+homology, never as entries. There is no floating point. A ``Matrix``
+product adds up, for each row, the rows of the right factor that the
+row's nonzero entries pick, so it costs the nonzeros of the left factor,
+not its size.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from itertools import chain, product
+from math import gcd
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
-from .polytope import row_echelon
 from .record import Record
 
 
 class InvalidComplex(Exception):
-    """Raised when consecutive differentials do not compose to zero."""
+    """Raised when a complex has an entry that is not an int, or when
+    consecutive differentials do not compose to zero."""
 
 
 class TorsionObstruction(Exception):
@@ -131,22 +131,6 @@ class CoefficientRing(Record):
     def label(self) -> str:
         return self.kind if self.p is None else f"Fp:{self.p}"
 
-    def normalize(self, x):
-        if self.kind == "Z":
-            if type(x) is int:  # the common case skips the ABC instance check
-                return x
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"{x} is not an integer")
-                return int(x)
-            return int(x)
-        if self.kind == "Q":
-            return Fraction(x)
-        if type(x) is int:
-            return x % self.p
-        x = Fraction(x)  # a/b is a * b^-1; pow raises ValueError when p divides b
-        return x.numerator * pow(x.denominator, -1, self.p) % self.p
-
 
 ZZ = CoefficientRing("Z")
 QQ = CoefficientRing("Q")
@@ -157,7 +141,8 @@ def GF(p: int) -> CoefficientRing:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries (int or Fraction)."""
+    """Immutable dense matrix with exact entries; in the differentials of a
+    ``FreeChainComplex`` they are ints."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -254,34 +239,18 @@ class Matrix:
         return all(a == 0 for row in self.data for a in row)
 
     def is_zero_mod(self, ring: CoefficientRing) -> bool:
-        """Whether every entry vanishes in ``ring``. Ints are tested as they
-        are (mod p over F_p); other entries go through ``ring.normalize``,
-        in the same order, so a Fraction it rejects still raises."""
-        p, norm = ring.p, ring.normalize
+        """Whether every int entry vanishes in ``ring`` (mod p over F_p)."""
+        p = ring.p
         for row in self.data:
-            if p is None and not any(row):  # zero ints and zero Fractions alike
+            if not any(row):
                 continue
-            for a in row:
-                if type(a) is not int:
-                    a = norm(a)
-                elif p is not None:
-                    a %= p
-                if a:
-                    return False
+            if p is None or any(a % p for a in row):
+                return False
         return True
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix(len(row_idx), len(col_idx),
                       tuple(tuple(self.data[i][j] for j in col_idx) for i in row_idx))
-
-    def det(self):
-        """Exact determinant by fraction-free elimination; an int when the entries are."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        _, pivots, scale, _ = row_echelon(self.data)
-        if len(pivots) < self.rows:
-            return 0
-        return int(scale) if scale.denominator == 1 else scale
 
 
 class SignedGather:
@@ -316,19 +285,12 @@ class SignedGather:
 
 
 def field_rank(A: Matrix, ring: CoefficientRing) -> int:
-    """Rank of A over Q or F_p, read off the integer Smith diagonal: by
-    universal coefficients, the count of nonzero invariant factors over Q
-    and of those that p does not divide over F_p. Entries that are not ints
-    are made integral first: over F_p by ``ring.normalize`` (a/b is a*b^-1,
-    and a denominator that p divides raises ValueError), over Q by their
-    common denominator."""
+    """Rank of the integer matrix A over Q or F_p, read off its Smith
+    diagonal: by universal coefficients, the count of nonzero invariant
+    factors over Q and of those that p does not divide over F_p."""
     if not ring.is_field:
         raise ValueError(f"field rank needs a field, not {ring.label}")
     p = ring.p
-    if not all(type(a) is int for row in A.data for a in row):
-        den = lcm(*(Fraction(a).denominator for row in A.data for a in row))
-        norm = ring.normalize if p else (lambda a: int(a * den))
-        A = Matrix.from_rows([map(norm, row) for row in A.data])
     factors = invariant_factors(A)
     return len(factors) if p is None else sum(1 for f in factors if f % p)
 
@@ -360,8 +322,7 @@ def _diagonalize(A: Matrix, track: bool = True):
     clear them are skipped).
     """
     r, c = A.rows, A.cols
-    norm = ZZ.normalize
-    D = [[a if type(a) is int else norm(a) for a in row] for row in A.data]
+    D = [list(row) for row in A.data]
 
     def eye(k):
         return [[int(i == j) for j in range(k)] for i in range(k)]
@@ -469,7 +430,8 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def invariant_factors(A: Matrix) -> list[int]:
-    """Nonzero diagonal of the Smith form (no transform bookkeeping)."""
+    """Nonzero diagonal of the Smith form of an integer matrix (no transform
+    bookkeeping)."""
     D = _diagonalize(A, track=False)
     return [abs(D[i][i]) for i in range(min(A.rows, A.cols)) if D[i][i]]
 
@@ -478,7 +440,8 @@ class FreeChainComplex(Record):
     """Bounded complex of finite free modules; differentials lower degree by 1.
 
     ``ranks[d - lo]`` is the rank in degree d; ``diffs[d - lo - 1]`` is the
-    matrix of the differential from degree d to degree d-1.
+    matrix of the differential from degree d to degree d-1. Every entry is
+    an int (not a bool), or InvalidComplex is raised: the complex is over Z.
     """
 
     lo: int
@@ -499,6 +462,9 @@ class FreeChainComplex(Record):
             m = self.diffs[d - self.lo - 1]
             if (m.rows, m.cols) != (self.ranks[d - 1 - self.lo], self.ranks[d - self.lo]):
                 raise ValueError(f"differential at degree {d} has the wrong shape")
+            if not {int}.issuperset(map(type, chain.from_iterable(m.data))):  # a bool fails too
+                a = next(a for row in m.data for a in row if type(a) is not int)
+                raise InvalidComplex(f"differential at degree {d} has the entry {a!r}, not an int")
 
     @classmethod
     def empty(cls) -> "FreeChainComplex":
@@ -570,7 +536,7 @@ def _insert_factor(runs: list[list[int]], f: int) -> None:
     """Add Z/f to an ascending invariant-factor chain kept as [value, count] runs.
 
     Walking down from the top, an element c that f does not divide becomes
-    lcm(c, f) and f goes on as gcd(c, f). Per prime this inserts f's exponent
+    c*f/gcd(c, f) and f goes on as gcd(c, f). Per prime this inserts f's exponent
     into the sorted exponents, so the chain is that of the Smith form, and no
     factor is factored. The distinct values divide each other properly, so
     there are few runs however many factors are added.
@@ -589,7 +555,7 @@ def _insert_factor(runs: list[list[int]], f: int) -> None:
             runs.insert(i, [top, 1])
         if g == v:  # f fits between runs i-1 and i
             return
-        runs[i - 1][1] -= 1  # the top element of run i-1 became lcm(v, f)
+        runs[i - 1][1] -= 1  # the top element of run i-1 became v*f/g
         if not runs[i - 1][1]:
             del runs[i - 1]
         f, i = g, i - 1

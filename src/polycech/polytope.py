@@ -10,10 +10,9 @@ Vandermonde system of the point counts, and the count of its integral
 roots.
 
 ``row_echelon``, the package's one fraction-free elimination over Q, is
-defined here rather than in ``exact_linalg`` (which imports it for
-``Matrix.det``): it depends on nothing else in the package, and the
-commands that need only the polytope then load only this module and
-``record``.
+defined here, beside its only callers: it depends on nothing else in the
+package, and the commands that need only the polytope then load only this
+module and ``record``.
 """
 
 from __future__ import annotations

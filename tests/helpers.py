@@ -9,8 +9,10 @@ longer uses: facets from every dim-subset of the vertices, faces from
 every subset of the facets, lattice points from the whole bounding box.
 Their ranks, nullspaces and solutions come from a plain Fraction
 Gauss-Jordan kept here, not from the library's fraction-free
-``row_echelon``, which is itself tested against it; its mod-p path gives
-the ranks over F_p that the library reads off the Smith diagonal. The torsion of the
+``row_echelon``, which is itself tested against it; it also gives the
+determinants the tests check, which the library never computes, and its
+mod-p path gives the ranks over F_p that the library reads off the Smith
+diagonal. The torsion of the
 two-level oracle comes from a textbook Smith loop kept beside it, not
 from the library's ``invariant_factors``. The torsion of a
 direct sum is merged here prime by prime, after factoring by trial
@@ -144,6 +146,13 @@ def smith_invariant_factors(rows):
 
 def rank_by_elimination(rows, p=None):
     return len(gauss_jordan(rows, p)[1])
+
+
+def det_by_elimination(rows):
+    """Determinant of a square matrix over Q by plain Gauss-Jordan: the
+    product of the pivots times the sign of the row swaps at full rank."""
+    _, pivots, scale = gauss_jordan(rows)
+    return scale if len(pivots) == len(rows) else 0
 
 
 def nullspace_by_elimination(rows, ncols):

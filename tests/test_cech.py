@@ -31,6 +31,7 @@ from polycech.exact_linalg import (
     ZZ,
     FreeChainComplex,
     HomologyResult,
+    InvalidComplex,
     Matrix,
     SignedGather,
     complex_homology,
@@ -57,6 +58,7 @@ from polycech.sheaf_complexes import (
 )
 
 from helpers import (
+    det_by_elimination,
     koszul,
     lattice_points_by_box,
     les_two_level_homology,
@@ -357,13 +359,14 @@ def test_hk_acyclic():
 def test_splitting_matrices():
     M = splitting_matrix(D1)
     assert [list(r) for r in M.data] == [[-1, 0], [-2, -1]]
-    assert M.det() == 1
+    assert det_by_elimination(M.data) == 1
     M2 = splitting_matrix(D2)
     assert [list(r) for r in M2.data] == [[1, 0, 0], [3, 1, 0], [6, 3, 1]]
-    assert M2.det() == 1
+    assert det_by_elimination(M2.data) == 1
     for name in ("square", "cube", "rect", "simplex3"):
         M = splitting_matrix(SAMPLES[name])
-        assert abs(M.det()) == 1
+        assert abs(det_by_elimination(M.data)) == 1
+    assert det_by_elimination(splitting_matrix(PYRAMID).data) == -1
 
 
 @pytest.mark.parametrize("shift", [1, -1])
@@ -387,20 +390,20 @@ def test_splitting_guard_fires_on_a_wrong_euler_characteristic(twist, chi, messa
         ctx.splitting_matrix()
 
 
-def test_splitting_guard_fires_on_a_non_unit_determinant(monkeypatch):
-    # a lower triangular matrix with diagonal (-1)^n has determinant +-1,
-    # so no Euler characteristic reaches this raise; only the determinant can
-    ctx = CechContext(D2)
-    monkeypatch.setattr(Matrix, "det", lambda M: 2)
-    with pytest.raises(NotUnimodular, match="determinant 2 is not a unit"):
-        ctx.splitting_matrix()
-
-
 def test_euler_characteristic_guard_fires_on_a_fractional_count():
     ctx = CechContext(D2)
     ctx.ehrhart = lambda k: Fraction(1, 2)
     with pytest.raises(AssertionError, match=re.escape("E(0) = 1/2 is not integral")):
         ctx.euler_characteristic(line_bundle(0))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=lambda r: r.label)
+def test_cech_homology_rejects_a_fractional_coefficient(ring):
+    # O(0) -> O(0) by 1/2 on the interval: the Čech complex is built over Z
+    # for every ring, so a rational coefficient is refused, not reduced
+    half = make_twist_complex(0, [[0], [0]], {1: {(0, 0): [(Fraction(1, 2), (0,))]}})
+    with pytest.raises(InvalidComplex, match=r"entry Fraction\(-?1, 2\), not an int"):
+        cech_homology(D1, half, ring)
 
 
 def test_constant_diagram_examples():

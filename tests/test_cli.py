@@ -73,10 +73,17 @@ def test_cohomology_output(docs, capsys):
     assert json.loads(out) == []
 
 
-def test_splitting_output(docs, capsys):
+def test_splitting_output(docs, capsys, tmp_path):
     code, out = run(["splitting", docs["iv.json"]], capsys)
     assert code == 0
     assert json.loads(out) == {"matrix": [[-1, 0], [-2, -1]], "det": 1, "unimodular": True}
+    # the square pyramid's determinant is -1, byte for byte
+    pyramid = tmp_path / "pyramid.json"
+    pyramid.write_text(json.dumps({"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                                          [1, 1, 0], [0, 0, 1]]}))
+    code, out = run(["splitting", str(pyramid)], capsys)
+    assert code == 0
+    assert out == '{"det":-1,"matrix":[[-1,0,0],[-5,-1,0],[-14,-5,-1]],"unimodular":true}\n'
 
 
 def test_np_and_points(docs, capsys):

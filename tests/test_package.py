@@ -1,9 +1,13 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import polycech
-from polycech import exact_linalg, polytope
+from polycech import exact_linalg
 
 # the package's public names, by home module, as they were when
 # ``import polycech`` still imported every module
@@ -51,5 +55,12 @@ def test_export_surface():
     assert all(star[name] is getattr(polycech, name) for name in names)
     with pytest.raises(AttributeError, match="no_such_name"):
         polycech.no_such_name
-    # one elimination routine, defined beside its polytope callers
-    assert exact_linalg.row_echelon is polytope.row_echelon
+    # one elimination routine, defined beside its polytope callers: the
+    # integer kernel neither imports it nor loads the polytope module
+    assert not hasattr(exact_linalg, "row_echelon")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", "import sys, polycech.exact_linalg; "
+                           "print('polycech.polytope' in sys.modules)"],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout == "False\n", proc.stderr
