@@ -16,8 +16,8 @@ _EXPORTS = {
                     "Transferred complex_homology contraction invariant_factors "
                     "perturb_transfer smith_normal_form",
     "polytope": "DuplicateVertex EhrhartPolynomial Face FaceLattice LatticePolytope "
-                "NotFullDimensional TooLarge cone_membership ehrhart_polynomial "
-                "face_lattice facets_from_vertices lattice_points np_index standard_simplex",
+                "NotFullDimensional TooLarge ehrhart_polynomial face_lattice "
+                "facets_from_vertices lattice_points np_index standard_simplex",
     "orientation": "IncidenceSystem incidence_numbers",
     "sheaf_complexes": "InvalidMonomial NonSquareZero NotChainMap TwistComplex bundle_tensor "
                        "cone direct_sum line_bundle make_twist_complex suspend twist validate",

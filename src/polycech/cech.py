@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, repeat
-from operator import add, mul
+from operator import add
 from typing import Sequence
 
 from .exact_linalg import (
@@ -47,6 +47,7 @@ from .polytope import (
     bounding_box,
     ehrhart_polynomial,
     face_lattice,
+    facet_mask,
     facet_runs,
     lattice_points,
     np_index,
@@ -157,16 +158,11 @@ class CechContext:
     def column_complex(self, k: int, m: Sequence[int]) -> ColumnComplex:
         """Faces whose cone k*F + T_F contains m, with incidence differentials.
 
-        A face is active iff every facet tight at it satisfies
-        <a_i, m> >= k*b_i, so the column depends only on the mask of facets
-        whose inequality holds at m. The column is built once per mask and
-        returned to every twist and multidegree that reaches it.
+        m lies in k*F + T_F iff <a_i, m> >= k*b_i for every facet i tight
+        at F, so the column is that of m's ``facet_mask``, built once per
+        mask and returned to every twist and multidegree that reaches it.
         """
-        mask = 0
-        for i, (normal, offset) in enumerate(self.polytope.facets):
-            if sum(map(mul, normal, m)) >= k * offset:
-                mask |= 1 << i
-        return self._column_of(mask)
+        return self._column_of(facet_mask(self.polytope, k, m))
 
     def _column_of(self, mask: int) -> ColumnComplex:
         """The column of a facet mask, built and kept on first use. Activity

@@ -111,10 +111,6 @@ def parse_polytope_document(obj: Any, location: str) -> LatticePolytope:
         raise InputError("bad_polytope", str(exc), location)
 
 
-def polytope_document(P: LatticePolytope) -> dict:
-    return {"dim": P.dim, "vertices": [list(v) for v in P.vertices]}
-
-
 def _parse_coeff(c: Any, location: str) -> int:
     if _is_int(c):
         return c

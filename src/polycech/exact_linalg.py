@@ -49,7 +49,8 @@ On top of these:
   transferred complex over any ring is that of the perturbed complex.
 
 A chain complex holds Python ints only, which ``FreeChainComplex``
-checks once on construction; Q and F_p enter as coefficient rings of
+checks once on construction, as the Smith entry points check a matrix
+given to them directly; Q and F_p enter as coefficient rings of
 homology, never as entries. There is no floating point. A ``Matrix``
 product adds up, for each row, the rows of the right factor that the
 row's nonzero entries pick, so it costs the nonzeros of the left factor,
@@ -284,15 +285,25 @@ class SignedGather:
         return not self.c or self.rows.count(None) == len(self.rows)
 
 
+def _require_ints(A: Matrix, error: type[Exception], what: str) -> None:
+    """Raise ``error`` naming the first entry of A that is not an int."""
+    if not {int}.issuperset(map(type, chain.from_iterable(A.data))):  # a bool fails too
+        a = next(a for row in A.data for a in row if type(a) is not int)
+        raise error(f"{what} has the entry {a!r}, not an int")
+
+
+def _rank(factors: Sequence[int], p: int | None) -> int:
+    """Rank over Q (p None) or F_p of a matrix with these nonzero invariant
+    factors: by universal coefficients, those p does not divide."""
+    return len(factors) if p is None else sum(1 for f in factors if f % p)
+
+
 def field_rank(A: Matrix, ring: CoefficientRing) -> int:
     """Rank of the integer matrix A over Q or F_p, read off its Smith
-    diagonal: by universal coefficients, the count of nonzero invariant
-    factors over Q and of those that p does not divide over F_p."""
+    diagonal. Raises ValueError on an entry that is not an int."""
     if not ring.is_field:
         raise ValueError(f"field rank needs a field, not {ring.label}")
-    p = ring.p
-    factors = invariant_factors(A)
-    return len(factors) if p is None else sum(1 for f in factors if f % p)
+    return _rank(invariant_factors(A), ring.p)
 
 
 def _nearest_quotient(a: int, b: int) -> int:
@@ -316,10 +327,10 @@ def _diagonalize(A: Matrix, track: bool = True):
     ``complex_homology``.
 
     Returns (U, Uinv, D, V, Vinv) with U*Uinv = I and V*Vinv = I. Without
-    ``track`` only the rows of D come back, as lists: their diagonal, up
-    to sign, is that of the Smith form, while the rows of unit pivots
-    keep entries right of the diagonal (the column operations that would
-    clear them are skipped).
+    ``track`` only the nonzero invariant factors come back, read off the
+    diagonal up to sign: the rows of unit pivots keep entries right of
+    the diagonal (the column operations that would clear them are
+    skipped), and no row is negated.
     """
     r, c = A.rows, A.cols
     D = [list(row) for row in A.data]
@@ -408,7 +419,7 @@ def _diagonalize(A: Matrix, track: bool = True):
                 continue
         t += 1
     if not track:
-        return D
+        return [abs(D[i][i]) for i in range(n) if D[i][i]]
     for i in range(n):
         if D[i][i] < 0:
             for X in (D, U, UiT):
@@ -423,17 +434,19 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     Returns (U, D, V) with D = U @ A @ V, U and V unimodular, D diagonal
     with non-negative entries d_1 | d_2 | ... Pivots are chosen with
     minimal nonzero absolute value, ties broken in (row, col) order, so
-    the transforms are reproducible across runs.
+    the transforms are reproducible across runs. Raises ValueError on an
+    entry that is not an int.
     """
+    _require_ints(A, ValueError, "the matrix")
     U, _, D, V, _ = _diagonalize(A)
     return U, D, V
 
 
 def invariant_factors(A: Matrix) -> list[int]:
     """Nonzero diagonal of the Smith form of an integer matrix (no transform
-    bookkeeping)."""
-    D = _diagonalize(A, track=False)
-    return [abs(D[i][i]) for i in range(min(A.rows, A.cols)) if D[i][i]]
+    bookkeeping). Raises ValueError on an entry that is not an int."""
+    _require_ints(A, ValueError, "the matrix")
+    return _diagonalize(A, track=False)
 
 
 class FreeChainComplex(Record):
@@ -462,9 +475,7 @@ class FreeChainComplex(Record):
             m = self.diffs[d - self.lo - 1]
             if (m.rows, m.cols) != (self.ranks[d - 1 - self.lo], self.ranks[d - self.lo]):
                 raise ValueError(f"differential at degree {d} has the wrong shape")
-            if not {int}.issuperset(map(type, chain.from_iterable(m.data))):  # a bool fails too
-                a = next(a for row in m.data for a in row if type(a) is not int)
-                raise InvalidComplex(f"differential at degree {d} has the entry {a!r}, not an int")
+            _require_ints(m, InvalidComplex, f"differential at degree {d}")
 
     @classmethod
     def empty(cls) -> "FreeChainComplex":
@@ -576,27 +587,8 @@ class HomologyResult(Record):
                 items.append((d, free, torsion))
         return cls(tuple(items))
 
-    @classmethod
-    def zero(cls) -> "HomologyResult":
-        return cls(())
-
     def as_dict(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         return {d: (free, torsion) for d, free, torsion in self.groups}
-
-    def free_rank(self, d: int) -> int:
-        for deg, free, _ in self.groups:
-            if deg == d:
-                return free
-        return 0
-
-    def torsion(self, d: int) -> tuple[int, ...]:
-        for deg, _, torsion in self.groups:
-            if deg == d:
-                return torsion
-        return ()
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _, _ in self.groups)
 
     def is_zero(self) -> bool:
         return not self.groups
@@ -622,18 +614,14 @@ class HomologyResult(Record):
         return cls.from_dict({d: (r, tuple(v for v, c in runs.get(d, []) for _ in range(c)))
                               for d, r in ranks.items()})
 
-    def euler_characteristic(self) -> int:
-        # parity, not exponentiation: degrees may be negative
-        return sum(-free if d % 2 else free for d, free, _ in self.groups)
-
 
 def complex_homology(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> HomologyResult:
     """Homology of a bounded free complex over Z, Q or F_p.
 
     The free rank and invariant factors come from Smith forms of the
-    adjacent differentials over Z; over a field, ``field_rank`` reads the
-    ranks off the same diagonal. Raises InvalidComplex when d∘d != 0 over
-    the ring.
+    adjacent differentials over Z, which are read unchecked, as the complex
+    checked its entries; over a field the ranks are read off the same
+    diagonal. Raises InvalidComplex when d∘d != 0 over the ring.
     """
     diffs = C.diffs
     for i in range(1, len(diffs)):
@@ -649,10 +637,10 @@ def complex_homology(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Homolog
             image.append(0)
             torsion.append(())
         elif field:
-            image.append(field_rank(m, ring))
+            image.append(_rank(_diagonalize(m, track=False), ring.p))
             torsion.append(())
         else:
-            factors = invariant_factors(m)
+            factors = _diagonalize(m, track=False)
             image.append(len(factors))
             torsion.append(tuple(f for f in factors if f > 1))
     image.append(0)

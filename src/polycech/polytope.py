@@ -2,10 +2,11 @@
 
 Facet enumeration from integral vertices by double description, the face
 lattice as the intersection closure of the facets' vertex sets, its
-dimensions and codimension-one pairs read off the lattice itself, with
-joins, tangent-cone membership tests, ``facet_runs``, the line sweep of a
-box that lattice point enumeration and the line-bundle scan share, the
-Ehrhart polynomial, whose coefficients are read off ``row_echelon`` of the
+dimensions and codimension-one pairs read off the lattice itself, the
+facet mask of a point (``facet_mask``), which columns and monomial
+validity read, and its line sweep over a box (``facet_runs``), which
+lattice point enumeration and the line-bundle scan share, the Ehrhart
+polynomial, whose coefficients are read off ``row_echelon`` of the
 Vandermonde system of the point counts, and the count of its integral
 roots.
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .record import Record
 
@@ -243,41 +244,20 @@ class Face(Record):
 
 
 class FaceLattice:
-    """All nonempty faces of a polytope, ordered by inclusion of vertex sets.
-
-    ``facet_vertices[i]`` is the vertex set of facet i, and
-    ``codim_one[g]`` holds the faces of dimension dim G - 1 in face g, by
-    index.
+    """All nonempty faces of a polytope; ``face_lattice`` orders them by
+    dimension, then by sorted vertex indices, so the top face is last.
+    ``by_dim[d]`` holds the faces of dimension d, and ``codim_one[g]`` the
+    faces of dimension dim G - 1 in face g, by index.
     """
 
     def __init__(self, polytope: LatticePolytope, faces: Sequence[Face],
-                 facet_vertices: Sequence[frozenset[int]],
                  codim_one: Sequence[Sequence[Face]]):
         self.polytope = polytope
         self.faces = tuple(faces)
-        self.facet_vertices = tuple(facet_vertices)
         self.codim_one = tuple(tuple(below) for below in codim_one)
         self.by_dim: dict[int, tuple[Face, ...]] = {}
         for d in range(polytope.dim + 1):
             self.by_dim[d] = tuple(f for f in self.faces if f.dim == d)
-        self._by_vertex_set = {f.vertex_set: f for f in self.faces}
-
-    def top(self) -> Face:
-        (top,) = self.by_dim[self.polytope.dim]
-        return top
-
-    def face_with_vertices(self, vertex_set: Iterable[int]) -> Face:
-        return self._by_vertex_set[frozenset(vertex_set)]
-
-    def contains(self, inner: Face, outer: Face) -> bool:
-        return inner.vertex_set <= outer.vertex_set
-
-    def join(self, f: Face, g: Face) -> Face:
-        """Smallest face containing both: the vertices of every facet tight at both."""
-        verts = self.top().vertex_set
-        for i in f.tight_facets & g.tight_facets:
-            verts &= self.facet_vertices[i]
-        return self.face_with_vertices(verts)
 
 
 def face_lattice(P: LatticePolytope) -> FaceLattice:
@@ -337,28 +317,10 @@ def face_lattice(P: LatticePolytope) -> FaceLattice:
     faces = [Face(index=i, dim=dims[p], vertex_set=order[p], tight_facets=tights[p])
              for i, p in enumerate(ranked)]
     codim_one = [[faces[j] for j in sorted(index[q] for q in belows[p])] for p in ranked]
-    lattice = FaceLattice(P, faces, facet_vertices, codim_one)
+    lattice = FaceLattice(P, faces, codim_one)
     if len(lattice.by_dim[P.dim]) != 1:
         raise AssertionError("face lattice must contain exactly one top face")
     return lattice
-
-
-def satisfies_inequalities(constraints: Iterable[tuple[Sequence[int], int]], k: int,
-                           m: Sequence[int]) -> bool:
-    """Whether <a, m> >= k*b for every pair (a, b) in ``constraints``."""
-    for normal, offset in constraints:
-        if _dot(normal, m) < k * offset:
-            return False
-    return True
-
-
-def cone_membership(P: LatticePolytope, F: Face, k: int, m: Sequence[int]) -> bool:
-    """Whether m lies in the k-dilated tangent cone kF + T_F.
-
-    Tested as <a_i, m> >= k*b_i over the facets tight at F; the top face
-    has no tight facets, so its cone is all of R^n.
-    """
-    return satisfies_inequalities((P.facets[i] for i in F.tight_facets), k, m)
 
 
 def bounding_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
@@ -415,6 +377,16 @@ def facet_runs(constraints: Sequence[tuple[Sequence[int], int]],
         yield prefix + (start,), hi - start + 1, mask
 
 
+def facet_mask(P: LatticePolytope, k: int, m: Sequence[int]) -> int:
+    """The point form of ``facet_runs`` on kP: bit i is set iff
+    <a_i, m> >= k*b_i."""
+    mask = 0
+    for i, (normal, offset) in enumerate(P.facets):
+        if sum(map(mul, normal, m)) >= k * offset:
+            mask |= 1 << i
+    return mask
+
+
 def lattice_points(P: LatticePolytope, k: int, interior: bool = False) -> tuple[tuple[int, ...], ...]:
     """Integral points of the dilate kP, or of its interior, in lexicographic order:
     the runs of ``facet_runs`` over its bounding box on which every facet holds.
@@ -448,10 +420,6 @@ class EhrhartPolynomial(Record):
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:

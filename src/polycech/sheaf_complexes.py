@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .exact_linalg import FreeChainComplex
-from .polytope import LatticePolytope, satisfies_inequalities
+from .polytope import LatticePolytope, facet_mask
 from .record import Record
 
 # a formal sum of monomials: ((coeff, exponent vector), ...)
@@ -118,9 +118,6 @@ class TwistComplex(Record):
             for j, k in enumerate(self.level(t)):
                 yield t, j, k
 
-    def is_empty(self) -> bool:
-        return all(not lv for lv in self.levels)
-
 
 def make_twist_complex(lo: int, levels: Sequence[Sequence[int]],
                        diffs: Mapping[int, Mapping[tuple[int, int], object]] | None = None) -> TwistComplex:
@@ -148,18 +145,15 @@ def line_bundle(k: int, level: int = 0) -> TwistComplex:
     return make_twist_complex(level, [[k]])
 
 
-def monomial_in_dilate(P: LatticePolytope, k: int, u: Sequence[int]) -> bool:
-    """Whether u satisfies <a_i, u> >= k*b_i for every facet (u in the
-    inequality form of the dilate kP; empty for k < 0)."""
-    return satisfies_inequalities(P.facets, k, u)
-
-
 def validate(Y: TwistComplex, P: LatticePolytope) -> None:
     """Check monomial validity of every entry and d∘d = 0 as formal sums.
 
-    Raises InvalidMonomial or NonSquareZero. Validity only depends on the
-    twist difference of target and source, so twisting preserves it.
+    A monomial u from O(a) to O(b) is valid iff every facet holds at u on
+    (b-a)P: its ``facet_mask`` is full. Raises InvalidMonomial or
+    NonSquareZero. Validity only depends on the twist difference of target
+    and source, so twisting preserves it.
     """
+    full = (1 << len(P.facets)) - 1
     for t in range(Y.lo + 1, Y.hi + 1):
         targets = Y.level(t - 1)
         sources = Y.level(t)
@@ -168,7 +162,7 @@ def validate(Y: TwistComplex, P: LatticePolytope) -> None:
             for _, u in terms:
                 if len(u) != P.dim:
                     raise InvalidMonomial(t, i, j, u, f"length {len(u)} != dim {P.dim}")
-                if not monomial_in_dilate(P, k, u):
+                if facet_mask(P, k, u) != full:
                     raise InvalidMonomial(t, i, j, u, f"not a lattice point of {k}P")
     for t in range(Y.lo + 2, Y.hi + 1):
         if _compose_maps(Y.diff_map(t - 1), Y.diff_map(t)):

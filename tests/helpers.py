@@ -28,6 +28,7 @@ to one sign per face, which ``equal_up_to_face_signs`` decides.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
@@ -361,12 +362,19 @@ def cone_contains(generators, x):
 
     Valid for full-dimensional cones: every facet contains n-1 linearly
     independent generators, so all supporting hyperplanes spanned by
-    generator subsets cut the cone out exactly.
+    generator subsets cut the cone out exactly. The facets of each
+    generator set are enumerated once and kept.
     """
-    n = len(x)
-    gens = [tuple(g) for g in generators if any(g)]
+    gens = tuple(sorted({tuple(g) for g in generators if any(g)}))
     if not gens:
         return all(v == 0 for v in x)
+    return all(_dot(a, x) >= 0 for a in _cone_normals(gens, len(x)))
+
+
+@lru_cache(maxsize=None)
+def _cone_normals(gens, n):
+    """Inward normals of the facets of the full-dimensional cone(gens);
+    none when the cone is all of R^n."""
     normals = set()
     for sub in combinations(range(len(gens)), n - 1):
         null = nullspace_by_elimination([gens[i] for i in sub], n)
@@ -378,9 +386,7 @@ def cone_contains(generators, x):
             normals.add(a)
         elif all(v <= 0 for v in vals):
             normals.add(tuple(-t for t in a))
-    if not normals:
-        return True  # full-dimensional cone without facets is all of R^n
-    return all(_dot(a, x) >= 0 for a in normals)
+    return tuple(normals)
 
 
 def hull_facets_by_point_test(dim, vertices):

@@ -68,7 +68,7 @@ def expected_line_bundle_homology(P, k):
         return HomologyResult.from_dict({n: (int(e(k)), ())})
     if k < -e.np:
         return HomologyResult.from_dict({0: ((-1) ** n * int(e(k)), ())})
-    return HomologyResult.zero()
+    return HomologyResult(())
 
 
 def test_criterion_1_line_bundle_closed_form(scan_table):
@@ -98,7 +98,7 @@ def test_criterion_3_euler_identity(scan_table):
     for name, P in SAMPLES.items():
         e = ehrhart_polynomial(P)
         for m in TWIST_RANGE:
-            chi_from_ranks = scan_table[(name, m)].euler_characteristic()
+            chi_from_ranks = sum((-1) ** d * free for d, free, _ in scan_table[(name, m)].groups)
             assert chi_from_ranks == (-1) ** P.dim * int(e(m)), (name, m)
     report(3, "Euler characteristic identity")
 
@@ -202,12 +202,12 @@ def test_criterion_10_incidence_soundness():
             if top.dim < 2:
                 continue
             for bottom in L.by_dim[top.dim - 2]:
-                if not L.contains(bottom, top):
+                if not bottom.vertex_set <= top.vertex_set:
                     continue
                 total = sum(
                     inc.sign(bottom.index, mid.index) * inc.sign(mid.index, top.index)
                     for mid in L.by_dim[top.dim - 1]
-                    if L.contains(bottom, mid) and L.contains(mid, top))
+                    if bottom.vertex_set <= mid.vertex_set <= top.vertex_set)
                 assert total == 0, (name, bottom.index, top.index)
         unit = FreeChainComplex.from_dicts({0: 1}, {})
         h = constant_diagram_cech(P, unit, ZZ).homology

@@ -85,15 +85,16 @@ def test_one_flipped_sign_is_not_equivalent(name):
 def _corrupted(L, face, below):
     """``L`` with ``codim_one`` of the face with vertex set ``face`` set to
     the faces with vertex sets ``below``."""
+    by_vertices = {f.vertex_set: f for f in L.faces}
     codim_one = list(L.codim_one)
-    codim_one[L.face_with_vertices(face).index] = [L.face_with_vertices(vs) for vs in below]
-    return FaceLattice(L.polytope, L.faces, L.facet_vertices, codim_one)
+    codim_one[by_vertices[face].index] = [by_vertices[vs] for vs in below]
+    return FaceLattice(L.polytope, L.faces, codim_one)
 
 
 def test_ridge_guard_fires_when_a_facet_is_missing():
     L = face_lattice(SAMPLES["square"])
     # the square without one of its edges: two vertices lie in one edge only
-    top = L.top()
+    top = L.faces[-1]
     edges = [f.vertex_set for f in L.codim_one[top.index]]
     with pytest.raises(AssertionError, match="other than two facets"):
         incidence_numbers(_corrupted(L, top.vertex_set, edges[1:]))
@@ -128,7 +129,7 @@ def test_face_lattice_and_signs_need_no_elimination(name, monkeypatch):
 def test_interval_endpoint_signs_are_opposite():
     L = face_lattice(SAMPLES["interval"])
     inc = incidence_numbers(L)
-    top = L.top().index
+    top = L.faces[-1].index
     signs = sorted(inc.sign(f.index, top) for f in L.by_dim[0])
     assert signs == [-1, 1]
 
@@ -141,10 +142,10 @@ def test_boundary_squares_to_zero(name):
         if top.dim < 2:
             continue
         for bottom in L.by_dim[top.dim - 2]:
-            if not L.contains(bottom, top):
+            if not bottom.vertex_set <= top.vertex_set:
                 continue
             middles = [f for f in L.by_dim[top.dim - 1]
-                       if L.contains(bottom, f) and L.contains(f, top)]
+                       if bottom.vertex_set <= f.vertex_set <= top.vertex_set]
             assert len(middles) == 2  # the diamond property
             total = sum(inc.sign(bottom.index, f.index) * inc.sign(f.index, top.index)
                         for f in middles)
@@ -159,20 +160,13 @@ def test_boundary_check_fires_on_a_flipped_sign():
         _check_boundary_squares_to_zero(L, flipped)
 
 
-def test_incidence_numbers_take_codim_one_faces_from_the_facets(monkeypatch):
-    # a scan of the faces one dimension down would test containment once
-    # per face pair of adjacent dimension, and once per flag in the check
-    calls = []
-    contains = FaceLattice.contains
-
-    def counting(self, inner, outer):
-        calls.append((inner.index, outer.index))
-        return contains(self, inner, outer)
-
-    monkeypatch.setattr(FaceLattice, "contains", counting)
+def test_incidence_numbers_take_codim_one_faces_from_the_facets():
+    # a scan of the faces one dimension down would read ``by_dim``, once per
+    # face pair of adjacent dimension and once per flag in the check
     L = face_lattice(SAMPLES["cube"])
+    del L.by_dim
     pairs = len(incidence_numbers(L).numbers)
-    assert pairs == 54 and calls == []
+    assert pairs == 54
 
 
 def test_codim_one_pairs_all_signed():
@@ -182,7 +176,7 @@ def test_codim_one_pairs_all_signed():
         if g.dim == 0:
             continue
         for f in L.by_dim[g.dim - 1]:
-            if L.contains(f, g):
+            if f.vertex_set <= g.vertex_set:
                 assert inc.sign(f.index, g.index) in (-1, 1)
             else:
                 assert inc.sign(f.index, g.index) == 0

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from polycech.exact_linalg import FreeChainComplex, Matrix
-from polycech.polytope import cone_membership, face_lattice, lattice_points
+from polycech.cech import column_complex
+from polycech.polytope import face_lattice, facet_mask, lattice_points
 from polycech.sheaf_complexes import (
     InvalidMonomial,
     NonSquareZero,
@@ -15,7 +16,6 @@ from polycech.sheaf_complexes import (
     direct_sum,
     line_bundle,
     make_twist_complex,
-    monomial_in_dilate,
     suspend,
     twist,
     validate,
@@ -78,7 +78,8 @@ def test_negative_difference_has_no_valid_monomials():
     # polytope is empty, so every entry from O(1) down to O(0) is invalid
     for P in (D1, D2, SAMPLES["square"]):
         box = product(range(-3, 4), repeat=P.dim)
-        assert all(not monomial_in_dilate(P, -1, u) for u in box)
+        full = (1 << len(P.facets)) - 1
+        assert all(facet_mask(P, -1, u) != full for u in box)
 
 
 def test_twist_is_strictly_additive():
@@ -169,7 +170,7 @@ def test_bundle_tensor_transcribes_matrices():
     validate(B, D2)
     assert bundle_tensor(3, FreeChainComplex.empty(), 2) == TwistComplex.empty()
     zero = bundle_tensor(1, FreeChainComplex.from_dicts({0: 0, 1: 0}, {}), 2)
-    assert zero.is_empty()
+    assert zero.levels == ((), ())
 
 
 def test_global_validity_matches_facewise_cone_condition():
@@ -177,14 +178,16 @@ def test_global_validity_matches_facewise_cone_condition():
     # reduced at a base vertex w of F to: u + (a-b)w in T_F
     for P in (D1, D2):
         L = face_lattice(P)
+        full = (1 << len(P.facets)) - 1
         for a, b in product(range(-1, 3), repeat=2):
             for u in product(range(-2, 3), repeat=P.dim):
-                global_ok = monomial_in_dilate(P, b - a, u)
+                global_ok = facet_mask(P, b - a, u) == full
                 facewise = True
                 for F in L.faces:
                     w = P.vertices[min(F.vertex_set)]
                     shifted = tuple(x + (a - b) * wc for x, wc in zip(u, w))
-                    if not cone_membership(P, F, 0, shifted):
+                    active = column_complex(P, 0, shifted).faces[P.dim - F.dim]
+                    if F.index not in active:
                         facewise = False
                         break
                 assert global_ok == facewise, (a, b, u)
