@@ -16,12 +16,12 @@ _EXPORTS = {
                     "Transferred complex_homology contraction invariant_factors "
                     "perturb_transfer smith_normal_form",
     "polytope": "DuplicateVertex EhrhartPolynomial Face FaceLattice LatticePolytope "
-                "NotFullDimensional TooLarge ehrhart_polynomial face_lattice "
+                "NotFullDimensional NotUnimodular TooLarge ehrhart_polynomial face_lattice "
                 "facets_from_vertices lattice_points np_index standard_simplex",
     "orientation": "IncidenceSystem incidence_numbers",
     "sheaf_complexes": "InvalidMonomial NonSquareZero NotChainMap TwistComplex bundle_tensor "
                        "cone direct_sum line_bundle make_twist_complex suspend twist validate",
-    "cech": "CechResult CechTransfer ColumnComplex NotUnimodular SupportEscapesBox "
+    "cech": "CechResult CechTransfer ColumnComplex SupportEscapesBox "
             "SupportTable WindowMismatch acyclicity_window cech_homology column_complex "
             "con_vs_bundle_check constant_diagram_cech euler_characteristic hk_acyclic "
             "line_bundle_cohomology simplex_cone_check splitting_matrix support_table",

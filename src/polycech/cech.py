@@ -44,6 +44,7 @@ from .exact_linalg import (
 from .orientation import incidence_numbers
 from .polytope import (
     LatticePolytope,
+    NotUnimodular,  # raised by splitting_matrix; callers read it here too
     bounding_box,
     ehrhart_polynomial,
     face_lattice,
@@ -51,7 +52,9 @@ from .polytope import (
     facet_runs,
     lattice_points,
     np_index,
+    splitting_rows,
     standard_simplex,
+    twist_euler_characteristic,
 )
 from .record import Record
 from .sheaf_complexes import TwistComplex, bundle_tensor, cone, line_bundle, twist, validate
@@ -63,10 +66,6 @@ class SupportEscapesBox(Exception):
 
 class WindowMismatch(Exception):
     """Internal guard: the acyclic range of negative twists contradicts the root count."""
-
-
-class NotUnimodular(Exception):
-    """The splitting matrix is not lower triangular with diagonal (-1)^n."""
 
 
 class ColumnComplex(Record):
@@ -347,16 +346,8 @@ class CechContext:
 
     def euler_characteristic(self, Y: TwistComplex) -> int:
         """Alternating sum over levels of the signed point counts (-1)^n E(k)."""
-        sign_n = (-1) ** self.polytope.dim
-        chi = 0
-        for t in range(Y.lo, Y.hi + 1):
-            sign_t = -1 if t % 2 else 1  # levels may be negative
-            for k in Y.level(t):
-                val = self.ehrhart(k)
-                if val.denominator != 1:
-                    raise AssertionError(f"point-counting value E({k}) = {val} is not integral")
-                chi += sign_t * sign_n * int(val)
-        return chi
+        return sum((-1) ** (t % 2) * twist_euler_characteristic(self.polytope, self.ehrhart, k)
+                   for t in range(Y.lo, Y.hi + 1) for k in Y.level(t))  # t % 2 is 0 or 1
 
     def acyclicity_window(self) -> tuple[bool, ...]:
         """Acyclicity of O(-k) for k = 1..n+1; true exactly up to the root count."""
@@ -380,23 +371,10 @@ class CechContext:
         )
 
     def splitting_matrix(self) -> Matrix:
-        """Euler characteristics chi(O(j - l)) for 0 <= j, l <= root count.
-
-        Must be lower triangular with diagonal (-1)^n, which makes its
-        determinant (-1)^(n * (root count + 1)), a unit over Z; an entry
-        off that pattern raises NotUnimodular.
-        """
-        npi = self.np
-        M = Matrix.from_rows([[self.euler_characteristic(line_bundle(j - ell))
-                               for ell in range(npi + 1)] for j in range(npi + 1)])
-        sign_n = (-1) ** self.polytope.dim
-        for j in range(npi + 1):
-            for ell in range(npi + 1):
-                if j < ell and M[j, ell] != 0:
-                    raise NotUnimodular(f"entry ({j}, {ell}) above the diagonal is {M[j, ell]}")
-                if j == ell and M[j, ell] != sign_n:
-                    raise NotUnimodular(f"diagonal entry ({j}, {j}) is {M[j, j]}, not {sign_n}")
-        return M
+        """chi(O(j - l)) for 0 <= j, l <= root count, the rows that
+        ``polytope.splitting_rows`` reads off the context's Ehrhart data; it
+        raises NotUnimodular unless they are lower triangular, diagonal (-1)^n."""
+        return Matrix.from_rows(splitting_rows(self.polytope, self.ehrhart, self.np))
 
     def constant_diagram_cech(self, C: FreeChainComplex,
                               ring: CoefficientRing = ZZ) -> CechResult:

@@ -9,17 +9,16 @@ command line included.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from math import prod
-from typing import TYPE_CHECKING, Any, Mapping, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-# Only the polytope is imported here: ``faces``, ``ehrhart``, ``np`` and
-# ``points`` need nothing else, and each command is a fresh process that
-# compiles every module it imports when no bytecode cache is written. The
-# functions below import the rest where they use it.
+# Only the polytope is imported here, and no argparse: ``faces``,
+# ``ehrhart``, ``np``, ``points`` and ``splitting`` need nothing else, and
+# each command is a fresh process that compiles every module it imports when
+# no bytecode cache is written. The functions below import the rest.
 from .polytope import (
     DuplicateVertex,
     EhrhartPolynomial,
@@ -32,6 +31,7 @@ from .polytope import (
     facets_from_vertices,
     lattice_points,
     np_index,
+    splitting_rows,
     standard_simplex,
 )
 
@@ -55,23 +55,6 @@ class InputError(Exception):
         self.message = message
         self.location = location
         super().__init__(message)
-
-
-class _HelpShown(Exception):
-    """argparse has printed the usage for -h or --help."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as an InputError, and -h or --help
-    as _HelpShown, instead of exiting; the subcommand parsers are of this
-    class too."""
-
-    def error(self, message: str) -> NoReturn:
-        raise InputError("bad_args", message, "<args>")
-
-    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
-        # error() never gets here, so only the help action does
-        raise _HelpShown
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -111,7 +94,8 @@ def parse_polytope_document(obj: Any, location: str) -> LatticePolytope:
         raise InputError("bad_polytope", str(exc), location)
 
 
-def _parse_coeff(c: Any, location: str) -> int:
+def _parse_int(c: Any, code: str, what: str, location: str) -> int:
+    """An integer, or its text: a coefficient, or the value of an integer option."""
     if _is_int(c):
         return c
     # ASCII digits only: int() would also read "1_0", padding and other scripts' digits
@@ -120,7 +104,7 @@ def _parse_coeff(c: Any, location: str) -> int:
             return int(c)
         except ValueError:  # more digits than int() converts
             pass
-    raise InputError("bad_coefficient", f"coefficient {c!r} is not an integer", location)
+    raise InputError(code, f"{what} {c!r} is not an integer", location)
 
 
 def parse_complex_document(obj: Any, location: str) -> TwistComplex:
@@ -163,7 +147,8 @@ def parse_complex_document(obj: Any, location: str) -> TwistComplex:
                 u = term["u"]
                 if not isinstance(u, list) or not all(_is_int(x) for x in u):
                     raise InputError("bad_monomial", "u must be an integer vector", location)
-                terms.append((_parse_coeff(term["c"], location), tuple(u)))
+                terms.append((_parse_int(term["c"], "bad_coefficient", "coefficient", location),
+                              tuple(u)))
             entries[(row, col)] = terms
         if t in diffs:
             raise InputError("bad_differentials", f"level {t} listed twice", location)
@@ -202,10 +187,6 @@ def _load_json(path: str) -> Any:
         raise InputError("missing_file", f"cannot open {path}", path)
     except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
         raise InputError("bad_json", str(exc), path)
-
-
-def _load_polytope(path: str) -> LatticePolytope:
-    return parse_polytope_document(_load_json(path), path)
 
 
 def _load_complex(path: str, P: LatticePolytope) -> TwistComplex:
@@ -282,14 +263,10 @@ def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
 
 
 def cmd_splitting(P: LatticePolytope) -> dict:
-    from . import cech
-    M = cech.splitting_matrix(P)
-    det = prod(M[j, j] for j in range(M.rows))  # splitting_matrix checked M is triangular
-    return {
-        "matrix": [list(row) for row in M.data],
-        "det": det,
-        "unimodular": abs(det) == 1,
-    }
+    e = ehrhart_polynomial(P)
+    rows = splitting_rows(P, e, np_index(P, e))
+    det = prod(row[j] for j, row in enumerate(rows))  # splitting_rows checked they are triangular
+    return {"matrix": rows, "det": det, "unimodular": abs(det) == 1}
 
 
 def verify_suite(P: LatticePolytope, kmax: int) -> list[dict]:
@@ -350,116 +327,139 @@ def verify_suite(P: LatticePolytope, kmax: int) -> list[dict]:
     return items
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="polycech",
-        description="Exact Čech homology of line-bundle twists on lattice polytopes.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (help, positionals, options); an option maps to (kind, default),
+# where kind int or str takes a value, bool is a flag, and None is required
+_COMMANDS: dict[str, tuple[str, tuple[str, ...], dict[str, tuple[type, Any]]]] = {
+    "faces": ("face lattice of a polytope", ("polytope",), {}),
+    "ehrhart": ("point-counting polynomial and its integral roots", ("polytope",), {}),
+    "np": ("count of integral roots of the point-counting polynomial", ("polytope",), {}),
+    "points": ("lattice points of a dilate", ("polytope",),
+               {"--dilate": (int, None), "--interior": (bool, False)}),
+    "cohomology": ("homology of the Čech complex of O(k)", ("polytope",),
+                   {"--twist": (int, None), "--ring": (str, "Z")}),
+    "cech": ("homology of the Čech complex of a twist complex", ("polytope", "complex"),
+             {"--ring": (str, "Z")}),
+    "chi": ("Euler characteristic of the Čech complex", ("polytope", "complex"), {}),
+    "splitting": ("unimodular matrix of Euler characteristics", ("polytope",), {}),
+    "verify": ("run the verification battery", ("polytope",), {"--kmax": (int, 4)}),
+}
 
-    p = sub.add_parser("faces", help="face lattice of a polytope")
-    p.add_argument("polytope")
 
-    p = sub.add_parser("ehrhart", help="point-counting polynomial and its integral roots")
-    p.add_argument("polytope")
+def _usage(commands: Iterable[str]) -> str:
+    lines = []
+    for command in commands:
+        description, positionals, options = _COMMANDS[command]
+        words = [command, *positionals]
+        for name, (kind, default) in options.items():
+            word = name if kind is bool else f"{name} {name[2:].upper()}"
+            words.append(word if default is None else f"[{word}]")
+        lines.append(f"usage: polycech {' '.join(words)}\n    {description}")
+    return "\n".join(lines)
 
-    p = sub.add_parser("np", help="count of integral roots of the point-counting polynomial")
-    p.add_argument("polytope")
 
-    p = sub.add_parser("points", help="lattice points of a dilate")
-    p.add_argument("polytope")
-    p.add_argument("--dilate", type=int, required=True)
-    p.add_argument("--interior", action="store_true")
-
-    p = sub.add_parser("cohomology", help="homology of the Čech complex of O(k)")
-    p.add_argument("polytope")
-    p.add_argument("--twist", type=int, required=True)
-    p.add_argument("--ring", default="Z")
-
-    p = sub.add_parser("cech", help="homology of the Čech complex of a twist complex")
-    p.add_argument("polytope")
-    p.add_argument("complex")
-    p.add_argument("--ring", default="Z")
-
-    p = sub.add_parser("chi", help="Euler characteristic of the Čech complex")
-    p.add_argument("polytope")
-    p.add_argument("complex")
-
-    p = sub.add_parser("splitting", help="unimodular matrix of Euler characteristics")
-    p.add_argument("polytope")
-
-    p = sub.add_parser("verify", help="run the verification battery")
-    p.add_argument("polytope")
-    p.add_argument("--kmax", type=int, default=4)
-    return parser
+def _parse_args(argv: Sequence[str]) -> dict[str, Any]:
+    """The command and its arguments by name (options without "--", missing
+    ones at their defaults), read by ``_COMMANDS``: options by exact name as
+    --name value or --name=value, a value as given even if it starts with "-"."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise InputError("bad_args", f"unknown command {argv[0]!r}" if argv else
+                         "missing command", "<args>")
+    _, positionals, options = _COMMANDS[argv[0]]
+    args: dict[str, Any] = {name[2:]: default for name, (_, default) in options.items()}
+    given, rest = [], iter(argv[1:])  # positionals given, and the words left to read
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if not arg.startswith("-") or arg == "-":
+            given.append(arg)
+        elif name not in options:
+            raise InputError("bad_args", f"unknown option {name}", "<args>")
+        elif options[name][0] is bool:
+            if eq:
+                raise InputError("bad_args", f"option {name} takes no value", "<args>")
+            args[name[2:]] = True
+        else:
+            if not eq and (value := next(rest, None)) is None:
+                raise InputError("bad_args", f"option {name} needs a value", "<args>")
+            if options[name][0] is int:
+                value = _parse_int(value, "bad_args", f"option {name}: value", "<args>")
+            args[name[2:]] = value
+    missing = [*positionals[len(given):], *(n for n in options if args[n[2:]] is None)]
+    if missing or len(given) > len(positionals):
+        raise InputError("bad_args", f"missing argument {missing[0]}" if missing else
+                         f"unexpected argument {given[len(positionals)]!r}", "<args>")
+    args.update(zip(positionals, given), command=argv[0])
+    return args
 
 
 def run(argv: Sequence[str]) -> tuple[Any, int]:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
+    path = args["polytope"]
     try:
-        return _run_command(args, _load_polytope(args.polytope))
+        return _run_command(args, parse_polytope_document(_load_json(path), path))
     except TooLarge as exc:
-        raise InputError("too_large", str(exc), args.polytope)
+        raise InputError("too_large", str(exc), path)
 
 
-def _run_command(args: argparse.Namespace, P: LatticePolytope) -> tuple[Any, int]:
-    if args.command == "faces":
+def _run_command(args: dict[str, Any], P: LatticePolytope) -> tuple[Any, int]:
+    command = args["command"]
+    if command == "faces":
         return cmd_faces(P), 0
     # every other command may interpolate the Ehrhart polynomial, directly
     # or in the context: refuse before any dilate is enumerated
     _refuse_over(EHRHART_BUDGET, prod(hi - lo + 1 for lo, hi in bounding_box(P, P.dim + 1)),
-                 f"the bounding box of {P.dim + 1}P holds {{}} points", args.polytope)
-    if args.command == "points":
-        return cmd_points(P, args.dilate, args.interior), 0
-    if args.command == "ehrhart":
+                 f"the bounding box of {P.dim + 1}P holds {{}} points", args["polytope"])
+    if command == "points":
+        return cmd_points(P, args["dilate"], args["interior"]), 0
+    if command == "ehrhart":
         return cmd_ehrhart(P), 0
-    if args.command == "np":
+    if command == "np":
         return {"np": np_index(P)}, 0
+    if command == "splitting":
+        return cmd_splitting(P), 0
     from . import cech
-    if args.command == "cohomology":
-        ring = _parse_ring(args.ring)
-        _refuse_over(POINTS_BUDGET, prod(hi - lo + 1 for lo, hi in cech.scan_box(P, args.twist)),
-                     f"the scan box of twist {args.twist} holds {{}} multidegrees", "--twist")
-        res = cech.line_bundle_cohomology(P, args.twist, ring)
+    if command == "cohomology":
+        ring, k = _parse_ring(args["ring"]), args["twist"]
+        _refuse_over(POINTS_BUDGET, prod(hi - lo + 1 for lo, hi in cech.scan_box(P, k)),
+                     f"the scan box of twist {k} holds {{}} multidegrees", "--twist")
+        res = cech.line_bundle_cohomology(P, k, ring)
         return homology_json(res.homology), 0
-    if args.command == "cech":
-        ring = _parse_ring(args.ring)
-        Y = _load_complex(args.complex, P)
+    if command == "cech":
+        ring = _parse_ring(args["ring"])
+        Y = _load_complex(args["complex"], P)
         # a summand O(k) is supported on kP, or on the interior of kP for k < 0
         e = cech.context(P).ehrhart
         _refuse_over(POINTS_BUDGET, sum(_point_count(P, e, k, k < 0) for _, _, k in Y.summands()),
-                     "the supports of the complex hold {} multidegrees", args.complex)
+                     "the supports of the complex hold {} multidegrees", args["complex"])
         res = cech.cech_homology(P, Y, ring)
         return {
             "homology": homology_json(res.homology),
             "active_multidegrees": res.active_multidegrees,
             "transfer_paths": res.transfer_paths,
         }, 0
-    if args.command == "chi":
-        Y = _load_complex(args.complex, P)
+    if command == "chi":
+        Y = _load_complex(args["complex"], P)
         return {"chi": cech.euler_characteristic(P, Y)}, 0
-    if args.command == "splitting":
-        return cmd_splitting(P), 0
-    if args.command == "verify":
-        if args.kmax < 0:
-            raise InputError("bad_kmax", f"kmax {args.kmax} is negative", "--kmax")
-        # 2*kmax + 1 scans, of twists -kmax..kmax, none larger than that of kmax
-        box = prod(hi - lo + 1 for lo, hi in cech.scan_box(P, args.kmax))
-        _refuse_over(POINTS_BUDGET, (2 * args.kmax + 1) * box,
-                     f"the scans of twists -{args.kmax}..{args.kmax} visit {{}} multidegrees",
-                     "--kmax")
-        report = verify_suite(P, args.kmax)
-        ok = all(item["pass"] for item in report)
-        return {"ok": ok, "results": report}, 0 if ok else 1
-    raise InputError("bad_command", f"unknown command {args.command!r}", "<args>")
+    # verify, the one command of _COMMANDS left
+    kmax = args["kmax"]
+    if kmax < 0:
+        raise InputError("bad_kmax", f"kmax {kmax} is negative", "--kmax")
+    # 2*kmax + 1 scans, of twists -kmax..kmax, none larger than that of kmax
+    box = prod(hi - lo + 1 for lo, hi in cech.scan_box(P, kmax))
+    _refuse_over(POINTS_BUDGET, (2 * kmax + 1) * box,
+                 f"the scans of twists -{kmax}..{kmax} visit {{}} multidegrees", "--kmax")
+    report = verify_suite(P, kmax)
+    ok = all(item["pass"] for item in report)
+    return {"ok": ok, "results": report}, 0 if ok else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:  # anywhere: the usage of the command, if one is named
+        print(_usage([argv[0]] if argv[0] in _COMMANDS else _COMMANDS))
+        return 0
     try:
         payload, code = run(argv)
-    except _HelpShown:
-        return 0
     except InputError as exc:
         print(canonical_dumps(
             {"code": exc.code, "message": exc.message, "location": exc.location}))

@@ -7,8 +7,8 @@ facet mask of a point (``facet_mask``), which columns and monomial
 validity read, and its line sweep over a box (``facet_runs``), which
 lattice point enumeration and the line-bundle scan share, the Ehrhart
 polynomial, whose coefficients are read off ``row_echelon`` of the
-Vandermonde system of the point counts, and the count of its integral
-roots.
+Vandermonde system of the point counts, the count of its integral
+roots, and the splitting matrix of Euler characteristics (-1)^n E(k).
 
 ``row_echelon``, the package's one fraction-free elimination over Q, is
 defined here, beside its only callers: it depends on nothing else in the
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .record import Record
 
@@ -45,6 +45,10 @@ class CharacterizationMismatch(Exception):
 
 class TooLarge(Exception):
     """The work a computation would take passes its budget."""
+
+
+class NotUnimodular(Exception):
+    """The splitting matrix is not lower triangular with diagonal (-1)^n."""
 
 
 # most faces times facets the closure in ``face_lattice`` will reach (it
@@ -73,11 +77,9 @@ def row_echelon(rows: Sequence[Sequence]):
     """Reduced row echelon form over Q by fraction-free Gauss-Jordan elimination.
 
     The pivot of each column is its first nonzero entry at or below the
-    current rank. Returns (m, pivots, scale, d): the eliminated rows m are
-    d times the reduced matrix R, ``pivots`` is the pivot column of each
-    nonzero row of R, and ``scale`` the product of the pivots met times
-    the sign of the row swaps, which is the determinant of a square
-    matrix of full rank.
+    current rank. Returns (m, pivots, d): the eliminated rows m are d times
+    the reduced matrix R, and ``pivots`` is the pivot column of each
+    nonzero row of R.
 
     The elimination is Bareiss's (1968). Each row is multiplied by the
     common denominator of its entries, and each step replaces every other
@@ -85,19 +87,17 @@ def row_echelon(rows: Sequence[Sequence]):
     row's entry in the pivot column and d the previous pivot. The division
     is exact: every entry stays an integer minor of the cleared matrix,
     and after the last step the pivot rows are d times the rows of R, so m
-    holds ints and R is Fraction(a, d). ``scale`` is the sign of the swaps
-    times d over the denominators of the rows that ended up as pivot rows.
+    holds ints and R is Fraction(a, d).
     """
-    m, dens = [], []
+    m = []
     for row in rows:
         row = [a if type(a) is int else Fraction(a) for a in row]
         fracs = [a.denominator for a in row if type(a) is not int]
         den = lcm(*fracs)
         m.append([int(a * den) for a in row] if fracs else row)
-        dens.append(den)
     nrows = len(m)
     pivots: list[int] = []
-    sign = prev = 1  # the pivots' product telescopes to the last, prev
+    prev = 1
     for j in range(len(m[0]) if m else 0):
         r = len(pivots)
         if r == nrows:
@@ -107,8 +107,6 @@ def row_echelon(rows: Sequence[Sequence]):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            dens[r], dens[piv] = dens[piv], dens[r]
-            sign = -sign
         x, top = m[r][j], m[r]
         for i in range(nrows):
             c = m[i][j]
@@ -117,8 +115,7 @@ def row_echelon(rows: Sequence[Sequence]):
             m[i] = [(x * a - c * b) // prev for a, b in zip(m[i], top)]
         prev = x
         pivots.append(j)
-    scale = Fraction(sign * prev, prod(dens[:len(pivots)])) if pivots else 1
-    return m, pivots, scale, prev
+    return m, pivots, prev
 
 
 def _affine_basis(points: Sequence[Sequence[int]]) -> list[int]:
@@ -156,7 +153,7 @@ def _hull_rays(lifted: Sequence[tuple[int, ...]],
     """
     d = len(lifted[0])
     rows = [list(lifted[i]) + [int(r == c) for c in range(d)] for r, i in enumerate(basis)]
-    m, _, _, den = row_echelon(rows)
+    m, _, den = row_echelon(rows)
     sign = 1 if den > 0 else -1
     rays = [(_primitive([sign * m[r][d + j] for r in range(d)]),
              sum(1 << b for b in basis if b != i)) for j, i in enumerate(basis)]
@@ -432,7 +429,7 @@ def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     """
     n = P.dim
     rows = [[k ** j for j in range(n + 1)] + [len(lattice_points(P, k))] for k in range(n + 1)]
-    m, _, _, d = row_echelon(rows)
+    m, _, d = row_echelon(rows)
     coeffs = tuple(Fraction(m[j][n + 1], d) for j in range(n + 1))
     guard = len(lattice_points(P, n + 1))
     poly = EhrhartPolynomial(coeffs, 0, ())
@@ -465,3 +462,28 @@ def np_index(P: LatticePolytope, ehrhart: EhrhartPolynomial | None = None) -> in
         raise CharacterizationMismatch(
             f"root count {via_roots} != minimal interior dilation index {via_interior}")
     return via_roots
+
+
+def twist_euler_characteristic(P: LatticePolytope, e: Callable[[int], Fraction], k: int) -> int:
+    """chi(O(k)) = (-1)^n E(k), for E = ``e`` the point count of P."""
+    val = e(k)
+    if val.denominator != 1:
+        raise AssertionError(f"point-counting value E({k}) = {val} is not integral")
+    return (-1) ** P.dim * int(val)
+
+
+def splitting_rows(P: LatticePolytope, e: Callable[[int], Fraction], npi: int) -> list[list[int]]:
+    """The splitting matrix chi(O(j - l)), 0 <= j, l <= npi, P's root count: a
+    Toeplitz table of point counts E = ``e``, with no face lattice or Čech
+    column. NotUnimodular names its first entry off the lower triangular
+    pattern with diagonal (-1)^n, which makes the determinant a unit."""
+    rows = [[twist_euler_characteristic(P, e, j - ell) for ell in range(npi + 1)]
+            for j in range(npi + 1)]
+    # row 0 holds every value on and above the diagonal, so it fails first
+    sign_n = (-1) ** P.dim
+    if rows[0][0] != sign_n:
+        raise NotUnimodular(f"diagonal entry (0, 0) is {rows[0][0]}, not {sign_n}")
+    for ell, x in enumerate(rows[0][1:], start=1):
+        if x:
+            raise NotUnimodular(f"entry (0, {ell}) above the diagonal is {x}")
+    return rows

@@ -10,7 +10,6 @@ from polycech import cech as cech_mod
 from polycech import polytope as polytope_mod
 from polycech.cech import (
     CechContext,
-    NotUnimodular,
     SupportEscapesBox,
     WindowMismatch,
     cech_homology,
@@ -39,6 +38,7 @@ from polycech.exact_linalg import (
 from polycech.polytope import (
     CharacterizationMismatch,
     EhrhartPolynomial,
+    NotUnimodular,
     ehrhart_polynomial,
     facet_runs,
     facets_from_vertices,
@@ -378,14 +378,15 @@ def test_window_guard_fires_on_a_wrong_root_count(shift):
         ctx.acyclicity_window()
 
 
-@pytest.mark.parametrize("twist,chi,message", [
+@pytest.mark.parametrize("twist,count,message", [
     (-1, 1, "entry (0, 1) above the diagonal is 1"),
     (0, 2, "diagonal entry (0, 0) is 2, not 1"),
 ], ids=["above_diagonal", "diagonal"])
-def test_splitting_guard_fires_on_a_wrong_euler_characteristic(twist, chi, message):
+def test_splitting_guard_fires_on_a_wrong_euler_characteristic(twist, count, message):
+    # chi(O(k)) = E(k) on the triangle: a wrong point count E(k) is a wrong entry
     ctx = CechContext(D2)
-    real = ctx.euler_characteristic
-    ctx.euler_characteristic = lambda Y: chi if Y.level(0) == (twist,) else real(Y)
+    real = ctx.ehrhart
+    ctx.ehrhart = lambda k: Fraction(count) if k == twist else real(k)
     with pytest.raises(NotUnimodular, match=re.escape(message)):
         ctx.splitting_matrix()
 

@@ -72,17 +72,36 @@ def test_cohomology_output(docs, capsys):
     assert json.loads(out) == []
 
 
+PYRAMID_DOC = {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]}
+
+
 def test_splitting_output(docs, capsys, tmp_path):
     code, out = run(["splitting", docs["iv.json"]], capsys)
     assert code == 0
     assert json.loads(out) == {"matrix": [[-1, 0], [-2, -1]], "det": 1, "unimodular": True}
     # the square pyramid's determinant is -1, byte for byte
     pyramid = tmp_path / "pyramid.json"
-    pyramid.write_text(json.dumps({"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0],
-                                                          [1, 1, 0], [0, 0, 1]]}))
+    pyramid.write_text(json.dumps(PYRAMID_DOC))
     code, out = run(["splitting", str(pyramid)], capsys)
     assert code == 0
     assert out == '{"det":-1,"matrix":[[-1,0,0],[-5,-1,0],[-14,-5,-1]],"unimodular":true}\n'
+
+
+def test_splitting_command_agrees_with_the_context(capsys, tmp_path):
+    # the command reads the rows off the Ehrhart data alone, the context
+    # off its own; the pyramid's determinant is -1
+    shapes = {name: {"dim": P.dim, "vertices": [list(v) for v in P.vertices]}
+              for name, P in SAMPLES.items()}
+    for name, doc in {**shapes, "pyramid": PYRAMID_DOC}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        M = cech_mod.splitting_matrix(parse_polytope_document(doc, name))
+        det = 1
+        for j in range(M.rows):
+            det *= M[j, j]
+        code, out = run(["splitting", str(path)], capsys)
+        assert (code, json.loads(out)) == (0, {"matrix": [list(r) for r in M.data], "det": det,
+                                               "unimodular": True}), name
 
 
 def test_np_and_points(docs, capsys):
@@ -323,10 +342,11 @@ def _cone_as_its_target(monkeypatch):
     monkeypatch.setattr(cech_mod, "cone", lambda f, source, target: target)
 
 
-def _chi_of_o0_is_2(monkeypatch):
-    real = cech_mod.CechContext.euler_characteristic
-    monkeypatch.setattr(cech_mod.CechContext, "euler_characteristic",
-                        lambda ctx, Y: 2 if Y.level(0) == (0,) else real(ctx, Y))
+def _e_of_0_is_2(monkeypatch):
+    # chi(O(0)) = E(0) on the triangle; no other item reads E(0)
+    real = polytope_mod.EhrhartPolynomial.__call__
+    monkeypatch.setattr(polytope_mod.EhrhartPolynomial, "__call__",
+                        lambda e, x: 2 if x == 0 else real(e, x))
 
 
 @pytest.mark.parametrize("name,corrupt,detail", [
@@ -336,7 +356,7 @@ def _chi_of_o0_is_2(monkeypatch):
     ("simplex_cone_identity", _cone_as_its_target,
      "AssertionError: cone of O(0) -> O(1) gave {2: (3, ())}, "
      "shifted O(1) on the 1-simplex gave {2: (2, ())}"),
-    ("splitting_matrix_unimodular", _chi_of_o0_is_2,
+    ("splitting_matrix_unimodular", _e_of_0_is_2,
      "NotUnimodular: diagonal entry (0, 0) is 2, not 1"),
 ], ids=["reciprocity", "con_vs_bundle", "simplex_cone", "splitting"])
 def test_verify_reports_a_failed_check(docs, capsys, monkeypatch, name, corrupt, detail):
@@ -439,12 +459,56 @@ def test_malformed_arguments_exit_2(docs, args, capsys):
     ["verify", "d2.json", "--help"],
 ])
 def test_help_returns_0_after_the_usage(docs, args, capsys):
-    # argparse would exit the process; main returns to its caller instead
+    # the usage of the command when one is named, else of every command;
+    # main returns 0 to its caller instead of exiting the process
     args = [docs.get(a, a) for a in args]
     code, out = run(args, capsys)
     assert code == 0
-    assert out.startswith("usage: polycech")
+    assert out.startswith("usage: polycech " + ("faces" if args[0][0] == "-" else args[0]))
     assert not any(line.startswith("{") for line in out.splitlines())  # no JSON payload
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["cohomology", "d2.json", "--twist=-3"], '[{"degree":0,"free_rank":1,"torsion":[]}]\n'),
+    (["cohomology", "d2.json", "--twist", "-3"], '[{"degree":0,"free_rank":1,"torsion":[]}]\n'),
+    (["cohomology", "--twist", "-3", "--ring=Q", "d2.json"],
+     '[{"degree":0,"free_rank":1,"torsion":[]}]\n'),
+    (["points", "--interior", "sq.json", "--dilate=2"], '{"count":1,"points":[[1,1]]}\n'),
+    (["points", "sq.json", "--dilate", "2", "--interior"], '{"count":1,"points":[[1,1]]}\n'),
+], ids=["equals", "space", "option_first", "flag_first", "flag_last"])
+def test_accepted_argument_forms(docs, args, expected, capsys):
+    # the same bytes the argparse front end printed for each of these
+    assert run([docs.get(a, a) for a in args], capsys) == (0, expected)
+
+
+@pytest.mark.parametrize("args,named", [
+    (["cohomology", "d2.json", "--twist", "1_0"], "--twist"),
+    (["cohomology", "d2.json", "--twist", "\u0663"], "--twist"),
+    (["cohomology", "d2.json", "--twist=+3"], "--twist"),
+    (["cohomology", "d2.json", "--tw", "1"], "--tw"),
+    (["points", "sq.json", "--dilate", "2", "--interior=1"], "--interior"),
+    (["faces", "sq.json", "d2.json"], "d2.json"),
+    (["faces", "sq.json", "--twist", "1"], "--twist"),
+    (["cohomology", "d2.json", "--twist"], "--twist"),
+    (["cohomology", "--twist", "1"], "polytope"),
+    (["verify", "d2.json", "--kmax", "9" * 5000], "--kmax"),
+    ([], "command"),
+], ids=["underscore", "arabic_indic", "plus", "abbreviation", "flag_value", "extra_positional",
+        "unknown_option", "no_value", "missing_positional", "too_many_digits", "no_command"])
+def test_refused_argument_forms(docs, args, named, capsys):
+    args = [docs.get(a, a) for a in args]
+    code, out = run(args, capsys)
+    err = json.loads(out)
+    assert (code, err["code"], err["location"]) == (2, "bad_args", "<args>")
+    assert named in err["message"] and out.count("\n") == 1
+
+
+def test_negative_values_reach_the_command(docs, capsys):
+    # a value may start with "-": verify's own check refuses a negative kmax
+    for args in (["--kmax", "-1"], ["--kmax=-1"]):
+        code, out = run(["verify", docs["d2.json"], *args], capsys)
+        err = json.loads(out)
+        assert (code, err["code"], err["location"]) == (2, "bad_kmax", "--kmax"), args
 
 
 def test_invalid_complex_document_exit_2(docs, tmp_path, capsys):
@@ -570,8 +634,10 @@ HOMOLOGY_MODULES = {"polycech.cech", "polycech.exact_linalg", "polycech.orientat
                     "polycech.sheaf_complexes"}
 
 
-@pytest.mark.parametrize("argv", [[], ["faces"], ["ehrhart"], ["np"], ["points", "--dilate", "2"]],
-                         ids=["import", "faces", "ehrhart", "np", "points"])
+@pytest.mark.parametrize("argv", [[], ["faces"], ["ehrhart"], ["np"], ["points", "--dilate", "2"],
+                                  ["splitting"], ["cohomology", "--twist", "1"]],
+                         ids=["import", "faces", "ehrhart", "np", "points", "splitting",
+                              "cohomology"])
 def test_cold_start_imports_neither_dataclasses_nor_inspect(docs, argv):
     # every command is a fresh process, which compiles each module it imports
     # when no bytecode cache is written; modules that site loaded before the
@@ -585,8 +651,7 @@ def test_cold_start_imports_neither_dataclasses_nor_inspect(docs, argv):
     assert proc.returncode == 0, proc.stderr
     new = set(proc.stdout.splitlines()[-1].split())
     loaded = {m for m in new if m.partition(".")[0] == "polycech"}
-    if argv:
-        assert not HOMOLOGY_MODULES & loaded
-    else:
-        assert loaded == POLYTOPE_ONLY
-    assert not {"dataclasses", "inspect"} & new
+    homology = HOMOLOGY_MODULES if argv[:1] == ["cohomology"] else set()
+    assert loaded == POLYTOPE_ONLY | homology
+    # the command line is read by a table in cli, with no argparse
+    assert not {"dataclasses", "inspect", "argparse"} & new

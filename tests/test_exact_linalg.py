@@ -768,21 +768,21 @@ def _reduced(m, d):
 
 
 def _same_echelon(got, expected):
-    """Equal (R, pivots, scale) once R is read off (m, d); m holds ints, and
-    scale has the type of the oracle's."""
-    m, pivots, scale, d = got
+    """Equal (R, pivots) once R is read off (m, d); m holds ints. The
+    oracle's third value, its scale, serves ``det_by_elimination`` only."""
+    m, pivots, d = got
     assert all(type(a) is int for row in m for a in row)
-    assert (_reduced(m, d), pivots, scale) == expected
-    assert type(scale) is type(expected[2])
+    assert (_reduced(m, d), pivots) == expected[:2]
 
 
 def test_row_echelon_edge_cases():
     for rows in ([], [[]], [[], []], [[0, 0, 0]] * 3, [[Fraction(0)] * 2] * 2):
         _same_echelon(row_echelon(rows), gauss_jordan(rows))
-    # the denominator of a row left without a pivot stays out of the scale
-    m, pivots, scale, d = row_echelon([[2, 4], [Fraction(1, 3), Fraction(2, 3)]])
-    assert pivots == [0] and scale == 2 and _reduced(m, d)[0] == [1, 2]
-    assert row_echelon([[Fraction(1, 2), 1], [1, 3]])[2] == Fraction(1, 2)
+    # a row left without a pivot is cleared of its denominators all the same
+    m, pivots, d = row_echelon([[2, 4], [Fraction(1, 3), Fraction(2, 3)]])
+    assert pivots == [0] and _reduced(m, d) == [[1, 2], [0, 0]]
+    m, pivots, d = row_echelon([[Fraction(1, 2), 1], [1, 3]])
+    assert pivots == [0, 1] and _reduced(m, d) == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -22,7 +22,7 @@ EXPORTS = {
     ],
     "polytope": [
         "DuplicateVertex", "EhrhartPolynomial", "Face", "FaceLattice", "LatticePolytope",
-        "NotFullDimensional", "TooLarge", "ehrhart_polynomial", "face_lattice",
+        "NotFullDimensional", "NotUnimodular", "TooLarge", "ehrhart_polynomial", "face_lattice",
         "facets_from_vertices", "lattice_points", "np_index", "standard_simplex",
     ],
     "orientation": ["IncidenceSystem", "incidence_numbers"],
@@ -32,7 +32,7 @@ EXPORTS = {
         "validate",
     ],
     "cech": [
-        "CechResult", "CechTransfer", "ColumnComplex", "NotUnimodular", "SupportEscapesBox",
+        "CechResult", "CechTransfer", "ColumnComplex", "SupportEscapesBox",
         "SupportTable", "WindowMismatch", "acyclicity_window", "cech_homology",
         "column_complex", "con_vs_bundle_check", "constant_diagram_cech",
         "euler_characteristic", "hk_acyclic", "line_bundle_cohomology",
