@@ -20,10 +20,11 @@ _EXPORTS = {
                 "facets_from_vertices lattice_points np_index standard_simplex",
     "orientation": "IncidenceSystem incidence_numbers",
     "sheaf_complexes": "InvalidMonomial NonSquareZero NotChainMap TwistComplex bundle_tensor "
-                       "cone direct_sum line_bundle make_twist_complex suspend twist validate",
+                       "cone direct_sum euler_characteristic line_bundle make_twist_complex "
+                       "suspend twist validate",
     "cech": "CechResult CechTransfer ColumnComplex SupportEscapesBox "
             "SupportTable WindowMismatch acyclicity_window cech_homology column_complex "
-            "con_vs_bundle_check constant_diagram_cech euler_characteristic hk_acyclic "
+            "con_vs_bundle_check constant_diagram_cech hk_acyclic "
             "line_bundle_cohomology simplex_cone_check splitting_matrix support_table",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -10,7 +10,7 @@ of O(k) with monomial differentials, this module computes:
   around kP, checked against the closed form and the box boundary;
 * ``constant_diagram_cech``: the homology of a constant diagram C, the
   full face complex tensored with C, checked against C shifted by n;
-* Euler characteristics, acyclicity windows and the splitting matrix.
+* acyclicity windows and the splitting matrix.
 
 The Čech complex splits by lattice multidegree m into columns: the faces
 F whose cone kF + T_F contains m. A column depends only on the mask of
@@ -54,7 +54,6 @@ from .polytope import (
     np_index,
     splitting_rows,
     standard_simplex,
-    twist_euler_characteristic,
 )
 from .record import Record
 from .sheaf_complexes import TwistComplex, bundle_tensor, cone, line_bundle, twist, validate
@@ -344,11 +343,6 @@ class CechContext:
                                        Y.hi - Y.lo + 1, [t for t, _, _ in block_of])
         return CechTransfer(transferred, len(cols), sum(paths[tr] for tr in supports))
 
-    def euler_characteristic(self, Y: TwistComplex) -> int:
-        """Alternating sum over levels of the signed point counts (-1)^n E(k)."""
-        return sum((-1) ** (t % 2) * twist_euler_characteristic(self.polytope, self.ehrhart, k)
-                   for t in range(Y.lo, Y.hi + 1) for k in Y.level(t))  # t % 2 is 0 or 1
-
     def acyclicity_window(self) -> tuple[bool, ...]:
         """Acyclicity of O(-k) for k = 1..n+1; true exactly up to the root count."""
         flags = tuple(
@@ -428,10 +422,6 @@ def line_bundle_cohomology(P: LatticePolytope, k: int,
 def cech_homology(P: LatticePolytope, Y: TwistComplex,
                   ring: CoefficientRing = ZZ) -> CechResult:
     return context(P).cech_homology(Y, ring)
-
-
-def euler_characteristic(P: LatticePolytope, Y: TwistComplex) -> int:
-    return context(P).euler_characteristic(Y)
 
 
 def acyclicity_window(P: LatticePolytope) -> tuple[bool, ...]:

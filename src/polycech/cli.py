@@ -16,12 +16,12 @@ from math import prod
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 # Only the polytope is imported here, and no argparse: ``faces``,
-# ``ehrhart``, ``np``, ``points`` and ``splitting`` need nothing else, and
-# each command is a fresh process that compiles every module it imports when
-# no bytecode cache is written. The functions below import the rest.
+# ``ehrhart``, ``np``, ``points`` and ``splitting`` need nothing else, ``chi``
+# only the twist complexes, and each command is a fresh process that compiles
+# every module it imports when no bytecode cache is written. The functions
+# below import the rest.
 from .polytope import (
     DuplicateVertex,
-    EhrhartPolynomial,
     LatticePolytope,
     NotFullDimensional,
     TooLarge,
@@ -33,6 +33,7 @@ from .polytope import (
     np_index,
     splitting_rows,
     standard_simplex,
+    twist_euler_characteristic,
 )
 
 if TYPE_CHECKING:
@@ -234,14 +235,8 @@ def cmd_ehrhart(P: LatticePolytope) -> dict:
     return {
         "coeffs": [str(c) for c in e.coefficients],
         "np": e.np,
-        "integral_roots": list(e.integral_roots),
+        "integral_roots": list(range(-e.np, 0)),
     }
-
-
-def _point_count(P: LatticePolytope, e: EhrhartPolynomial, k: int, interior: bool) -> int:
-    # counted, not enumerated: kP holds E(k) points and, by reciprocity,
-    # (-1)^n E(-|k|) interior ones for k != 0; E(0) = 1 bounds the interior of 0P
-    return int((-1) ** P.dim * e(-abs(k)) if interior and k else e(k))
 
 
 def _refuse_over(budget: int, size: int, what: str, location: str) -> None:
@@ -253,8 +248,10 @@ def _refuse_over(budget: int, size: int, what: str, location: str) -> None:
 
 def cmd_points(P: LatticePolytope, k: int, interior: bool) -> dict:
     if interior or k >= 0:
-        _refuse_over(POINTS_BUDGET, _point_count(P, ehrhart_polynomial(P), k, interior),
-                     "the dilate holds {} lattice points", "--dilate")
+        # counted, not enumerated: kP holds |chi(O(k))| points and, by reciprocity,
+        # the interior of |k|P holds |chi(O(-|k|))|; 1 bounds that of 0P
+        count = twist_euler_characteristic(P, ehrhart_polynomial(P), -abs(k) if interior else k)
+        _refuse_over(POINTS_BUDGET, abs(count), "the dilate holds {} lattice points", "--dilate")
     try:
         pts = lattice_points(P, k, interior)
     except ValueError as exc:
@@ -283,7 +280,7 @@ def verify_suite(P: LatticePolytope, kmax: int) -> list[dict]:
 
     def reciprocity():
         for k in range(1, n + 2):
-            lhs = (-1) ** n * ctx.ehrhart(-k)
+            lhs = twist_euler_characteristic(P, ctx.ehrhart, -k)
             rhs = len(lattice_points(P, k, interior=True))
             if lhs != rhs:
                 raise AssertionError(f"k={k}: {lhs} != {rhs}")
@@ -416,6 +413,9 @@ def _run_command(args: dict[str, Any], P: LatticePolytope) -> tuple[Any, int]:
         return {"np": np_index(P)}, 0
     if command == "splitting":
         return cmd_splitting(P), 0
+    if command == "chi":
+        from .sheaf_complexes import euler_characteristic
+        return {"chi": euler_characteristic(P, _load_complex(args["complex"], P))}, 0
     from . import cech
     if command == "cohomology":
         ring, k = _parse_ring(args["ring"]), args["twist"]
@@ -426,9 +426,10 @@ def _run_command(args: dict[str, Any], P: LatticePolytope) -> tuple[Any, int]:
     if command == "cech":
         ring = _parse_ring(args["ring"])
         Y = _load_complex(args["complex"], P)
-        # a summand O(k) is supported on kP, or on the interior of kP for k < 0
+        # O(k) is supported on the |chi(O(k))| points of kP, or of its interior for k < 0
         e = cech.context(P).ehrhart
-        _refuse_over(POINTS_BUDGET, sum(_point_count(P, e, k, k < 0) for _, _, k in Y.summands()),
+        _refuse_over(POINTS_BUDGET,
+                     sum(abs(twist_euler_characteristic(P, e, k)) for _, _, k in Y.summands()),
                      "the supports of the complex hold {} multidegrees", args["complex"])
         res = cech.cech_homology(P, Y, ring)
         return {
@@ -436,9 +437,6 @@ def _run_command(args: dict[str, Any], P: LatticePolytope) -> tuple[Any, int]:
             "active_multidegrees": res.active_multidegrees,
             "transfer_paths": res.transfer_paths,
         }, 0
-    if command == "chi":
-        Y = _load_complex(args["complex"], P)
-        return {"chi": cech.euler_characteristic(P, Y)}, 0
     # verify, the one command of _COMMANDS left
     kmax = args["kmax"]
     if kmax < 0:

@@ -406,11 +406,10 @@ def lattice_points(P: LatticePolytope, k: int, interior: bool = False) -> tuple[
 
 class EhrhartPolynomial(Record):
     """Exact point-counting polynomial: coefficients ascending, plus the
-    count of integral roots and the roots themselves."""
+    count np of integral roots, which are -np..-1."""
 
     coefficients: tuple[Fraction, ...]
     np: int
-    integral_roots: tuple[int, ...]
 
     def __call__(self, x) -> Fraction:
         acc = Fraction(0)
@@ -432,15 +431,14 @@ def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     m, _, d = row_echelon(rows)
     coeffs = tuple(Fraction(m[j][n + 1], d) for j in range(n + 1))
     guard = len(lattice_points(P, n + 1))
-    poly = EhrhartPolynomial(coeffs, 0, ())
+    poly = EhrhartPolynomial(coeffs, 0)
     if poly(n + 1) != guard:
         raise InterpolationInconsistent(
             f"E({n + 1}) = {poly(n + 1)} but the dilate holds {guard} points")
     roots = [k for k in range(-n, 0) if poly(k) == 0]
-    expected = list(range(-len(roots), 0))
-    if roots != expected:
+    if roots != list(range(-len(roots), 0)):
         raise CharacterizationMismatch(f"integral roots {roots} are not contiguous")
-    return EhrhartPolynomial(coeffs, len(roots), tuple(roots))
+    return EhrhartPolynomial(coeffs, len(roots))
 
 
 def np_index(P: LatticePolytope, ehrhart: EhrhartPolynomial | None = None) -> int:

@@ -4,16 +4,19 @@ A term of the complex at level t is a finite direct sum of twists O(k);
 a differential entry from O(a) to O(b) is a formal sum of lattice points
 u of the dilate (b-a)P acting as multiplication by x^u. Constructors for
 twisting, suspension, mapping cones, direct sums, and O(k) tensor a free
-module complex keep everything inside this fragment.
+module complex keep everything inside this fragment. The Euler
+characteristic of such a complex is read off the Ehrhart polynomial alone.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .exact_linalg import FreeChainComplex
-from .polytope import LatticePolytope, facet_mask
+from .polytope import LatticePolytope, ehrhart_polynomial, facet_mask, twist_euler_characteristic
 from .record import Record
+
+if TYPE_CHECKING:
+    from .exact_linalg import FreeChainComplex
 
 # a formal sum of monomials: ((coeff, exponent vector), ...)
 Terms = tuple[tuple[int, tuple[int, ...]], ...]
@@ -167,6 +170,13 @@ def validate(Y: TwistComplex, P: LatticePolytope) -> None:
     for t in range(Y.lo + 2, Y.hi + 1):
         if _compose_maps(Y.diff_map(t - 1), Y.diff_map(t)):
             raise NonSquareZero(t)
+
+
+def euler_characteristic(P: LatticePolytope, Y: TwistComplex) -> int:
+    """Alternating sum over levels of chi(O(k)) = (-1)^n E(k), with no Čech column."""
+    e = ehrhart_polynomial(P)
+    return sum((-1) ** (t % 2) * twist_euler_characteristic(P, e, k)  # t % 2 is 0 or 1
+               for t, _, k in Y.summands())
 
 
 def twist(Y: TwistComplex, k: int) -> TwistComplex:

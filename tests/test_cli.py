@@ -44,6 +44,7 @@ def docs(tmp_path):
             {"from": 1, "entries": [{"row": 0, "col": 0, "terms": [{"c": "1", "u": [0]}]}]}
         ],
     })
+    write("o2.json", {"min_level": 0, "levels": [[2]], "differentials": []})
     write("badpoly.json", {"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]})
     write("badjson.json", None)
     (tmp_path / "badjson.json").write_text("{not json")
@@ -295,6 +296,16 @@ def test_cech_and_chi(docs, capsys):
     assert payload["active_multidegrees"] == 3
     code, out = run(["chi", docs["iv.json"], docs["cone.json"]], capsys)
     assert code == 0 and json.loads(out) == {"chi": -1}
+
+
+def test_chi_builds_no_face_lattice(docs, capsys, monkeypatch):
+    # chi(O(2)) = E(2) on the triangle, read off the Ehrhart polynomial alone
+    def refused(P):
+        raise AssertionError("chi built a face lattice")
+    monkeypatch.setattr(polytope_mod, "face_lattice", refused)
+    monkeypatch.setattr(cech_mod, "face_lattice", refused)
+    code, out = run(["chi", docs["d2.json"], docs["o2.json"]], capsys)
+    assert code == 0 and out == '{"chi":6}\n'
 
 
 def test_cech_of_a_cone_by_a_large_prime(docs, capsys, tmp_path):
@@ -635,15 +646,15 @@ HOMOLOGY_MODULES = {"polycech.cech", "polycech.exact_linalg", "polycech.orientat
 
 
 @pytest.mark.parametrize("argv", [[], ["faces"], ["ehrhart"], ["np"], ["points", "--dilate", "2"],
-                                  ["splitting"], ["cohomology", "--twist", "1"]],
-                         ids=["import", "faces", "ehrhart", "np", "points", "splitting",
+                                  ["splitting"], ["chi", "o2.json"], ["cohomology", "--twist", "1"]],
+                         ids=["import", "faces", "ehrhart", "np", "points", "splitting", "chi",
                               "cohomology"])
 def test_cold_start_imports_neither_dataclasses_nor_inspect(docs, argv):
     # every command is a fresh process, which compiles each module it imports
     # when no bytecode cache is written; modules that site loaded before the
     # first line do not count. The modules are counted, not timed.
     if argv:
-        argv = [argv[0], docs["d2.json"], *argv[1:]]
+        argv = [argv[0], docs["d2.json"], *(docs.get(a, a) for a in argv[1:])]
     proc = child_python("-c", "import sys; before = set(sys.modules); import polycech.cli; "
                               "code = polycech.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
                               "print(); print(*set(sys.modules) - before); sys.exit(code)",
@@ -651,7 +662,8 @@ def test_cold_start_imports_neither_dataclasses_nor_inspect(docs, argv):
     assert proc.returncode == 0, proc.stderr
     new = set(proc.stdout.splitlines()[-1].split())
     loaded = {m for m in new if m.partition(".")[0] == "polycech"}
-    homology = HOMOLOGY_MODULES if argv[:1] == ["cohomology"] else set()
-    assert loaded == POLYTOPE_ONLY | homology
+    # chi reads the Ehrhart polynomial and the twist complex, no Čech column
+    extra = {"cohomology": HOMOLOGY_MODULES, "chi": {"polycech.sheaf_complexes"}}
+    assert loaded == POLYTOPE_ONLY | extra.get(argv[0] if argv else "", set())
     # the command line is read by a table in cli, with no argparse
     assert not {"dataclasses", "inspect", "argparse"} & new
