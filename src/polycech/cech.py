@@ -23,7 +23,7 @@ every pair of masks a transfer has joined.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, repeat
 from operator import add
 from typing import Sequence
@@ -44,7 +44,6 @@ from .exact_linalg import (
 from .orientation import incidence_numbers
 from .polytope import (
     LatticePolytope,
-    NotUnimodular,  # raised by splitting_matrix; callers read it here too
     bounding_box,
     ehrhart_polynomial,
     face_lattice,
@@ -134,8 +133,8 @@ class CechContext:
     the support table of every twist asked so far, the column of every
     facet mask reached so far, with the column's contraction once it has
     been used, and the delta gathers of every pair of masks a transfer
-    has joined. Nothing is evicted: like the module's context cache, a
-    context keeps what it has enumerated for as long as it lives."""
+    has joined. Nothing is evicted: a context keeps what it has enumerated
+    for as long as it lives, and ``context`` keeps every context it built."""
 
     def __init__(self, P: LatticePolytope):
         self.polytope = P
@@ -397,13 +396,7 @@ class CechContext:
                                  f"O(0) tensor C gave {tensored.as_dict()}")
 
 
-_context_cache: dict[LatticePolytope, CechContext] = {}
-
-
-def context(P: LatticePolytope) -> CechContext:
-    if P not in _context_cache:
-        _context_cache[P] = CechContext(P)
-    return _context_cache[P]
+context = cache(CechContext)  # one context per polytope, by equality
 
 
 def column_complex(P: LatticePolytope, k: int, m: Sequence[int]) -> ColumnComplex:

@@ -10,7 +10,6 @@ command line included.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from math import prod
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
@@ -35,6 +34,7 @@ from .polytope import (
     standard_simplex,
     twist_euler_characteristic,
 )
+from .record import is_ascii_int
 
 if TYPE_CHECKING:
     from .exact_linalg import CoefficientRing, HomologyResult
@@ -99,8 +99,7 @@ def _parse_int(c: Any, code: str, what: str, location: str) -> int:
     """An integer, or its text: a coefficient, or the value of an integer option."""
     if _is_int(c):
         return c
-    # ASCII digits only: int() would also read "1_0", padding and other scripts' digits
-    if isinstance(c, str) and re.fullmatch(r"-?[0-9]+", c):
+    if isinstance(c, str) and is_ascii_int(c):
         try:
             return int(c)
         except ValueError:  # more digits than int() converts
@@ -155,10 +154,7 @@ def parse_complex_document(obj: Any, location: str) -> TwistComplex:
             raise InputError("bad_differentials", f"level {t} listed twice", location)
         diffs[t] = entries
     from .sheaf_complexes import make_twist_complex
-    try:
-        return make_twist_complex(min_level, levels, diffs)
-    except ValueError as exc:
-        raise InputError("bad_complex", str(exc), location)
+    return make_twist_complex(min_level, levels, diffs)
 
 
 def complex_document(Y: TwistComplex) -> dict:

@@ -59,13 +59,12 @@ not its size.
 
 from __future__ import annotations
 
-import re
-from itertools import chain, product
+from itertools import product
 from math import gcd
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
-from .record import Record
+from .record import Record, is_ascii_int, require_ints
 
 
 class InvalidComplex(Exception):
@@ -104,6 +103,8 @@ class CoefficientRing(Record):
     def __post_init__(self) -> None:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
+        if self.p is not None:
+            require_ints([(self.p,)], ValueError, "the modulus")
         if self.kind == "Fp":
             # the primality test is trial division, so bound its work first
             if self.p is not None and self.p > 2**31:
@@ -115,12 +116,11 @@ class CoefficientRing(Record):
 
     @staticmethod
     def parse(text: str) -> "CoefficientRing":
-        """Parse "Z", "Q" or "Fp:<p>" as used by the command line, p in
-        ASCII digits only (``int`` would also read "1_1", padding and
-        other scripts' digits)."""
+        """Parse "Z", "Q" or "Fp:<p>" as used by the command line, p read
+        by ``is_ascii_int``."""
         if text in ("Z", "Q"):
             return CoefficientRing(text)
-        if re.fullmatch(r"Fp:-?[0-9]+", text):
+        if text.startswith("Fp:") and is_ascii_int(text[3:]):
             return CoefficientRing("Fp", int(text[3:]))
         raise ValueError(f"unknown ring {text!r}")
 
@@ -285,13 +285,6 @@ class SignedGather:
         return not self.c or self.rows.count(None) == len(self.rows)
 
 
-def _require_ints(A: Matrix, error: type[Exception], what: str) -> None:
-    """Raise ``error`` naming the first entry of A that is not an int."""
-    if not {int}.issuperset(map(type, chain.from_iterable(A.data))):  # a bool fails too
-        a = next(a for row in A.data for a in row if type(a) is not int)
-        raise error(f"{what} has the entry {a!r}, not an int")
-
-
 def _rank(factors: Sequence[int], p: int | None) -> int:
     """Rank over Q (p None) or F_p of a matrix with these nonzero invariant
     factors: by universal coefficients, those p does not divide."""
@@ -437,7 +430,7 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     the transforms are reproducible across runs. Raises ValueError on an
     entry that is not an int.
     """
-    _require_ints(A, ValueError, "the matrix")
+    require_ints(A.data, ValueError, "the matrix")
     U, _, D, V, _ = _diagonalize(A)
     return U, D, V
 
@@ -445,7 +438,7 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 def invariant_factors(A: Matrix) -> list[int]:
     """Nonzero diagonal of the Smith form of an integer matrix (no transform
     bookkeeping). Raises ValueError on an entry that is not an int."""
-    _require_ints(A, ValueError, "the matrix")
+    require_ints(A.data, ValueError, "the matrix")
     return _diagonalize(A, track=False)
 
 
@@ -475,7 +468,7 @@ class FreeChainComplex(Record):
             m = self.diffs[d - self.lo - 1]
             if (m.rows, m.cols) != (self.ranks[d - 1 - self.lo], self.ranks[d - self.lo]):
                 raise ValueError(f"differential at degree {d} has the wrong shape")
-            _require_ints(m, InvalidComplex, f"differential at degree {d}")
+            require_ints(m.data, InvalidComplex, f"differential at degree {d}")
 
     @classmethod
     def empty(cls) -> "FreeChainComplex":
@@ -717,9 +710,6 @@ def contraction(C: FreeChainComplex) -> Contraction:
     of guessing a non-integral splitting. Without torsion the contraction
     stays one after any base change, so it serves every coefficient ring.
     """
-    if C.hi < C.lo:
-        e = FreeChainComplex.empty()
-        return Contraction(e, e, (), (), ())
     lo, hi = C.lo, C.hi
     inc = {d: Matrix.identity(C.rank(d)) for d in C.degrees()}
     proj = {d: Matrix.identity(C.rank(d)) for d in C.degrees()}

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .record import Record
+from .record import Record, require_ints
 
 
 class NotFullDimensional(Exception):
@@ -73,28 +73,23 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def row_echelon(rows: Sequence[Sequence]):
-    """Reduced row echelon form over Q by fraction-free Gauss-Jordan elimination.
+def row_echelon(rows: Sequence[Sequence[int]]):
+    """Reduced row echelon form over Q of integer rows by fraction-free
+    Gauss-Jordan elimination.
 
     The pivot of each column is its first nonzero entry at or below the
     current rank. Returns (m, pivots, d): the eliminated rows m are d times
     the reduced matrix R, and ``pivots`` is the pivot column of each
     nonzero row of R.
 
-    The elimination is Bareiss's (1968). Each row is multiplied by the
-    common denominator of its entries, and each step replaces every other
+    The elimination is Bareiss's (1968). Each step replaces every other
     row a by (x*a - c*b) / d, where b is the pivot row, x its pivot, c the
     row's entry in the pivot column and d the previous pivot. The division
-    is exact: every entry stays an integer minor of the cleared matrix,
-    and after the last step the pivot rows are d times the rows of R, so m
-    holds ints and R is Fraction(a, d).
+    is exact: every entry stays an integer minor of the input, and after
+    the last step the pivot rows are d times the rows of R, so m holds
+    ints and R is Fraction(a, d).
     """
-    m = []
-    for row in rows:
-        row = [a if type(a) is int else Fraction(a) for a in row]
-        fracs = [a.denominator for a in row if type(a) is not int]
-        den = lcm(*fracs)
-        m.append([int(a * den) for a in row] if fracs else row)
+    m = [list(row) for row in rows]
     nrows = len(m)
     pivots: list[int] = []
     prev = 1
@@ -194,10 +189,12 @@ def facets_from_vertices(dim: int, vertices: Sequence[Sequence[int]]) -> Lattice
     divide b.
 
     Raises DuplicateVertex or NotFullDimensional on bad input,
-    ValueError when some input point is not a vertex of the hull, and
+    ValueError on a coordinate that is not an int, or when some input
+    point is not a vertex of the hull, and
     TooLarge when the double description passes its budget.
     """
-    verts = [tuple(int(x) for x in v) for v in vertices]
+    verts = [tuple(v) for v in vertices]
+    require_ints(verts, ValueError, "the vertex list")
     if any(len(v) != dim for v in verts):
         raise ValueError("vertex length does not match dim")
     if len(set(verts)) != len(verts):

@@ -1,4 +1,6 @@
-"""Immutable value records, the package's one base for its value types.
+"""Immutable value records, the package's one base for its value types,
+and the integer tests of its inputs (``require_ints``, ``is_ascii_int``),
+kept here because every submodule imports this one and it loads no other.
 
 ``dataclasses`` imports ``inspect`` and writes each class's methods with
 ``exec``; for thirteen frozen classes that was about a third of the time
@@ -7,7 +9,9 @@ of ``import polycech``, paid again by every command line process.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
+from typing import Iterable, Sequence
 
 _set = object.__setattr__
 
@@ -74,3 +78,17 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def require_ints(rows: Sequence[Iterable], error: type[Exception], what: str) -> None:
+    """Raise ``error`` naming the first entry of ``rows`` that is not an int;
+    a bool is not one."""
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        a = next(a for row in rows for a in row if type(a) is not int)
+        raise error(f"{what} has the entry {a!r}, not an int")
+
+
+def is_ascii_int(text: str) -> bool:
+    """Whether ``text`` is an integer in ASCII digits, with an optional "-":
+    ``int`` would also read "1_0", padding and other scripts' digits."""
+    return text.isascii() and text.removeprefix("-").isdigit()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .polytope import LatticePolytope, ehrhart_polynomial, facet_mask, twist_euler_characteristic
-from .record import Record
+from .record import Record, require_ints
 
 if TYPE_CHECKING:
     from .exact_linalg import FreeChainComplex
@@ -43,7 +43,7 @@ class NotChainMap(Exception):
 def _merge_terms(terms) -> Terms:
     acc: dict[tuple[int, ...], int] = {}
     for c, u in terms:
-        u = tuple(int(x) for x in u)
+        u = tuple(u)
         acc[u] = acc.get(u, 0) + c
     return tuple(sorted((c, u) for u, c in acc.items() if c != 0))
 
@@ -79,7 +79,9 @@ def _freeze_map(entries: Mapping[tuple[int, int], object]) -> tuple:
 
 class TwistComplex(Record):
     """Chain complex of direct sums of twists; levels lo..hi, differentials
-    from level t to t-1 as sparse matrices of monomial sums."""
+    from level t to t-1 as sparse matrices of monomial sums. The level
+    bounds, the twists and the exponents are ints, or ValueError is raised;
+    the coefficients are checked by the Čech complex built from them."""
 
     lo: int
     hi: int
@@ -87,10 +89,12 @@ class TwistComplex(Record):
     diffs: tuple[tuple[tuple[tuple[int, int], Terms], ...], ...]
 
     def __post_init__(self) -> None:
+        require_ints([(self.lo, self.hi)], ValueError, "the level range")
         if self.hi < self.lo:
             if self.levels or self.diffs:
                 raise ValueError("empty complex must carry no data")
             return
+        require_ints(self.levels, ValueError, "the level list")
         if len(self.levels) != self.hi - self.lo + 1:
             raise ValueError("level list does not match the level range")
         if len(self.diffs) != max(self.hi - self.lo, 0):
@@ -98,9 +102,11 @@ class TwistComplex(Record):
         for t in range(self.lo + 1, self.hi + 1):
             rows = len(self.level(t - 1))
             cols = len(self.level(t))
-            for (i, j), _ in self.diffs[t - self.lo - 1]:
+            for (i, j), terms in self.diffs[t - self.lo - 1]:
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry ({i}, {j}) out of range at level {t}")
+                require_ints([u for _, u in terms], ValueError,
+                             f"an exponent vector at ({i}, {j}), level {t}")
 
     @classmethod
     def empty(cls) -> "TwistComplex":
@@ -129,7 +135,7 @@ def make_twist_complex(lo: int, levels: Sequence[Sequence[int]],
     ``diffs[t]`` maps level t to t-1, so t must lie in lo+1..hi; a key
     outside that range raises ValueError instead of being dropped.
     """
-    levels_t = tuple(tuple(int(k) for k in lv) for lv in levels)
+    levels_t = tuple(tuple(lv) for lv in levels)
     hi = lo + len(levels_t) - 1
     diffs = diffs or {}
     for t in diffs:
@@ -181,8 +187,6 @@ def euler_characteristic(P: LatticePolytope, Y: TwistComplex) -> int:
 
 def twist(Y: TwistComplex, k: int) -> TwistComplex:
     """Raise every summand twist by k; entries are untouched."""
-    if Y.hi < Y.lo:
-        return Y
     return TwistComplex(Y.lo, Y.hi,
                         tuple(tuple(a + k for a in lv) for lv in Y.levels),
                         Y.diffs)
@@ -253,8 +257,6 @@ def cone(f: Mapping[int, Mapping[tuple[int, int], object]],
 def bundle_tensor(k: int, C: FreeChainComplex, dim: int) -> TwistComplex:
     """O(k) tensor a finite free complex: rank(C_t) copies of O(k) per
     level, integer matrix entries carried on the monomial u = 0 in Z^dim."""
-    if C.hi < C.lo:
-        return TwistComplex.empty()
     zero = tuple(0 for _ in range(dim))
     levels = [[k] * C.rank(t) for t in range(C.lo, C.hi + 1)]
     diffs: dict[int, EntryMap] = {}
@@ -264,6 +266,6 @@ def bundle_tensor(k: int, C: FreeChainComplex, dim: int) -> TwistComplex:
         for i in range(m.rows):
             for j in range(m.cols):
                 if m[i, j]:
-                    entries[(i, j)] = ((int(m[i, j]), zero),)
+                    entries[(i, j)] = ((m[i, j], zero),)
         diffs[t] = entries
     return make_twist_complex(C.lo, levels, diffs)

@@ -255,13 +255,13 @@ def test_ehrhart_box_budget_on_the_square(docs, capsys, monkeypatch, tmp_path):
 
 
 def test_face_lattice_over_budget_exit_2(capsys, monkeypatch, tmp_path):
-    # the cube has 27 faces and 6 facets; a fresh context cache makes
+    # the cube has 27 faces and 6 facets; clearing the context cache makes
     # `cohomology` build its face lattice here
     cube = tmp_path / "cube.json"
     cube.write_text(json.dumps(
         {"dim": 3, "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}))
     monkeypatch.setattr(polytope_mod, "FACE_LATTICE_BUDGET", 27 * 6 - 1)
-    monkeypatch.setattr(cech_mod, "_context_cache", {})
+    cech_mod.context.cache_clear()
     for args in (["faces", str(cube)], ["cohomology", str(cube), "--twist", "1"]):
         code, out = run(args, capsys)
         doc = json.loads(out)
@@ -392,10 +392,11 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
     assert code == 2 and json.loads(out)["code"] == "bad_json"
     code, out = run(["ehrhart", str(docs["d2.json"]) + ".missing"], capsys)
     assert code == 2 and json.loads(out)["code"] == "missing_file"
-    # a composite modulus, a prime too large to test by trial division, and
-    # moduli that are not plain ASCII digits (int() reads all but the last)
-    for ring in ("Fp:4", "Fp:2305843009213693951", "Fp:1_1", "Fp: 3", "Fp:+3",
-                 "Fp:\u0663", "Fp:"):
+    # a composite modulus, moduli below 2, a prime too large to test by trial
+    # division, and moduli that are not plain ASCII digits (int() reads all
+    # but the last)
+    for ring in ("Fp:4", "Fp:1", "Fp:0", "Fp:-3", "Fp:2305843009213693951", "Fp:1_1", "Fp: 3",
+                 "Fp:+3", "Fp:\u0663", "Fp:"):
         code, out = run(["cohomology", docs["d2.json"], "--twist", "1", "--ring", ring], capsys)
         assert code == 2 and json.loads(out)["code"] == "bad_ring"
     # a negative twist bound would leave the closed-form check with no twist

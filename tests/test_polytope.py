@@ -75,6 +75,18 @@ def test_degenerate_inputs():
         facets_from_vertices(0, [])
     with pytest.raises(DuplicateVertex):
         facets_from_vertices(0, [(), (), ()])
+    with pytest.raises(ValueError, match="vertex length does not match dim"):
+        facets_from_vertices(2, [(0, 0), (1,), (0, 1)])
+
+
+@pytest.mark.parametrize("verts, entry", [
+    ([(0, 0), (1.5, 0), (0, 1)], "1.5"),
+    ([(0, 0), (True, 0), (0, 1)], "True"),
+], ids=["float", "bool"])
+def test_coordinates_are_ints(verts, entry):
+    # a coordinate is taken as given, never read through int()
+    with pytest.raises(ValueError, match=f"the vertex list has the entry {entry}, not an int"):
+        facets_from_vertices(2, verts)
 
 
 def test_face_counts():

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -73,6 +74,34 @@ def test_make_twist_complex_rejects_a_differential_outside_the_levels(levels, t)
         make_twist_complex(0, levels, {t: {(0, 0): [(1, (0, 0))]}})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_twist_complex(0, [[1], [0]], {1: {(0, 0): [(1, (0.9, 0))]}}),
+     "an exponent vector at (0, 0), level 1 has the entry 0.9, not an int"),
+    (lambda: make_twist_complex(0, [[1], [0]], {1: {(0, 0): [(1, ("1", True))]}}),
+     "an exponent vector at (0, 0), level 1 has the entry '1', not an int"),
+    (lambda: line_bundle(1.7), "the level list has the entry 1.7, not an int"),
+    (lambda: TwistComplex(0.5, 0.5, ((0,),), ()), "the level range has the entry 0.5, not an int"),
+], ids=["float_exponent", "str_exponent", "float_twist", "float_level"])
+def test_twist_complex_takes_int_twists_and_exponents(build, message):
+    # taken as given, never read through int(): the coefficients are left to
+    # the Čech complex, which refuses a Fraction as InvalidComplex
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TwistComplex(0, -1, ((0,),), ()), "empty complex must carry no data"),
+    (lambda: TwistComplex(0, 1, ((0,),), ((),)), "level list does not match the level range"),
+    (lambda: TwistComplex(0, 1, ((0,), (0,)), ()),
+     "differential list does not match the level range"),
+    (lambda: TwistComplex(0, 1, ((0,), (0,)), ((((1, 0), ((1, (0, 0)),)),),)),
+     r"entry \(1, 0\) out of range at level 1"),
+], ids=["empty_with_data", "levels", "diffs", "entry"])
+def test_twist_complex_shape_guards(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_negative_difference_has_no_valid_monomials():
     # the inequality system for a negative dilate of a full-dimensional
     # polytope is empty, so every entry from O(1) down to O(0) is invalid
@@ -87,6 +116,7 @@ def test_twist_is_strictly_additive():
     assert twist(twist(Y, 2), 3) == twist(Y, 5)
     assert twist(Y, 0) == Y
     assert twist(line_bundle(1), -1) == line_bundle(0)
+    assert twist(TwistComplex.empty(), 3) == TwistComplex.empty()
     validate(twist(Y, -4), D2)  # validity depends only on differences
 
 
