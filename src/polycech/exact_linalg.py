@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import gcd
-from operator import add, neg, sub
+from operator import add, matmul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .record import Record, is_ascii_int, require_ints
@@ -448,6 +448,7 @@ class FreeChainComplex(Record):
     ``ranks[d - lo]`` is the rank in degree d; ``diffs[d - lo - 1]`` is the
     matrix of the differential from degree d to degree d-1. Every entry is
     an int (not a bool), or InvalidComplex is raised: the complex is over Z.
+    Each d∘d is multiplied out here, once, and kept if it is nonzero over Z.
     """
 
     lo: int
@@ -456,11 +457,9 @@ class FreeChainComplex(Record):
     diffs: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
-        if self.hi < self.lo:
-            if self.ranks or self.diffs:
-                raise ValueError("empty complex must have no data")
-            return
-        if len(self.ranks) != self.hi - self.lo + 1:
+        if self.hi < self.lo and (self.ranks or self.diffs):
+            raise ValueError("empty complex must have no data")
+        if len(self.ranks) != max(self.hi - self.lo + 1, 0):
             raise ValueError("rank list does not match degree range")
         if len(self.diffs) != max(self.hi - self.lo, 0):
             raise ValueError("differential list does not match degree range")
@@ -469,6 +468,8 @@ class FreeChainComplex(Record):
             if (m.rows, m.cols) != (self.ranks[d - 1 - self.lo], self.ranks[d - self.lo]):
                 raise ValueError(f"differential at degree {d} has the wrong shape")
             require_ints(m.data, InvalidComplex, f"differential at degree {d}")
+        dd = enumerate(map(matmul, self.diffs, self.diffs[1:]), self.lo + 2)
+        object.__setattr__(self, "_dd_nonzero", tuple((d, m) for d, m in dd if not m.is_zero_mod(ZZ)))
 
     @classmethod
     def empty(cls) -> "FreeChainComplex":
@@ -612,15 +613,14 @@ def complex_homology(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Homolog
     """Homology of a bounded free complex over Z, Q or F_p.
 
     The free rank and invariant factors come from Smith forms of the
-    adjacent differentials over Z, which are read unchecked, as the complex
-    checked its entries; over a field the ranks are read off the same
-    diagonal. Raises InvalidComplex when d∘d != 0 over the ring.
+    adjacent differentials over Z; over a field the ranks are read off the
+    same diagonal. Raises InvalidComplex when d∘d != 0 over the ring: C
+    multiplied out each d∘d once, over Z, and only a nonzero one is rechecked.
     """
-    diffs = C.diffs
-    for i in range(1, len(diffs)):
-        if not (diffs[i - 1] @ diffs[i]).is_zero_mod(ring):
-            d = C.lo + i + 1
+    for d, dd in C._dd_nonzero:  # zero over Z is zero over every ring
+        if not dd.is_zero_mod(ring):
             raise InvalidComplex(f"d∘d != 0 between degrees {d} and {d - 2}")
+    diffs = C.diffs
     field = ring.is_field
     # image[i] is the rank of diffs[i - 1], the differential out of degree
     # lo + i, and torsion[i] the factors of diffs[i], into it; zero past the ends
@@ -873,10 +873,10 @@ def perturb_transfer(
             r0, c0 = offset[(d - 1, t)], offset[(d, s)]
             for i, row in enumerate(m.data, r0):
                 grid[i][c0:c0 + m.cols] = row
-        diffs = {d: Matrix.from_rows(grid) for d, grid in grids.items()}
-        for d in diffs:
-            if d - 1 in diffs and not (diffs[d - 1] @ diffs[d]).is_zero():
-                raise ValueError("transferred differential does not square to zero; "
-                                 "delta violates the perturbation preconditions")
-        components.append(FreeChainComplex.from_dicts(ranks, diffs))
+        component = FreeChainComplex.from_dicts(
+            ranks, {d: Matrix.from_rows(grid) for d, grid in grids.items()})
+        if component._dd_nonzero:  # multiplied out as it was built
+            raise ValueError("transferred differential does not square to zero; "
+                             "delta violates the perturbation preconditions")
+        components.append(component)
     return Transferred(unlinked, tuple(components), tuple(map(tuple, members.values())))

@@ -2,6 +2,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -541,6 +542,26 @@ def test_line_bundle_scan_takes_homology_once_per_pattern(name, k, patterns, mon
         assert res.homology == expected, ring.label
         assert all(r == ZZ for _, r in calls), ring.label
         assert 0 < len(calls) == len(set(calls)) <= patterns
+
+
+def test_warm_line_bundle_scan_multiplies_no_matrix(monkeypatch):
+    # each column complex multiplies out its d∘d once, when it is built, so
+    # a second scan of the same twist reads the kept columns with no product
+    products = 0
+    matmul = Matrix.__matmul__
+
+    def counting(A, B):
+        nonlocal products
+        products += 1
+        return matmul(A, B)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    monkeypatch.setattr(cech_mod, "context", cache(CechContext))  # a cold context
+    expected = H({3: (27, ())})
+    assert line_bundle_cohomology(SAMPLES["cube"], 2).homology == expected
+    cold = products
+    assert line_bundle_cohomology(SAMPLES["cube"], 2).homology == expected
+    assert cold > 0 and products == cold
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=lambda r: r.label)

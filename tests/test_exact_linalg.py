@@ -249,6 +249,36 @@ def test_invalid_complex_rejected():
     assert complex_homology(C2, GF(2)).as_dict() == {0: (1, ()), 1: (1, ()), 2: (1, ())}
 
 
+@pytest.mark.parametrize("entry, passes_over", [(1, ()), (2, ("Fp:2",))],
+                         ids=["nonzero_everywhere", "zero_over_F2"])
+def test_dd_guard_answers_alike_in_either_order(entry, passes_over):
+    # d∘d is multiplied out over Z once, when the complex is built; a ring
+    # asked later decides only a composite that is nonzero there, and the
+    # rings asked before it do not change its answer
+    C = FreeChainComplex.from_dicts(
+        {0: 1, 1: 1, 2: 1},
+        {1: Matrix.from_rows([[entry]]), 2: Matrix.from_rows([[entry]])})
+    rings = [ZZ, QQ, GF(2), GF(3)]
+    for ring in rings + rings[::-1]:
+        if ring.label in passes_over:
+            assert complex_homology(C, ring).as_dict() == {0: (1, ()), 1: (1, ()), 2: (1, ())}
+        else:
+            with pytest.raises(InvalidComplex, match="d∘d != 0 between degrees 2 and 0"):
+                complex_homology(C, ring)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=lambda r: r.label)
+def test_complexes_built_valid_over_z_pass_over_every_ring(ring):
+    A = FreeChainComplex.from_dicts({0: 1, 1: 1}, {1: Matrix.from_rows([[2]])})
+    # d1 d2 = 1 - 1 = 0; the homology is Z in degree 0, free, so it contracts
+    C = FreeChainComplex.from_dicts(
+        {0: 2, 1: 2, 2: 1},
+        {1: Matrix.from_rows([[1, -1], [0, 0]]), 2: Matrix.from_rows([[1], [1]])})
+    assert complex_homology(FreeChainComplex.empty(), ring).is_zero()
+    assert complex_homology(A.tensor(C), ring) == kunneth_homology(A, C, ring)
+    assert complex_homology(contraction(C).small, ring) == complex_homology(C, ring)
+
+
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), True],
                          ids=["fraction", "integral_fraction", "bool"])
 def test_complex_takes_int_entries_only(entry):
