@@ -172,17 +172,12 @@ class CechContext:
             tuple(f for f in by_s if not self._face_masks[f] & ~mask)
             for by_s in self._faces_by_cech_degree
         )
-        ranks = {s: len(fs) for s, fs in enumerate(faces)}
-        diffs = {}
-        for s in range(1, len(faces)):
-            rows, cols = faces[s - 1], faces[s]
-            if rows:
-                diffs[s] = Matrix.from_rows(
-                    [[self.incidence.sign(cf, rf) for cf in cols] for rf in rows])
-            else:
-                diffs[s] = Matrix.zeros(0, len(cols))
+        sign = self.incidence.sign
+        diffs = tuple(
+            Matrix(len(rows), len(cols), tuple(tuple(sign(cf, rf) for cf in cols) for rf in rows))
+            for rows, cols in zip(faces, faces[1:]))
         col = self._columns[mask] = ColumnComplex(
-            FreeChainComplex.from_dicts(ranks, diffs), faces, mask)
+            FreeChainComplex(0, len(faces) - 1, tuple(map(len, faces)), diffs), faces, mask)
         return col
 
     def support_table(self, k: int) -> SupportTable:

@@ -98,7 +98,7 @@ class CoefficientRing(Record):
     """
 
     kind: str
-    p: int | None = None
+    p: int | None
 
     def __post_init__(self) -> None:
         if self.kind not in ("Z", "Q", "Fp"):
@@ -119,7 +119,7 @@ class CoefficientRing(Record):
         """Parse "Z", "Q" or "Fp:<p>" as used by the command line, p read
         by ``is_ascii_int``."""
         if text in ("Z", "Q"):
-            return CoefficientRing(text)
+            return CoefficientRing(text, None)
         if text.startswith("Fp:") and is_ascii_int(text[3:]):
             return CoefficientRing("Fp", int(text[3:]))
         raise ValueError(f"unknown ring {text!r}")
@@ -133,8 +133,8 @@ class CoefficientRing(Record):
         return self.kind if self.p is None else f"Fp:{self.p}"
 
 
-ZZ = CoefficientRing("Z")
-QQ = CoefficientRing("Q")
+ZZ = CoefficientRing("Z", None)
+QQ = CoefficientRing("Q", None)
 
 
 def GF(p: int) -> CoefficientRing:
@@ -286,8 +286,8 @@ class SignedGather:
 
 
 def _rank(factors: Sequence[int], p: int | None) -> int:
-    """Rank over Q (p None) or F_p of a matrix with these nonzero invariant
-    factors: by universal coefficients, those p does not divide."""
+    """Rank over Z or Q (p None) or F_p of a matrix with these nonzero
+    invariant factors: by universal coefficients, those p does not divide."""
     return len(factors) if p is None else sum(1 for f in factors if f % p)
 
 
@@ -468,8 +468,9 @@ class FreeChainComplex(Record):
             if (m.rows, m.cols) != (self.ranks[d - 1 - self.lo], self.ranks[d - self.lo]):
                 raise ValueError(f"differential at degree {d} has the wrong shape")
             require_ints(m.data, InvalidComplex, f"differential at degree {d}")
-        dd = enumerate(map(matmul, self.diffs, self.diffs[1:]), self.lo + 2)
-        object.__setattr__(self, "_dd_nonzero", tuple((d, m) for d, m in dd if not m.is_zero_mod(ZZ)))
+        object.__setattr__(self, "_dd_nonzero", tuple(
+            (d, m) for d, m in enumerate(map(matmul, self.diffs, self.diffs[1:]), self.lo + 2)
+            if not m.is_zero_mod(ZZ)) if len(self.diffs) > 1 else ())
 
     @classmethod
     def empty(cls) -> "FreeChainComplex":
@@ -620,22 +621,14 @@ def complex_homology(C: FreeChainComplex, ring: CoefficientRing = ZZ) -> Homolog
     for d, dd in C._dd_nonzero:  # zero over Z is zero over every ring
         if not dd.is_zero_mod(ring):
             raise InvalidComplex(f"d∘d != 0 between degrees {d} and {d - 2}")
-    diffs = C.diffs
-    field = ring.is_field
     # image[i] is the rank of diffs[i - 1], the differential out of degree
     # lo + i, and torsion[i] the factors of diffs[i], into it; zero past the ends
     image, torsion = [0], []
-    for m in diffs:
-        if not (m.rows and m.cols):
-            image.append(0)
-            torsion.append(())
-        elif field:
-            image.append(_rank(_diagonalize(m, track=False), ring.p))
-            torsion.append(())
-        else:
-            factors = _diagonalize(m, track=False)
-            image.append(len(factors))
-            torsion.append(tuple(f for f in factors if f > 1))
+    p, field = ring.p, ring.is_field
+    for m in C.diffs:
+        factors = _diagonalize(m, track=False) if m.rows and m.cols else ()
+        image.append(_rank(factors, p))
+        torsion.append(() if field else tuple(f for f in factors if f > 1))
     image.append(0)
     torsion.append(())
     groups = []
@@ -737,13 +730,7 @@ def contraction(C: FreeChainComplex) -> Contraction:
         proj[d - 1] = UP.submatrix(rows[r:], amb)
 
     small = FreeChainComplex.from_dicts({d: inc[d].cols for d in C.degrees()}, {})
-    return Contraction(
-        ambient=C,
-        small=small,
-        include=tuple(inc[d] for d in C.degrees()),
-        project=tuple(proj[d] for d in C.degrees()),
-        homotopy=tuple(homot[d] for d in C.degrees()),
-    )
+    return Contraction(C, small, *(tuple(m[d] for d in C.degrees()) for m in (inc, proj, homot)))
 
 
 class Transferred(Record):

@@ -308,7 +308,7 @@ def face_lattice(P: LatticePolytope) -> FaceLattice:
     index = [0] * len(order)
     for i, p in enumerate(ranked):
         index[p] = i
-    faces = [Face(index=i, dim=dims[p], vertex_set=order[p], tight_facets=tights[p])
+    faces = [Face(i, dims[p], order[p], tights[p])
              for i, p in enumerate(ranked)]
     codim_one = [[faces[j] for j in sorted(index[q] for q in belows[p])] for p in ranked]
     lattice = FaceLattice(P, faces, codim_one)

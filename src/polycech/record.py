@@ -1,6 +1,7 @@
 """Immutable value records, the package's one base for its value types,
 and the integer tests of its inputs (``require_ints``, ``is_ascii_int``),
 kept here because every submodule imports this one and it loads no other.
+A record is built from its fields in order, with no defaults and no keywords.
 
 ``dataclasses`` imports ``inspect`` and writes each class's methods with
 ``exec``; for thirteen frozen classes that was about a third of the time
@@ -18,7 +19,8 @@ _set = object.__setattr__
 
 class Record:
     """Frozen value whose fields are the class's own annotations not starting
-    with an underscore, in order; a class attribute of that name is a default.
+    with an underscore, in order. It is built from all of them, positionally:
+    no field has a default and none is passed by keyword.
 
     Instances of the same class with equal fields are equal, hash as their
     fields and print as ``Name(f=v, ...)``. ``__post_init__`` runs after the
@@ -28,35 +30,19 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(n for n in cls.__annotations__ if not n.startswith("_"))
-        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
         cls._key = attrgetter(*cls._fields)  # the field tuple; the value if only one
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args) -> None:
         names = self._fields
-        if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
         for i, name in enumerate(names):  # faster than zip on CPython 3.11
             _set(self, name, args[i])
         self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        names = cls._fields
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
-        try:
-            rest = [kwargs.pop(n) if n in kwargs else cls._defaults[n] for n in names[len(args):]]
-        except KeyError as missing:
-            raise TypeError(f"{cls.__name__} is missing field {missing}") from None
-        if kwargs:
-            name = next(iter(kwargs))
-            raise TypeError(f"{cls.__name__} got an unexpected or repeated field {name!r}")
-        return args + tuple(rest)
 
     def __post_init__(self) -> None:
         pass

@@ -149,9 +149,9 @@ def make_twist_complex(lo: int, levels: Sequence[Sequence[int]],
     return TwistComplex(lo, hi, levels_t, diff_t)
 
 
-def line_bundle(k: int, level: int = 0) -> TwistComplex:
-    """The single twist O(k) concentrated in one level."""
-    return make_twist_complex(level, [[k]])
+def line_bundle(k: int) -> TwistComplex:
+    """The single twist O(k) concentrated in level 0."""
+    return make_twist_complex(0, [[k]])
 
 
 def validate(Y: TwistComplex, P: LatticePolytope) -> None:

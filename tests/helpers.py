@@ -24,7 +24,11 @@ of a tensor product is read off the Künneth formula from the homology of
 each factor, where the library eliminates the assembled product. The
 incidence signs are solved for here in coordinates, face by face, where
 the library propagates them through the face lattice; the two agree up
-to one sign per face, which ``equal_up_to_face_signs`` decides.
+to one sign per face, which ``equal_up_to_face_signs`` decides. Each
+Čech column is checked against the simplicial homology of the nerve of
+its failing facets (``nerve_homology``), built from the vertices and
+facets alone, where the library assembles the column from the face
+lattice and its incidence signs.
 """
 
 from fractions import Fraction
@@ -39,7 +43,7 @@ from polycech.exact_linalg import (
     contraction,
 )
 from polycech.polytope import facets_from_vertices, lattice_points, standard_simplex
-from polycech.sheaf_complexes import direct_sum, line_bundle, make_twist_complex
+from polycech.sheaf_complexes import direct_sum, make_twist_complex
 from polycech import cech as cech_mod
 
 
@@ -537,7 +541,7 @@ def random_twist_complex(P, rng, max_blocks=3):
     for _ in range(rng.randint(1, max_blocks)):
         level = rng.randint(-1, 1)
         if rng.random() < 0.4:
-            blocks.append(line_bundle(rng.randint(-2, 2), level))
+            blocks.append(make_twist_complex(level, [[rng.randint(-2, 2)]]))
             continue
         a = rng.randint(-2, 1)
         b = rng.randint(a, 2)
@@ -586,6 +590,49 @@ def koszul(P):
         diffs[t] = {(index[t - 1][S[:r] + S[r + 1:]], j): [(-1 if r % 2 else 1, verts[v])]
                     for j, S in enumerate(subsets[t]) for r, v in enumerate(S)}
     return make_twist_complex(0, [[-t] * len(level) for t, level in enumerate(subsets)], diffs)
+
+
+def nerve_homology(P, k, m):
+    """Reduced homology over Z of the nerve N_m of the facets failing at
+    multidegree m for O(k), as {q: (free rank, torsion)} with zero groups
+    left out.
+
+    The failing facets are F_m = {i : <a_i, m> < k*b_i}. A simplex of N_m
+    is a subset of F_m that lies in the tight facets of one vertex, and
+    the empty simplex sits in degree -1, so N_m with F_m empty has
+    H_{-1} = Z. By Cox, Little and Schenck, *Toric Varieties* §9.1, and
+    the nerve lemma, the Čech column at (k, m) has H_d free of the rank
+    of H_{n-1-d}(N_m). Torsion is compared only for n <= 4, where
+    Alexander duality in the boundary sphere leaves none on either side;
+    the theorem speaks of cohomology, so above that torsion moves one
+    degree. Only ``P.vertices`` and ``P.facets`` are read, and the ranks
+    come from ``smith_invariant_factors``: no face lattice, no incidence
+    sign, no library elimination.
+    """
+    failing = [i for i, (a, b) in enumerate(P.facets) if _dot(a, m) < k * b]
+    tops = {tuple(i for i in failing if _dot(P.facets[i][0], v) == P.facets[i][1])
+            for v in P.vertices}
+    simplices = {S for top in tops for r in range(len(top) + 1) for S in combinations(top, r)}
+    by_dim = {}
+    for S in sorted(simplices):
+        by_dim.setdefault(len(S) - 1, []).append(S)
+    factors = {}  # factors[q]: those of the boundary from degree q to q - 1
+    for q, cells in by_dim.items():
+        if q < 0:
+            continue
+        index = {S: r for r, S in enumerate(by_dim[q - 1])}
+        rows = [[0] * len(cells) for _ in index]
+        for c, S in enumerate(cells):
+            for j in range(len(S)):
+                rows[index[S[:j] + S[j + 1:]]][c] = -1 if j % 2 else 1
+        factors[q] = smith_invariant_factors(rows)
+    out = {}
+    for q, cells in by_dim.items():
+        free = len(cells) - len(factors.get(q, ())) - len(factors.get(q + 1, ()))
+        torsion = tuple(f for f in factors.get(q + 1, ()) if f > 1)
+        if free or torsion:
+            out[q] = (free, torsion)
+    return out
 
 
 def paths_by_enumeration(P, Y):
