@@ -15,10 +15,10 @@ of O(k) with monomial differentials, this module computes:
 The Čech complex splits by lattice multidegree m into columns: the faces
 F whose cone kF + T_F contains m. A column depends only on the mask of
 facets whose inequality holds at m. A ``CechContext`` keeps, for as long
-as it lives: the face lattice, incidence signs and Ehrhart data of P; the
-column of every mask reached, with its contraction once read; the support
-table of every twist asked, with its column; and the delta gathers of
-every pair of masks a transfer has joined.
+as it lives: the face lattice and incidence signs of P, and its Ehrhart
+data once read; the column of every mask reached, with its contraction
+once read; the support table of every twist asked, with its column; and
+the delta gathers of every pair of masks a transfer has joined.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 from itertools import chain, repeat
 from operator import add
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exact_linalg import (
     ZZ,
@@ -43,6 +43,7 @@ from .exact_linalg import (
 )
 from .orientation import incidence_numbers
 from .polytope import (
+    EhrhartPolynomial,
     LatticePolytope,
     bounding_box,
     ehrhart_polynomial,
@@ -55,7 +56,9 @@ from .polytope import (
     standard_simplex,
 )
 from .record import Record
-from .sheaf_complexes import TwistComplex, bundle_tensor, cone, line_bundle, twist, validate
+
+if TYPE_CHECKING:
+    from .sheaf_complexes import TwistComplex
 
 
 class SupportEscapesBox(Exception):
@@ -128,20 +131,28 @@ def scan_box(P: LatticePolytope, k: int) -> list[tuple[int, int]]:
             for (lo, hi), (lo1, hi1) in zip(bounding_box(P, k), bounding_box(P, 1))]
 
 
+@cache
+def _twist_complexes():
+    """``sheaf_complexes``, imported on first use: a line-bundle scan loads none of it.
+    A cached call costs a twentieth of the import statement ``transfer`` would run each time."""
+    from . import sheaf_complexes
+    return sheaf_complexes
+
+
 class CechContext:
     """Per-polytope caches: face lattice, incidence signs, Ehrhart data,
     the support table of every twist asked so far, the column of every
     facet mask reached so far, with the column's contraction once it has
     been used, and the delta gathers of every pair of masks a transfer
     has joined. Nothing is evicted: a context keeps what it has enumerated
-    for as long as it lives, and ``context`` keeps every context it built."""
+    for as long as it lives, and ``context`` keeps every context it built.
+    ``ehrhart`` and its checked root count ``np`` are interpolated on first
+    read: a line-bundle scan or a transfer reads neither."""
 
     def __init__(self, P: LatticePolytope):
         self.polytope = P
         self.lattice = face_lattice(P)
         self.incidence = incidence_numbers(self.lattice)
-        self.ehrhart = ehrhart_polynomial(P)
-        self.np = np_index(P, self.ehrhart)
         n = P.dim
         self._faces_by_cech_degree = tuple(
             tuple(f.index for f in self.lattice.by_dim[n - s]) for s in range(n + 1)
@@ -151,6 +162,14 @@ class CechContext:
         self._columns: dict[int, ColumnComplex] = {}  # by facet mask
         self._supports: dict[int, SupportTable] = {}  # by twist
         self._gathers: dict[tuple[int, int], tuple] = {}  # by (source, target) mask
+
+    @cached_property
+    def ehrhart(self) -> EhrhartPolynomial:
+        return ehrhart_polynomial(self.polytope)
+
+    @cached_property
+    def np(self) -> int:
+        return np_index(self.polytope, self.ehrhart)
 
     def column_complex(self, k: int, m: Sequence[int]) -> ColumnComplex:
         """Faces whose cone k*F + T_F contains m, with incidence differentials.
@@ -277,7 +296,7 @@ class CechContext:
         the last step over any ring; the transfer is not kept, so a caller
         that needs several rings keeps it.
         """
-        validate(Y, self.polytope)
+        _twist_complexes().validate(Y, self.polytope)
         supports: dict[tuple, ColumnComplex] = {}  # the column of each support triple
         for t, j, k in Y.summands():
             table = self.support_table(k)
@@ -340,7 +359,7 @@ class CechContext:
     def acyclicity_window(self) -> tuple[bool, ...]:
         """Acyclicity of O(-k) for k = 1..n+1; true exactly up to the root count."""
         flags = tuple(
-            self.cech_homology(line_bundle(-k), ZZ).homology.is_zero()
+            self.cech_homology(_twist_complexes().line_bundle(-k), ZZ).homology.is_zero()
             for k in range(1, self.polytope.dim + 2)
         )
         for k, flag in enumerate(flags, start=1):
@@ -354,7 +373,7 @@ class CechContext:
         if kmax < 0:
             raise ValueError(f"kmax {kmax} is negative")
         return all(
-            self.cech_homology(twist(Y, j), ZZ).homology.is_zero()
+            self.cech_homology(_twist_complexes().twist(Y, j), ZZ).homology.is_zero()
             for j in range(kmax + 1)
         )
 
@@ -385,7 +404,8 @@ class CechContext:
         """Constant-diagram route vs O(0) tensor route: raises AssertionError
         naming both homologies unless they agree degreewise."""
         direct = self.constant_diagram_cech(C, ring).homology
-        tensored = self.cech_homology(bundle_tensor(0, C, self.polytope.dim), ring).homology
+        tensored = self.cech_homology(
+            _twist_complexes().bundle_tensor(0, C, self.polytope.dim), ring).homology
         if direct != tensored:
             raise AssertionError(f"constant diagram gave {direct.as_dict()}, "
                                  f"O(0) tensor C gave {tensored.as_dict()}")
@@ -445,7 +465,8 @@ def simplex_cone_check(n: int, k: int, ring: CoefficientRing = ZZ) -> None:
     small = context(standard_simplex(n - 1))
     zero_u = tuple(0 for _ in range(n))
     f = {0: {(0, 0): [(1, zero_u)]}}
-    Y = cone(f, line_bundle(k), line_bundle(k + 1))
+    tc = _twist_complexes()
+    Y = tc.cone(f, tc.line_bundle(k), tc.line_bundle(k + 1))
     lhs = big.cech_homology(Y, ring).homology
     rhs = small.line_bundle_cohomology(k + 1, ring).homology.shifted(1)
     if lhs != rhs:

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import json
 import sys
-from math import prod
+from math import gcd, prod
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 # Only the polytope is imported here, and no argparse: ``faces``,
 # ``ehrhart``, ``np``, ``points`` and ``splitting`` need nothing else, ``chi``
-# only the twist complexes, and each command is a fresh process that compiles
-# every module it imports when no bytecode cache is written. The functions
-# below import the rest.
+# only the twist complexes, ``cohomology`` no twist complex, and each command
+# is a fresh process that compiles every module it imports when no bytecode
+# cache is written. The functions below import the rest; no command loads
+# ``fractions``, since the Ehrhart data are integers.
 from .polytope import (
     DuplicateVertex,
     LatticePolytope,
@@ -228,8 +229,11 @@ def cmd_faces(P: LatticePolytope) -> dict:
 
 def cmd_ehrhart(P: LatticePolytope) -> dict:
     e = ehrhart_polynomial(P)
+    d = e.denominator
     return {
-        "coeffs": [str(c) for c in e.coefficients],
+        # each coefficient a / d reduced, as "p/q", or "p" when it is an integer
+        "coeffs": [str(a // g) if (g := gcd(a, d)) == d else f"{a // g}/{d // g}"
+                   for a in e.numerators],
         "np": e.np,
         "integral_roots": list(range(-e.np, 0)),
     }

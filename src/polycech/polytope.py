@@ -7,18 +7,19 @@ facet mask of a point (``facet_mask``), which columns and monomial
 validity read, and its line sweep over a box (``facet_runs``), which
 lattice point enumeration and the line-bundle scan share, the Ehrhart
 polynomial, whose coefficients are read off ``row_echelon`` of the
-Vandermonde system of the point counts, the count of its integral
-roots, and the splitting matrix of Euler characteristics (-1)^n E(k).
+Vandermonde system of the point counts as integer numerators over one
+denominator, the count of its integral roots, and the splitting matrix of
+Euler characteristics (-1)^n E(k).
 
 ``row_echelon``, the package's one fraction-free elimination over Q, is
 defined here, beside its only callers: it depends on nothing else in the
 package, and the commands that need only the polytope then load only this
-module and ``record``.
+module and ``record``. E is integer-valued at every integer, so its values
+are ints, and no command loads ``fractions`` (nor ``decimal`` and ``numbers``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import mul
@@ -87,7 +88,7 @@ def row_echelon(rows: Sequence[Sequence[int]]):
     row's entry in the pivot column and d the previous pivot. The division
     is exact: every entry stays an integer minor of the input, and after
     the last step the pivot rows are d times the rows of R, so m holds
-    ints and R is Fraction(a, d).
+    ints and R is m / d.
     """
     m = [list(row) for row in rows]
     nrows = len(m)
@@ -381,6 +382,17 @@ def facet_mask(P: LatticePolytope, k: int, m: Sequence[int]) -> int:
     return mask
 
 
+def _full_runs(P: LatticePolytope, k: int, interior: bool) -> Iterator[tuple]:
+    """``(m, length)`` for each run of ``facet_runs`` over the bounding box of
+    kP on which every facet of kP, or of its interior, holds: each facet as
+    <a, m> >= c, negated for k < 0, strict ones raised by one."""
+    sign = 1 if k >= 0 else -1
+    rows = [(tuple(sign * x for x in a), sign * k * b + interior) for a, b in P.facets]
+    every = (1 << len(rows)) - 1
+    return ((m, length) for m, length, mask in facet_runs(rows, bounding_box(P, k))
+            if mask == every)
+
+
 def lattice_points(P: LatticePolytope, k: int, interior: bool = False) -> tuple[tuple[int, ...], ...]:
     """Integral points of the dilate kP, or of its interior, in lexicographic order:
     the runs of ``facet_runs`` over its bounding box on which every facet holds.
@@ -392,27 +404,33 @@ def lattice_points(P: LatticePolytope, k: int, interior: bool = False) -> tuple[
         raise ValueError("boundary-inclusive counting needs k >= 0")
     if P.dim == 0:
         return ((),)
-    # every facet as <a, m> >= c: negated for k < 0, strict ones raised by one
-    sign = 1 if k >= 0 else -1
-    rows = [(tuple(sign * x for x in a), sign * k * b + (1 if interior else 0))
-            for a, b in P.facets]
-    every = (1 << len(rows)) - 1
-    return tuple(m[:-1] + (x,) for m, length, mask in facet_runs(rows, bounding_box(P, k))
-                 if mask == every for x in range(m[-1], m[-1] + length))
+    return tuple(m[:-1] + (x,) for m, length in _full_runs(P, k, interior)
+                 for x in range(m[-1], m[-1] + length))
+
+
+def lattice_point_count(P: LatticePolytope, k: int, interior: bool = False) -> int:
+    """len(lattice_points(P, k, interior)), for k >= 0 or ``interior``, with no point built."""
+    return sum(length for _, length in _full_runs(P, k, interior))
 
 
 class EhrhartPolynomial(Record):
-    """Exact point-counting polynomial: coefficients ascending, plus the
-    count np of integral roots, which are -np..-1."""
+    """Exact point-counting polynomial: integer numerators of its
+    coefficients, ascending, over one positive denominator, in lowest
+    terms, plus the count np of integral roots, which are -np..-1."""
 
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
     np: int
 
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x: int):
+        """E(x): an int at every integer x, and a Fraction only where it is not integral."""
+        acc = 0
+        for a in reversed(self.numerators):
+            acc = acc * x + a
+        if acc % self.denominator:
+            from fractions import Fraction  # no lattice polytope gets here
+            return Fraction(acc, self.denominator)
+        return acc // self.denominator
 
 
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
@@ -420,22 +438,25 @@ def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
 
     The coefficients c solve the Vandermonde system of the nodes 0..n,
     eliminated by ``row_echelon``: the nodes are distinct, so the rows
-    come back as d*[I | c]. The node n+1 is reserved as a consistency
-    guard; a mismatch there means an internal bug, not bad input.
+    come back as d*[I | c], and c is their last column over d, reduced.
+    The node n+1 is reserved as a consistency guard; a mismatch there
+    means an internal bug, not bad input.
     """
     n = P.dim
-    rows = [[k ** j for j in range(n + 1)] + [len(lattice_points(P, k))] for k in range(n + 1)]
+    rows = [[k ** j for j in range(n + 1)] + [lattice_point_count(P, k)] for k in range(n + 1)]
     m, _, d = row_echelon(rows)
-    coeffs = tuple(Fraction(m[j][n + 1], d) for j in range(n + 1))
-    guard = len(lattice_points(P, n + 1))
-    poly = EhrhartPolynomial(coeffs, 0)
+    # d is the Vandermonde determinant, positive: no leading minor is 0, so no row is swapped
+    g = gcd(d, *(row[n + 1] for row in m))
+    nums, d = tuple(row[n + 1] // g for row in m), d // g
+    guard = lattice_point_count(P, n + 1)
+    poly = EhrhartPolynomial(nums, d, 0)
     if poly(n + 1) != guard:
         raise InterpolationInconsistent(
             f"E({n + 1}) = {poly(n + 1)} but the dilate holds {guard} points")
     roots = [k for k in range(-n, 0) if poly(k) == 0]
     if roots != list(range(-len(roots), 0)):
         raise CharacterizationMismatch(f"integral roots {roots} are not contiguous")
-    return EhrhartPolynomial(coeffs, len(roots))
+    return EhrhartPolynomial(nums, d, len(roots))
 
 
 def np_index(P: LatticePolytope, ehrhart: EhrhartPolynomial | None = None) -> int:
@@ -443,14 +464,15 @@ def np_index(P: LatticePolytope, ehrhart: EhrhartPolynomial | None = None) -> in
 
     ``ehrhart`` is P's polynomial when the caller already has it.
     Cross-checked against the minimal k >= 0 for which (k+1)P has an
-    interior lattice point; disagreement raises CharacterizationMismatch.
+    interior lattice point, found at the first run of the sweep on which
+    every facet holds; disagreement raises CharacterizationMismatch.
     """
     if ehrhart is None:
         ehrhart = ehrhart_polynomial(P)
     via_roots = ehrhart.np
     via_interior = None
     for k in range(P.dim + 1):
-        if lattice_points(P, k + 1, interior=True):
+        if next(_full_runs(P, k + 1, True), None):
             via_interior = k
             break
     if via_interior != via_roots:
@@ -459,7 +481,7 @@ def np_index(P: LatticePolytope, ehrhart: EhrhartPolynomial | None = None) -> in
     return via_roots
 
 
-def twist_euler_characteristic(P: LatticePolytope, e: Callable[[int], Fraction], k: int) -> int:
+def twist_euler_characteristic(P: LatticePolytope, e: Callable[[int], int], k: int) -> int:
     """chi(O(k)) = (-1)^n E(k), for E = ``e`` the point count of P."""
     val = e(k)
     if val.denominator != 1:
@@ -467,7 +489,7 @@ def twist_euler_characteristic(P: LatticePolytope, e: Callable[[int], Fraction],
     return (-1) ** P.dim * int(val)
 
 
-def splitting_rows(P: LatticePolytope, e: Callable[[int], Fraction], npi: int) -> list[list[int]]:
+def splitting_rows(P: LatticePolytope, e: Callable[[int], int], npi: int) -> list[list[int]]:
     """The splitting matrix chi(O(j - l)), 0 <= j, l <= npi, P's root count: a
     Toeplitz table of point counts E = ``e``, with no face lattice or Čech
     column. NotUnimodular names its first entry off the lower triangular

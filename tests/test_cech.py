@@ -414,6 +414,7 @@ def test_splitting_guard_fires_on_a_wrong_euler_characteristic(twist, count, mes
     # chi(O(k)) = E(k) on the triangle: a wrong point count E(k) is a wrong entry
     ctx = CechContext(D2)
     real = ctx.ehrhart
+    assert ctx.np == 2  # read off the real polynomial, before it is swapped
     ctx.ehrhart = lambda k: Fraction(count) if k == twist else real(k)
     with pytest.raises(NotUnimodular, match=re.escape(message)):
         ctx.splitting_matrix()
@@ -477,8 +478,9 @@ def test_con_vs_bundle_examples():
 
 
 def test_con_vs_bundle_check_raises_naming_both_routes(monkeypatch):
-    real = cech_mod.bundle_tensor
-    monkeypatch.setattr(cech_mod, "bundle_tensor", lambda k, C, dim: real(k + 1, C, dim))
+    real = sheaf_complexes_mod.bundle_tensor
+    monkeypatch.setattr(sheaf_complexes_mod, "bundle_tensor",
+                        lambda k, C, dim: real(k + 1, C, dim))
     unit = FreeChainComplex.from_dicts({0: 1}, {})
     with pytest.raises(AssertionError, match=re.escape(
             "constant diagram gave {1: (1, ())}, O(0) tensor C gave {1: (2, ())}")):
@@ -486,7 +488,7 @@ def test_con_vs_bundle_check_raises_naming_both_routes(monkeypatch):
 
 
 def test_simplex_cone_check_raises_naming_both_sides(monkeypatch):
-    monkeypatch.setattr(cech_mod, "cone", lambda f, source, target: target)
+    monkeypatch.setattr(sheaf_complexes_mod, "cone", lambda f, source, target: target)
     with pytest.raises(AssertionError, match=re.escape(
             "cone of O(0) -> O(1) gave {1: (2, ())}, "
             "shifted O(1) on the 0-simplex gave {1: (1, ())}")):
@@ -872,10 +874,10 @@ def test_context_interpolates_once_and_keeps_the_np_cross_check(monkeypatch):
     monkeypatch.setattr(polytope_mod, "ehrhart_polynomial", counted)
     monkeypatch.setattr(cech_mod, "ehrhart_polynomial", counted)
     ctx = CechContext(PYRAMID)
-    assert calls == [PYRAMID] and ctx.np == ctx.ehrhart.np
+    assert ctx.np == ctx.ehrhart.np and calls == [PYRAMID]
     # a root count that the interior dilates contradict still raises
     e = ctx.ehrhart
-    wrong = EhrhartPolynomial(e.coefficients, ctx.np + 1)
+    wrong = EhrhartPolynomial(e.numerators, e.denominator, ctx.np + 1)
     monkeypatch.setattr(cech_mod, "ehrhart_polynomial", lambda P: wrong)
     with pytest.raises(CharacterizationMismatch):
-        CechContext(PYRAMID)
+        CechContext(PYRAMID).np

@@ -9,6 +9,7 @@ import pytest
 from polycech import cech as cech_mod
 from polycech import cli as cli_mod
 from polycech import polytope as polytope_mod
+from polycech import sheaf_complexes as sheaf_complexes_mod
 from polycech.cli import (
     canonical_dumps,
     complex_document,
@@ -231,6 +232,7 @@ def test_large_volume_refused_before_any_enumeration(capsys, monkeypatch, tmp_pa
 
     for module in (polytope_mod, cli_mod, cech_mod):
         monkeypatch.setattr(module, "lattice_points", refuse)
+    monkeypatch.setattr(polytope_mod, "lattice_point_count", refuse)
     for args in ehrhart_commands(str(big), str(cx)):
         code, out = run(args, capsys)
         doc = json.loads(out)
@@ -345,12 +347,13 @@ def _one_interior_point_too_many(monkeypatch):
 
 
 def _tensor_with_o1(monkeypatch):
-    real = cech_mod.bundle_tensor
-    monkeypatch.setattr(cech_mod, "bundle_tensor", lambda k, C, dim: real(k + 1, C, dim))
+    real = sheaf_complexes_mod.bundle_tensor
+    monkeypatch.setattr(sheaf_complexes_mod, "bundle_tensor",
+                        lambda k, C, dim: real(k + 1, C, dim))
 
 
 def _cone_as_its_target(monkeypatch):
-    monkeypatch.setattr(cech_mod, "cone", lambda f, source, target: target)
+    monkeypatch.setattr(sheaf_complexes_mod, "cone", lambda f, source, target: target)
 
 
 def _e_of_0_is_2(monkeypatch):
@@ -647,9 +650,11 @@ HOMOLOGY_MODULES = {"polycech.cech", "polycech.exact_linalg", "polycech.orientat
 
 
 @pytest.mark.parametrize("argv", [[], ["faces"], ["ehrhart"], ["np"], ["points", "--dilate", "2"],
-                                  ["splitting"], ["chi", "o2.json"], ["cohomology", "--twist", "1"]],
+                                  ["splitting"], ["chi", "o2.json"],
+                                  ["cohomology", "--twist", "1"], ["cech", "o2.json"],
+                                  ["verify", "--kmax", "1"]],
                          ids=["import", "faces", "ehrhart", "np", "points", "splitting", "chi",
-                              "cohomology"])
+                              "cohomology", "cech", "verify"])
 def test_cold_start_imports_neither_dataclasses_nor_inspect(docs, argv):
     # every command is a fresh process, which compiles each module it imports
     # when no bytecode cache is written; modules that site loaded before the
@@ -663,8 +668,26 @@ def test_cold_start_imports_neither_dataclasses_nor_inspect(docs, argv):
     assert proc.returncode == 0, proc.stderr
     new = set(proc.stdout.splitlines()[-1].split())
     loaded = {m for m in new if m.partition(".")[0] == "polycech"}
-    # chi reads the Ehrhart polynomial and the twist complex, no Čech column
-    extra = {"cohomology": HOMOLOGY_MODULES, "chi": {"polycech.sheaf_complexes"}}
+    # chi reads the Ehrhart polynomial and the twist complex, no Čech column;
+    # cohomology scans columns, with no twist complex
+    extra = {"cohomology": HOMOLOGY_MODULES - {"polycech.sheaf_complexes"},
+             "cech": HOMOLOGY_MODULES, "verify": HOMOLOGY_MODULES,
+             "chi": {"polycech.sheaf_complexes"}}
     assert loaded == POLYTOPE_ONLY | extra.get(argv[0] if argv else "", set())
-    # the command line is read by a table in cli, with no argparse
-    assert not {"dataclasses", "inspect", "argparse"} & new
+    # the command line is read by a table in cli, with no argparse, and the
+    # Ehrhart data are integers, with no fractions (which loads decimal and numbers)
+    assert not {"dataclasses", "inspect", "argparse", "fractions", "decimal", "numbers"} & new
+
+
+def test_line_bundle_scan_loads_no_twist_complex_and_no_ehrhart_data():
+    # a scan reads columns alone: the context interpolates E on first read,
+    # and the twist-complex code is imported by the methods that build one.
+    # The modules are counted, not timed
+    proc = child_python("-c", "import sys\n"
+                              "from polycech import cech, standard_simplex\n"
+                              "P = standard_simplex(2)\n"
+                              "cech.line_bundle_cohomology(P, 1)\n"
+                              "lazy = {'polycech.sheaf_complexes', 'fractions'}\n"
+                              "print(sorted(lazy & set(sys.modules)),"
+                              " 'ehrhart' in vars(cech.context(P)))")
+    assert proc.stdout == "[] False\n", proc.stderr

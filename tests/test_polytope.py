@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -18,9 +20,11 @@ from polycech.polytope import (
     face_lattice,
     facet_mask,
     facets_from_vertices,
+    lattice_point_count,
     lattice_points,
     np_index,
     standard_simplex,
+    twist_euler_characteristic,
 )
 
 from helpers import (
@@ -196,12 +200,17 @@ def test_lattice_point_examples():
         lattice_points(P, -1)
 
 
+def coefficients(e):
+    """The coefficients of ``e`` as Fractions, read off its integer form."""
+    return tuple(Fraction(a, e.denominator) for a in e.numerators)
+
+
 def test_ehrhart_coefficients():
-    assert ehrhart_polynomial(SAMPLES["simplex2"]).coefficients == (
+    assert coefficients(ehrhart_polynomial(SAMPLES["simplex2"])) == (
         Fraction(1), Fraction(3, 2), Fraction(1, 2))
-    assert ehrhart_polynomial(SAMPLES["square"]).coefficients == (
+    assert coefficients(ehrhart_polynomial(SAMPLES["square"])) == (
         Fraction(1), Fraction(2), Fraction(1))
-    assert ehrhart_polynomial(SAMPLES["interval"]).coefficients == (
+    assert coefficients(ehrhart_polynomial(SAMPLES["interval"])) == (
         Fraction(1), Fraction(1))
 
 
@@ -221,21 +230,36 @@ def _random_lattice_polytopes(rng, count):
     return list(out.values())
 
 
+def assert_integer_form(P, e):
+    """Integer numerators over a positive denominator in lowest terms, and
+    E(k) an int: the point count of kP for k = 0..n+2, and (-1)^n times the
+    interior count of |k|P for k = -1..-(n+1)."""
+    assert e.denominator > 0 and gcd(e.denominator, *e.numerators) == 1, P.vertices
+    assert all(type(a) is int for a in (*e.numerators, e.denominator)), P.vertices
+    for k in range(P.dim + 3):
+        assert type(e(k)) is int and e(k) == len(lattice_points(P, k)), (P.vertices, k)
+    for k in range(1, P.dim + 2):
+        count = len(lattice_points(P, k, interior=True))
+        assert type(e(-k)) is int and e(-k) == (-1) ** P.dim * count, (P.vertices, -k)
+
+
 def test_ehrhart_coefficients_against_lagrange():
     rng = random.Random(20100730)
     polytopes = list(SAMPLES.values()) + _random_lattice_polytopes(rng, 240)
     assert {P.dim for P in polytopes} >= {1, 2, 3, 4}
     for P in polytopes:
         nodes = [(k, len(lattice_points(P, k))) for k in range(P.dim + 1)]
-        assert ehrhart_polynomial(P).coefficients == interpolate_by_lagrange(nodes), P.vertices
+        e = ehrhart_polynomial(P)
+        assert coefficients(e) == interpolate_by_lagrange(nodes), P.vertices
+        assert_integer_form(P, e)
 
 
 def test_ehrhart_constant_term_and_leading_sign():
     for P in SAMPLES.values():
         e = ehrhart_polynomial(P)
-        assert e.coefficients[0] == 1
-        assert e.coefficients[-1] > 0
-        assert len(e.coefficients) - 1 == P.dim
+        assert e.numerators[0] == e.denominator
+        assert e.numerators[-1] > 0
+        assert len(e.numerators) - 1 == P.dim
 
 
 def test_ehrhart_predicts_beyond_interpolation_nodes():
@@ -287,7 +311,7 @@ def test_zero_dimensional_point():
     assert facets_from_vertices(0, [()]) == pt
     assert len(face_lattice(pt).faces) == 1
     e = ehrhart_polynomial(pt)
-    assert e.coefficients == (Fraction(1),) and e.np == 0
+    assert (e.numerators, e.denominator, e.np) == ((1,), 1, 0)
     assert lattice_points(pt, 5) == ((),)
     assert lattice_points(pt, -2, interior=True) == ((),)
     assert np_index(pt) == 0
@@ -354,9 +378,13 @@ def test_combinatorics_against_exhaustive_oracles(name, dim, verts):
             box *= abs(k) * span + 1
         if box > 20000:
             continue
-        assert lattice_points(P, k, interior=True) == lattice_points_by_box(P, k, True), k
+        inside = lattice_points_by_box(P, k, True)
+        assert lattice_points(P, k, interior=True) == inside, k
+        assert lattice_point_count(P, k, interior=True) == len(inside), k
         if k >= 0:
-            assert lattice_points(P, k) == lattice_points_by_box(P, k), k
+            points = lattice_points_by_box(P, k)
+            assert lattice_points(P, k) == points, k
+            assert lattice_point_count(P, k) == len(points), k
 
 
 @pytest.mark.parametrize("name,dim,verts", DIFFERENTIAL_CASES,
@@ -396,13 +424,13 @@ def test_top_face_assertion_fires_on_a_flat_polytope():
 
 def test_interpolation_guard_fires(monkeypatch):
     P = SAMPLES["square"]
-    real = polytope_mod.lattice_points
+    real = polytope_mod.lattice_point_count
 
     def one_extra_at_the_guard_node(Q, k, interior=False):
-        pts = real(Q, k, interior)
-        return pts + ((99, 99),) if k == Q.dim + 1 else pts
+        count = real(Q, k, interior)
+        return count + 1 if k == Q.dim + 1 else count
 
-    monkeypatch.setattr(polytope_mod, "lattice_points", one_extra_at_the_guard_node)
+    monkeypatch.setattr(polytope_mod, "lattice_point_count", one_extra_at_the_guard_node)
     with pytest.raises(InterpolationInconsistent):
         ehrhart_polynomial(P)
 
@@ -412,10 +440,18 @@ def test_root_guard_fires_on_non_contiguous_roots(monkeypatch):
     # which has the root -2 but not -1
     P = SAMPLES["simplex2"]
     counts = {0: 1, 1: 6, 2: 14, 3: 25}
-    monkeypatch.setattr(polytope_mod, "lattice_points",
-                        lambda Q, k, interior=False: ((0, 0),) * counts[k])
+    monkeypatch.setattr(polytope_mod, "lattice_point_count",
+                        lambda Q, k, interior=False: counts[k])
     with pytest.raises(CharacterizationMismatch, match=r"integral roots \[-2\] are not contiguous"):
         ehrhart_polynomial(P)
+
+
+def test_integrality_guard_fires_on_a_corrupted_polynomial():
+    # (1 + x)/2 is not integral at 0: only such a value is a Fraction
+    corrupted = EhrhartPolynomial((1, 1), 2, 0)
+    assert type(corrupted(1)) is int and corrupted(0) == Fraction(1, 2)
+    with pytest.raises(AssertionError, match=re.escape("E(0) = 1/2 is not integral")):
+        twist_euler_characteristic(SAMPLES["interval"], corrupted, 0)
 
 
 def test_np_index_cross_check_fires_on_a_wrong_root_count():
@@ -423,4 +459,4 @@ def test_np_index_cross_check_fires_on_a_wrong_root_count():
     e = ehrhart_polynomial(P)
     assert np_index(P, e) == np_index(P) == 2
     with pytest.raises(CharacterizationMismatch):
-        np_index(P, EhrhartPolynomial(e.coefficients, 1))
+        np_index(P, EhrhartPolynomial(e.numerators, e.denominator, 1))
